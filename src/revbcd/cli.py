@@ -2,7 +2,9 @@
 
 Subcommands: build, simulate, verify, metrics, compare, pareto, ledger.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
-4 overflow/capacity, 5 ledger mismatch.  Randomized paths take --seed
+4 overflow/capacity, 5 ledger mismatch.  Any other toolkit error (for
+example metrics on a netlist without outputs, or a stage split of an
+untagged one) is reported as a usage error, 2.  Randomized paths take --seed
 (default from REVBCD_SEED) and are reproducible for a fixed seed.
 """
 
@@ -16,15 +18,10 @@ from pathlib import Path
 
 from . import costs, verify
 from .designs import ADDER_DESIGNS, DESIGN_BUILDERS, build_design
-from .errors import (
-    CapacityError,
-    InvalidArgumentError,
-    InvalidBCDError,
-    LedgerFormatError,
-    NetlistFormatError,
-)
+from .errors import CapacityError, InvalidArgumentError, LedgerFormatError, RevbcdError
 from .ledger import (
     DEFAULT_WIDTH,
+    AdderPort,
     CsvConfig,
     bcd_add,
     decode,
@@ -141,21 +138,10 @@ def cmd_build(args) -> int:
 
 def _parse_operands(args) -> tuple[int, int, int]:
     if args.raw_bits:
-        for text in (args.a, args.b):
-            if not text or set(text) - {"0", "1"}:
-                raise InvalidArgumentError(f"not a bit string: {text!r}")
-        if len(args.a) != len(args.b) or len(args.a) % 4:
+        if len(args.a) != len(args.b):
             raise InvalidArgumentError("bit strings need equal 4-per-digit length")
-        n = len(args.a) // 4
-        def from_bits(text):
-            total = 0
-            for j in range(n):
-                digit = sum(int(text[4 * j + i]) << i for i in range(4))
-                if digit > 9:
-                    raise InvalidBCDError(f"digit {digit} outside 0..9")
-                total += digit * 10**j
-            return total
-        return from_bits(args.a), from_bits(args.b), n
+        va, vb = AdderPort.from_bits(args.a), AdderPort.from_bits(args.b)
+        return decode(va), decode(vb), va.width
     try:
         a, b = int(args.a), int(args.b)
     except ValueError:
@@ -181,10 +167,7 @@ def cmd_simulate(args) -> int:
     print(f"  sum   = {decode(total)}")
     print(f"  carry = {carry}")
     print(f"  full  = {carry * 10**n + decode(total)}")
-    bits = "".join(
-        "".join(str((d >> i) & 1) for i in range(4)) for d in total.digits
-    )
-    print(f"  sum bits (little-endian) = {bits}")
+    print(f"  sum bits (little-endian) = {AdderPort.to_bits(total)}")
     return EXIT_OK
 
 
@@ -255,9 +238,8 @@ def cmd_pareto(args) -> int:
             print(f"## N={n}")
             print("| design | qc | delay | on front |")
             print("|---|---|---|---|")
-            front_keys = {(p.name, p.qc, p.delay) for p in front}
             for p in sorted(points, key=lambda p: (p.qc, p.delay)):
-                mark = "yes" if (p.name, p.qc, p.delay) in front_keys else ""
+                mark = "yes" if p in front else ""
                 print(
                     f"| {costs.display_name(p.name)} | {p.qc} | {p.delay} "
                     f"| {mark} |"
@@ -321,18 +303,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (CapacityError,) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (InvalidArgumentError, InvalidBCDError, NetlistFormatError) as exc:
+    except (LedgerFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RevbcdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LedgerFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

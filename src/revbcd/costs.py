@@ -297,10 +297,10 @@ def pareto_front(points: list[CostPoint]) -> list[CostPoint]:
 
 def render_points_tsv(points: list[CostPoint]) -> str:
     """Plot-ready rows: qc, delay, name, on_front."""
-    front_keys = {(p.name, p.qc, p.delay) for p in pareto_front(points)}
+    front = pareto_front(points)
     lines = ["qc\tdelay\tname\ton_front"]
     for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name)):
-        flag = "1" if (p.name, p.qc, p.delay) in front_keys else "0"
+        flag = "1" if p in front else "0"
         lines.append(f"{p.qc}\t{p.delay}\t{display_name(p.name)}\t{flag}")
     return "\n".join(lines) + "\n"
 
@@ -352,9 +352,7 @@ def render_svg(points: list[CostPoint], width: int = 640, height: int = 440) -> 
         f"stroke-dasharray='5,4' stroke-width='1.5'/>"
     )
     for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name)):
-        on_front = any(
-            p.name == f.name and p.qc == f.qc and p.delay == f.delay for f in front
-        )
+        on_front = p in front
         color = "#d62728" if p.name in PROPOSED else "#555555"
         parts.append(
             f"<circle cx='{sx(p.qc):.1f}' cy='{sy(p.delay):.1f}' r='4' "

@@ -36,9 +36,6 @@ STAGE_ADDITION = "addition"
 STAGE_DETECTION = "detection"
 STAGE_CORRECTION = "correction"
 
-RCA_CONSTS_PER_DIGIT = 8
-CSK_CONSTS_PER_DIGIT = 19
-
 
 # -- direct boolean evaluators ----------------------------------------------
 
@@ -140,25 +137,6 @@ def _operand_lines(b: _Builder, n: int, mk_label) -> tuple[list, list, int]:
         b_lines.append([b.input(mk_label("b", i, j)) for i in range(4)])
     cin = b.input("cin")
     return a_lines, b_lines, cin
-
-
-def adder_input_lines(n: int) -> tuple[list[list[int]], list[list[int]], int]:
-    """Line indices of the operand bits and the carry-in, as laid out by
-    both adder builders: a-bit i of digit j at 8j+i, b-bit i at 8j+4+i,
-    carry-in at 8n."""
-    a = [[8 * j + i for i in range(4)] for j in range(n)]
-    b = [[8 * j + 4 + i for i in range(4)] for j in range(n)]
-    return a, b, 8 * n
-
-
-def rca_carry_copy_line(n: int, j: int) -> int:
-    """Line carrying digit j's decimal carry copy in the ripple design."""
-    return 8 * n + 1 + RCA_CONSTS_PER_DIGIT * j + 5
-
-
-def adder_output_names(n: int) -> tuple[list[list[str]], str]:
-    """Output naming shared by the multi-digit designs."""
-    return [[f"S{i}.{j}" for i in range(4)] for j in range(n)], "dC"
 
 
 # -- fragments ---------------------------------------------------------------

@@ -13,9 +13,10 @@ import csv
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
-from .designs import ADDER_DESIGNS, adder_input_lines, build_design
+from .designs import ADDER_DESIGNS, build_design
 from .errors import CapacityError, InvalidArgumentError, InvalidBCDError, LedgerFormatError
 from .simulator import CompiledNetlist, compile_netlist
 
@@ -52,18 +53,86 @@ def decode(vector: DigitVector) -> int:
     return sum(d * 10**j for j, d in enumerate(vector.digits))
 
 
-_ADDER_CACHE: dict[tuple[str, int], CompiledNetlist] = {}
+_NIBBLES = tuple(tuple((d >> i) & 1 for i in range(4)) for d in range(10))
 
 
-def _adder(design: str, width: int) -> CompiledNetlist:
+class AdderPort:
+    """Operand and result lines of one compiled BCD adder, by name.
+
+    Bit i of operand digit j is the input ``a{i}.{j}`` / ``b{i}.{j}`` and
+    sum bit i the output ``S{i}.{j}`` (no ``.{j}`` on the single-digit
+    pdfa and skip generator); ``cin`` and ``dC`` are the carries.  The
+    skip generator has neither carry nor sums, so only ``pack`` fits it.
+    """
+
+    def __init__(self, compiled: CompiledNetlist):
+        self.compiled = compiled
+        labels, named = compiled.label_to_line, dict(compiled.named)
+        self.width = len(labels) // 8  # eight operand bits a digit, plus cin
+        digits = [""] if "a0" in labels else [f".{j}" for j in range(self.width)]
+
+        def quads(lines, stem):
+            return [[lines[f"{stem}{i}{d}"] for i in range(4)] for d in digits]
+
+        self._a_lines, self._b_lines = quads(labels, "a"), quads(labels, "b")
+        self._cin_line = labels.get("cin")
+        self._carry_line = named.get("dC")
+        self._sum_lines = quads(named, "S") if self._carry_line is not None else []
+        self._restored = compiled.restored
+
+    def pack(self, a: DigitVector, b: DigitVector, cin: int = 0) -> list[int]:
+        """A fresh line state holding the operands and the carry-in."""
+        if a.width != self.width or b.width != self.width:
+            raise InvalidArgumentError(f"widths {a.width}, {b.width} != {self.width}")
+        state = self.compiled.fresh_state()
+        for (a0, a1, a2, a3), (b0, b1, b2, b3), da, db in zip(
+            self._a_lines, self._b_lines, a.digits, b.digits
+        ):
+            state[a0], state[a1], state[a2], state[a3] = _NIBBLES[da]
+            state[b0], state[b1], state[b2], state[b3] = _NIBBLES[db]
+        if self._cin_line is not None:
+            state[self._cin_line] = cin
+        return state
+
+    def add(
+        self, a: DigitVector, b: DigitVector, cin: int = 0
+    ) -> tuple[DigitVector, int, bool]:
+        """Simulate one addition; returns (sum, carry, restored_ok)."""
+        state = self.pack(a, b, cin)
+        initial = [state[line] for line in self._restored]
+        self.compiled.run_state(state)
+        total = DigitVector(tuple(
+            state[s0] | state[s1] << 1 | state[s2] << 2 | state[s3] << 3
+            for s0, s1, s2, s3 in self._sum_lines
+        ))
+        ok = [state[line] for line in self._restored] == initial
+        return total, state[self._carry_line], ok
+
+    @staticmethod
+    def from_bits(text: str) -> DigitVector:
+        """Digits of a bit string, four little-endian bits per digit."""
+        if not text or len(text) % 4 or set(text) - {"0", "1"}:
+            raise InvalidArgumentError(f"not a 4-per-digit bit string: {text!r}")
+        return DigitVector(tuple(
+            int(text[k : k + 4][::-1], 2) for k in range(0, len(text), 4)
+        ))
+
+    @staticmethod
+    def to_bits(vector: DigitVector) -> str:
+        """Inverse of from_bits."""
+        return "".join(str(bit) for d in vector.digits for bit in _NIBBLES[d])
+
+
+adder_port = lru_cache(maxsize=256)(AdderPort)  # one port per compiled adder
+
+
+@lru_cache(maxsize=256)
+def _adder(design: str, width: int) -> AdderPort:
     if design not in ADDER_DESIGNS:
         raise InvalidArgumentError(
             f"unknown adder design {design!r}; known: {', '.join(ADDER_DESIGNS)}"
         )
-    key = (design, width)
-    if key not in _ADDER_CACHE:
-        _ADDER_CACHE[key] = compile_netlist(build_design(design, width))
-    return _ADDER_CACHE[key]
+    return adder_port(compile_netlist(build_design(design, width)))
 
 
 def bcd_add(
@@ -74,23 +143,8 @@ def bcd_add(
     Returns (sum mod 10^width, carry bit).  The arithmetic is done by the
     gate-level circuit; nothing here computes the sum natively.
     """
-    if a.width != b.width:
-        raise InvalidArgumentError(f"width mismatch: {a.width} vs {b.width}")
-    compiled = _adder(design, a.width)
-    a_lines, b_lines, cin_line = adder_input_lines(a.width)
-    state = compiled.fresh_state()
-    for j in range(a.width):
-        da, db = a.digits[j], b.digits[j]
-        for i in range(4):
-            state[a_lines[j][i]] = (da >> i) & 1
-            state[b_lines[j][i]] = (db >> i) & 1
-    state[cin_line] = cin
-    compiled.run_state(state)
-    named = {name: state[line] for name, line in compiled.named}
-    digits = tuple(
-        sum(named[f"S{i}.{j}"] << i for i in range(4)) for j in range(a.width)
-    )
-    return DigitVector(digits), named["dC"]
+    total, carry, _ = _adder(design, a.width).add(a, b, cin)
+    return total, carry
 
 
 # -- CSV ingestion ------------------------------------------------------------
@@ -116,6 +170,10 @@ class CsvConfig:
     delimiter: str = ","
     strict: bool = True
     negative_mode: str = "magnitude"
+
+    def __post_init__(self):
+        if self.negative_mode not in ("magnitude", "skip", "error"):
+            raise InvalidArgumentError(f"unknown negative_mode {self.negative_mode!r}")
 
 
 @dataclass

@@ -259,10 +259,19 @@ def serialize(netlist: Netlist) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(doc: Mapping, key: str, where: str):
+def _require(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise NetlistFormatError(f"{where}: must be an object")
     if key not in doc:
         raise NetlistFormatError(f"{where}: missing field {key!r}")
     return doc[key]
+
+
+def _require_list(doc: Mapping, key: str) -> list:
+    value = _require(doc, key, "document")
+    if not isinstance(value, list):
+        raise NetlistFormatError(f"{key} must be an array")
+    return value
 
 
 def deserialize(text: str) -> Netlist:
@@ -277,65 +286,73 @@ def deserialize(text: str) -> Netlist:
         raise NetlistFormatError("document root must be an object")
 
     width = _require(doc, "width", "document")
-    if not isinstance(width, int) or width < 1:
+    if type(width) is not int or width < 1:
         raise NetlistFormatError(f"width must be a positive integer, got {width!r}")
 
-    entries = _require(doc, "lines", "document")
-    roles: list[LineRole | None] = [None] * width
+    entries = _require_list(doc, "lines")
+    # Every line needs an entry, so the document's own size bounds the
+    # allocation below.
+    if len(entries) != width:
+        raise NetlistFormatError(f"lines: {len(entries)} entries for width {width}")
+    roles: list[tuple | None] = [None] * width
     for pos, entry in enumerate(entries):
         where = f"lines[{pos}]"
         idx = _require(entry, "index", where)
         role = _require(entry, "role", where)
         label = entry.get("label")
-        if not isinstance(idx, int) or not 0 <= idx < width:
+        if type(idx) is not int or not 0 <= idx < width:
             raise NetlistFormatError(f"{where}: index {idx!r} outside 0..{width - 1}")
         if roles[idx] is not None:
             raise NetlistFormatError(f"{where}: line {idx} defined twice")
         if role not in _ROLES:
             raise NetlistFormatError(f"{where}: unknown role {role!r}")
-        roles[idx] = LineRole(role, label)
-    missing = [i for i, r in enumerate(roles) if r is None]
-    if missing:
-        raise NetlistFormatError(f"lines: no role for line(s) {missing}")
+        if label is not None and not isinstance(label, str):
+            raise NetlistFormatError(f"{where}: label must be a string")
+        roles[idx] = (role, label)
 
     gates = []
-    for pos, entry in enumerate(_require(doc, "gates", "document")):
+    for pos, entry in enumerate(_require_list(doc, "gates")):
         where = f"gates[{pos}]"
         kind_name = _require(entry, "kind", where)
         pins = _require(entry, "pins", where)
+        stage = entry.get("stage")
         try:
             kind = GateKind(kind_name)
         except ValueError:
             raise NetlistFormatError(f"{where}: unknown gate kind {kind_name!r}")
-        if not isinstance(pins, list) or not all(isinstance(p, int) for p in pins):
+        if not isinstance(pins, list) or not all(type(p) is int for p in pins):
             raise NetlistFormatError(f"{where}: pins must be a list of integers")
         for p in pins:
             if not 0 <= p < width:
                 raise NetlistFormatError(
                     f"{where}: pin {p} outside 0..{width - 1}"
                 )
+        if stage is not None and not isinstance(stage, str):
+            raise NetlistFormatError(f"{where}: stage must be a string")
         try:
-            gates.append(GateInstance(kind, tuple(pins), entry.get("stage")))
+            gates.append(GateInstance(kind, tuple(pins), stage))
         except (FanInError, ValueError) as exc:
             raise NetlistFormatError(f"{where}: {exc}") from exc
 
     outputs = []
-    for pos, entry in enumerate(_require(doc, "outputs", "document")):
+    for pos, entry in enumerate(_require_list(doc, "outputs")):
         where = f"outputs[{pos}]"
         name = _require(entry, "name", where)
         line = _require(entry, "line", where)
-        if not isinstance(line, int) or not 0 <= line < width:
+        if not isinstance(name, str):
+            raise NetlistFormatError(f"{where}: name must be a string")
+        if type(line) is not int or not 0 <= line < width:
             raise NetlistFormatError(f"{where}: line {line!r} outside 0..{width - 1}")
-        outputs.append((str(name), line))
+        outputs.append((name, line))
 
-    restored = _require(doc, "restored", "document")
-    if not isinstance(restored, list) or not all(isinstance(x, int) for x in restored):
+    restored = _require_list(doc, "restored")
+    if not all(type(x) is int for x in restored):
         raise NetlistFormatError("restored must be a list of line indices")
 
     try:
         return Netlist(
             width=width,
-            roles=tuple(roles),
+            roles=tuple(LineRole(kind, label) for kind, label in roles),
             gates=tuple(gates),
             outputs=tuple(outputs),
             restored=frozenset(restored),

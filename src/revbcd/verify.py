@@ -10,7 +10,6 @@ import random
 from dataclasses import dataclass
 
 from .designs import (
-    adder_input_lines,
     build_dec_csk,
     build_dec_rca,
     build_pdfa,
@@ -19,6 +18,7 @@ from .designs import (
     skip_carry,
 )
 from .gates import ALL_KINDS, is_bijective
+from .ledger import DigitVector, adder_port, decode, encode
 from .metrics import structural_metrics
 from .simulator import CompiledNetlist, compile_netlist
 
@@ -30,33 +30,10 @@ class VerifyResult:
     detail: str
 
 
-def _set_digits(state, lines, value):
-    for j, quad in enumerate(lines):
-        digit = (value // 10**j) % 10
-        for i in range(4):
-            state[quad[i]] = (digit >> i) & 1
-
-
-def decode_adder_outputs(compiled: CompiledNetlist, state, n: int) -> tuple[int, int]:
-    named = {name: state[line] for name, line in compiled.named}
-    total = 0
-    for j in range(n):
-        total += sum(named[f"S{i}.{j}"] << i for i in range(4)) * 10**j
-    return total, named["dC"]
-
-
 def adder_sum(compiled: CompiledNetlist, n: int, a: int, b: int, cin: int = 0):
     """Simulate one addition; returns (sum, carry, restored_ok)."""
-    a_lines, b_lines, cin_line = adder_input_lines(n)
-    state = compiled.fresh_state()
-    _set_digits(state, a_lines, a)
-    _set_digits(state, b_lines, b)
-    state[cin_line] = cin
-    initial = state.copy()
-    compiled.run_state(state)
-    total, carry = decode_adder_outputs(compiled, state, n)
-    ok = all(state[l] == initial[l] for l in compiled.restored)
-    return total, carry, ok
+    total, carry, ok = adder_port(compiled).add(encode(a, n), encode(b, n), cin)
+    return decode(total), carry, ok
 
 
 def verify_gates() -> VerifyResult:
@@ -70,24 +47,18 @@ def verify_gates() -> VerifyResult:
 
 
 def verify_pdfa() -> VerifyResult:
-    compiled = compile_netlist(build_pdfa())
+    port = adder_port(compile_netlist(build_pdfa()))
     checked = failures = 0
     for a in range(10):
         for b in range(10):
             for c in range(2):
-                state = compiled.fresh_state()
-                for i in range(4):
-                    state[i] = (a >> i) & 1
-                    state[4 + i] = (b >> i) & 1
-                state[8] = c
-                initial = state.copy()
-                compiled.run_state(state)
-                named = {name: state[line] for name, line in compiled.named}
-                digit = sum(named[f"S{i}"] << i for i in range(4))
+                total, carry, restored = port.add(
+                    DigitVector((a,)), DigitVector((b,)), c
+                )
                 ok = (
-                    digit == (a + b + c) % 10
-                    and named["dC"] == int(a + b + c >= 10)
-                    and all(state[l] == initial[l] for l in compiled.restored)
+                    total.digits == ((a + b + c) % 10,)
+                    and carry == int(a + b + c >= 10)
+                    and restored
                 )
                 checked += 1
                 failures += not ok
@@ -98,16 +69,14 @@ def verify_pdfa() -> VerifyResult:
 
 def verify_propagate() -> VerifyResult:
     compiled = compile_netlist(build_skip_generator())
+    port = adder_port(compiled)
+    p_line = compiled.netlist.output_map["P"]
     failures = 0
     for da in range(10):
         for db in range(10):
             want = int(da + db == 9)
-            state = compiled.fresh_state()
-            for i in range(4):
-                state[i] = (da >> i) & 1
-                state[4 + i] = (db >> i) & 1
+            state = port.pack(DigitVector((da,)), DigitVector((db,)))
             compiled.run_state(state)
-            p_line = dict(compiled.named)["P"]
             if decimal_propagate(da, db) != want or state[p_line] != want:
                 failures += 1
     rows_bad = 0

@@ -150,6 +150,31 @@ class TestMetrics:
         )
         assert code == 0 and "total,10,8,4,45,35" in out
 
+    @pytest.mark.parametrize(
+        "outputs,flags,message",
+        [
+            ({}, (), "designated outputs"),
+            ({"out": 1}, ("--stages",), "stage"),
+        ],
+        ids=["no-outputs", "untagged-stages"],
+    )
+    def test_undefined_metrics_usage_error(
+        self, tmp_path, capsys, outputs, flags, message
+    ):
+        from revbcd.gates import GateKind
+        from revbcd.netlist import (
+            append_gate, const_role, designate_outputs, input_role,
+            new_netlist, serialize,
+        )
+
+        nl = new_netlist(2, [input_role("a"), const_role(0)])
+        nl = designate_outputs(append_gate(nl, GateKind.FG, (0, 1)), outputs)
+        path = tmp_path / "n.json"
+        path.write_text(serialize(nl))
+        code, _, err = run_cli("metrics", "--netlist", str(path), *flags, capsys=capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
 
 class TestCompare:
     def test_delay_footer(self, capsys):

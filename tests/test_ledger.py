@@ -11,9 +11,11 @@ from revbcd.errors import (
     LedgerFormatError,
 )
 from revbcd.ledger import (
+    AdderPort,
     CsvConfig,
     DigitVector,
     LedgerRecord,
+    adder_port,
     bcd_add,
     decode,
     encode,
@@ -22,6 +24,7 @@ from revbcd.ledger import (
     parse_amount,
     sum_ledger,
 )
+from revbcd.simulator import compile_netlist
 
 
 class TestCodec:
@@ -57,6 +60,14 @@ class TestCodec:
         with pytest.raises(InvalidBCDError):
             DigitVector((10, 1))
 
+    def test_round_trip_past_int_str_digit_limit(self):
+        """Widths above sys.get_int_max_str_digits() (4300 by default),
+        where str(int) raises, still round-trip."""
+        x = 7 * 10**4400 + 123
+        v = encode(x, 4401)
+        assert v.digits[:3] == (3, 2, 1) and v.digits[-1] == 7
+        assert decode(v) == x
+
 
 class TestBcdAdd:
     @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
@@ -82,6 +93,36 @@ class TestBcdAdd:
     def test_unknown_design(self):
         with pytest.raises(InvalidArgumentError):
             bcd_add(encode(1, 2), encode(1, 2), "fast-adder")
+
+
+class TestAdderPort:
+    def test_resolved_once_per_compiled_adder(self, dec_rca8):
+        compiled = compile_netlist(dec_rca8)
+        assert adder_port(compiled) is adder_port(compiled)
+
+    def test_pdfa_names(self, pdfa):
+        port = adder_port(compile_netlist(pdfa))
+        total, carry, ok = port.add(DigitVector((9,)), DigitVector((9,)), 1)
+        assert total.digits == (9,) and carry == 1 and ok
+
+    def test_width_mismatch(self, dec_csk8):
+        port = adder_port(compile_netlist(dec_csk8))
+        with pytest.raises(InvalidArgumentError):
+            port.add(encode(1, 8), encode(1, 7))
+
+    def test_bits_round_trip(self):
+        v = AdderPort.from_bits("10010001")
+        assert v.digits == (9, 8)
+        assert AdderPort.to_bits(v) == "10010001"
+
+    @pytest.mark.parametrize("text", ["", "100", "1002", "1 01"])
+    def test_bad_bit_string(self, text):
+        with pytest.raises(InvalidArgumentError):
+            AdderPort.from_bits(text)
+
+    def test_bit_digit_above_nine(self):
+        with pytest.raises(InvalidBCDError):
+            AdderPort.from_bits("01011000")
 
 
 class TestParseAmount:
@@ -127,6 +168,10 @@ class TestIngest:
         path = self.write(tmp_path, "user,amount\nu1,-5.00\n")
         records, _ = ingest_csv(path, self.config())
         assert records == [LedgerRecord("u1", 500)]
+
+    def test_unknown_negative_mode_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="negative_mode"):
+            self.config(negative_mode="skp")
 
     def test_negative_skip_mode(self, tmp_path):
         path = self.write(tmp_path, "user,amount\nu1,-5.00\nu1,2.00\n")

@@ -150,3 +150,62 @@ class TestSerialization:
     def test_stage_tags_survive(self, pdfa):
         back = deserialize(serialize(pdfa))
         assert [g.stage for g in back.gates] == [g.stage for g in pdfa.gates]
+
+
+_LINE_A = {"index": 0, "role": "input", "label": "a"}
+_LINE_K = {"index": 1, "role": "const0", "label": None}
+
+
+def _doc(**fields) -> str:
+    """A valid two-line netlist document with some top-level fields replaced."""
+    import json
+
+    doc = {
+        "width": 2,
+        "lines": [_LINE_A, _LINE_K],
+        "gates": [{"kind": "FG", "pins": [0, 1], "stage": None}],
+        "outputs": [{"name": "out", "line": 1}],
+        "restored": [0],
+    }
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+class TestDeserializeBoundary:
+    """Every malformed document fails with NetlistFormatError, nothing else."""
+
+    def test_base_document_loads(self):
+        nl = deserialize(_doc())
+        assert nl.width == 2 and nl.outputs == (("out", 1),)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lines": [1]},
+            {"lines": 5},
+            {"gates": 5},
+            {"gates": [7]},
+            {"outputs": 5},
+            {"outputs": [7]},
+            {"width": True, "lines": [_LINE_A], "gates": [], "outputs": [],
+             "restored": []},
+            {"width": 2**62, "lines": [_LINE_A]},
+            {"lines": [dict(_LINE_A, index=False), _LINE_K]},
+            {"lines": [_LINE_A, dict(_LINE_K, label=7)]},
+            {"lines": [dict(_LINE_A, label=None), _LINE_K]},
+            {"gates": [{"kind": "FG", "pins": [False, 1]}]},
+            {"gates": [{"kind": "FG", "pins": [0, 1], "stage": 3}]},
+            {"outputs": [{"name": "out", "line": True}]},
+            {"outputs": [{"name": 7, "line": 1}]},
+            {"restored": [False]},
+        ],
+        ids=[
+            "lines-entry-int", "lines-int", "gates-int", "gates-entry-int",
+            "outputs-int", "outputs-entry-int", "width-bool", "width-huge",
+            "index-bool", "label-int", "input-label-null", "pin-bool",
+            "stage-int", "output-line-bool", "output-name-int", "restored-bool",
+        ],
+    )
+    def test_rejected(self, fields):
+        with pytest.raises(NetlistFormatError):
+            deserialize(_doc(**fields))
