@@ -83,7 +83,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--scope",
         default="all",
-        choices=("all", "gates", "pdfa", "propagate", "metrics", "adders"),
+        choices=("all", *verify.SCOPES),
     )
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=1000)

@@ -211,40 +211,38 @@ def cost_table(
     return CostTable(metric, tuple(ns), tuple(columns), cells, improvements)
 
 
-def render_markdown(table: CostTable) -> str:
-    impr_cols = [f"% Impr {p}" for p in table.improvements]
-    header = (
-        ["digit"]
-        + [display_name(c) for c in table.columns]
-        + impr_cols
+def _table_rows(
+    table: CostTable, impr_prefix: str, totals_label: str
+) -> list[list[str]]:
+    """Header, one row per digit count, then the average-improvement row."""
+    reports = table.improvements.values()
+    header = ["digit"] + [display_name(c) for c in table.columns]
+    rows = [header + [f"{impr_prefix}{p}" for p in table.improvements]]
+    for n in table.ns:
+        rows.append(
+            [str(n)]
+            + [str(v) for v in table.row(n)]
+            + [str(round_half_up(r.per_n[n])) for r in reports]
+        )
+    rows.append(
+        [totals_label]
+        + [""] * len(table.columns)
+        + [str(round_half_up(r.average)) for r in reports]
     )
+    return rows
+
+
+def render_markdown(table: CostTable) -> str:
+    header, *body = _table_rows(table, "% Impr ", "Total average")
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join(["---"] * len(header)) + "|")
-    for n in table.ns:
-        row = [str(n)] + [str(v) for v in table.row(n)]
-        for p in table.improvements:
-            row.append(str(round_half_up(table.improvements[p].per_n[n])))
-        lines.append("| " + " | ".join(row) + " |")
-    totals = ["Total average"] + [""] * len(table.columns)
-    for p in table.improvements:
-        totals.append(str(round_half_up(table.improvements[p].average)))
-    lines.append("| " + " | ".join(totals) + " |")
+    lines += ["| " + " | ".join(row) + " |" for row in body]
     return "\n".join(lines)
 
 
 def render_csv(table: CostTable) -> str:
-    impr_cols = [f"impr_{p}" for p in table.improvements]
-    out = [",".join(["digit"] + [display_name(c) for c in table.columns] + impr_cols)]
-    for n in table.ns:
-        row = [str(n)] + [str(v) for v in table.row(n)]
-        for p in table.improvements:
-            row.append(str(round_half_up(table.improvements[p].per_n[n])))
-        out.append(",".join(row))
-    totals = ["total_average"] + [""] * len(table.columns)
-    for p in table.improvements:
-        totals.append(str(round_half_up(table.improvements[p].average)))
-    out.append(",".join(totals))
-    return "\n".join(out) + "\n"
+    rows = _table_rows(table, "impr_", "total_average")
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 # -- Pareto analysis ----------------------------------------------------------

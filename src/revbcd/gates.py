@@ -13,6 +13,11 @@ tuple of the same length, and every map is a bijection on {0,1}^arity:
     BJN  (3 lines)  P = A,  Q = B,  R = (A|B) ^ C
     DFG  (3 lines)  P = A,  Q = A^B,  R = A^C             (double Feynman)
 
+Each gate's semantics are written once, as the in-place applier factory in
+its `_GATES` entry.  `applier` binds one to the lines of a gate instance;
+the compiled simulator runs those, and `gate_semantics` runs the same
+applier on a copy of its input tuple.
+
 Cost constants are per-gate elementary-operation counts (qc) and delay in
 delta units.  1x1 gates carry no quantum cost.
 """
@@ -20,6 +25,7 @@ delta units.  1x1 gates carry no quantum cost.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable, Sequence
 
 from .errors import ArityError
 
@@ -39,44 +45,90 @@ class GateKind(str, Enum):
         return self.value
 
 
-def _not(bits):
-    (a,) = bits
-    return (a ^ 1,)
+# Applier factories: each takes the gate's pins (A, B, ... in order) and
+# returns an allocation-free in-place update of a line-state list, because
+# the simulator runs these once per gate per vector.
 
 
-def _fg(bits):
-    a, b = bits
-    return (a, a ^ b)
+def _not(p):
+    (i,) = p
+
+    def f(v):
+        v[i] ^= 1
+
+    return f
 
 
-def _pg(bits):
-    a, b, c = bits
-    return (a, a ^ b, (a & b) ^ c)
+def _fg(p):
+    i, j = p
+
+    def f(v):
+        v[j] ^= v[i]
+
+    return f
 
 
-def _mf(bits):
-    a, b, c = bits
-    na = a ^ 1
-    return (a, (na & b) ^ (a & (c ^ 1)), (a & b) ^ (na & c))
+def _pg(p):
+    i, j, k = p
+
+    def f(v):
+        a = v[i]
+        b = v[j]
+        v[j] = a ^ b
+        v[k] ^= a & b
+
+    return f
 
 
-def _hng(bits):
-    a, b, c, d = bits
-    ab = a ^ b
-    return (a, b, ab ^ c, (ab & c) ^ (a & b) ^ d)
+def _mf(p):
+    i, j, k = p
+
+    def f(v):
+        a = v[i]
+        b = v[j]
+        c = v[k]
+        na = a ^ 1
+        v[j] = (na & b) ^ (a & (c ^ 1))
+        v[k] = (a & b) ^ (na & c)
+
+    return f
 
 
-def _bjn(bits):
-    a, b, c = bits
-    return (a, b, (a | b) ^ c)
+def _hng(p):
+    i, j, k, l = p
+
+    def f(v):
+        a = v[i]
+        b = v[j]
+        c = v[k]
+        ab = a ^ b
+        v[k] = ab ^ c
+        v[l] ^= (ab & c) ^ (a & b)
+
+    return f
 
 
-def _dfg(bits):
-    a, b, c = bits
-    return (a, a ^ b, a ^ c)
+def _bjn(p):
+    i, j, k = p
+
+    def f(v):
+        v[k] ^= v[i] | v[j]
+
+    return f
 
 
-# kind -> (arity, qc, delay, function)
+def _dfg(p):
+    i, j, k = p
+
+    def f(v):
+        a = v[i]
+        v[j] ^= a
+        v[k] ^= a
+
+    return f
+
+
+# kind -> (arity, qc, delay, applier factory)
 _GATES = {
     GateKind.NOT: (1, 0, 1, _not),
     GateKind.FG: (2, 1, 1, _fg),
@@ -101,6 +153,14 @@ def gate_cost(kind: GateKind) -> tuple[int, int]:
     return qc, delay
 
 
+def applier(kind: GateKind, pins: Sequence[int]) -> Callable[[list[int]], None]:
+    """Return the gate's in-place update of a state list, bound to `pins`.
+
+    Pins are in A, B, ... order and unchecked here; `GateInstance` checks them.
+    """
+    return _GATES[kind][3](pins)
+
+
 def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
     """Apply one gate to an input tuple and return the output tuple.
 
@@ -112,7 +172,9 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
         raise ArityError(f"{kind} expects {want} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ArityError(f"{kind} input must be 0/1 bits: {bits!r}")
-    return _GATES[kind][3](tuple(bits))
+    state = list(bits)
+    applier(kind, range(want))(state)
+    return tuple(state)
 
 
 def gate_truth_table(kind: GateKind) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,5 +1,8 @@
 """Bit-exact netlist evaluation, truth tables, and bijectivity checking.
 
+A compiled netlist is the list of in-place appliers that `gates.applier`
+binds to each gate's pins; the gate semantics live in `gates._GATES` only.
+
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
 operations (truth_table, check_permutation) are bounded at
@@ -14,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import AssignmentError, CapacityError
-from .gates import GateKind, gate_semantics
+from .gates import applier
 from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_LIMIT = 20
@@ -29,106 +32,12 @@ class SimulationResult:
     restored_ok: bool
 
 
-# In-place appliers, one factory per gate kind.  These mirror
-# gates.gate_semantics exactly (tested against it exhaustively) and exist
-# only to keep the hot simulation loop allocation-free.
-
-
-def _mk_not(p):
-    (i,) = p
-
-    def f(v):
-        v[i] ^= 1
-
-    return f
-
-
-def _mk_fg(p):
-    i, j = p
-
-    def f(v):
-        v[j] ^= v[i]
-
-    return f
-
-
-def _mk_pg(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        v[j] = a ^ b
-        v[k] ^= a & b
-
-    return f
-
-
-def _mk_mf(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        c = v[k]
-        na = a ^ 1
-        v[j] = (na & b) ^ (a & (c ^ 1))
-        v[k] = (a & b) ^ (na & c)
-
-    return f
-
-
-def _mk_hng(p):
-    i, j, k, l = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        c = v[k]
-        ab = a ^ b
-        v[k] = ab ^ c
-        v[l] ^= (ab & c) ^ (a & b)
-
-    return f
-
-
-def _mk_bjn(p):
-    i, j, k = p
-
-    def f(v):
-        v[k] ^= v[i] | v[j]
-
-    return f
-
-
-def _mk_dfg(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        v[j] ^= a
-        v[k] ^= a
-
-    return f
-
-
-_FACTORIES = {
-    GateKind.NOT: _mk_not,
-    GateKind.FG: _mk_fg,
-    GateKind.PG: _mk_pg,
-    GateKind.MF: _mk_mf,
-    GateKind.HNG: _mk_hng,
-    GateKind.BJN: _mk_bjn,
-    GateKind.DFG: _mk_dfg,
-}
-
-
 class CompiledNetlist:
     """A netlist lowered to a list of in-place bit operations."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._fns = [_FACTORIES[g.kind](g.pins) for g in netlist.gates]
+        self._fns = [applier(g.kind, g.pins) for g in netlist.gates]
         base = []
         for role in netlist.roles:
             base.append(0 if role.is_input else role.const_value)
@@ -302,12 +211,3 @@ def verify_restored(
             return False
     return True
 
-
-def reference_apply(netlist: Netlist, state: list[int]) -> list[int]:
-    """Slow reference evaluation through gate_semantics (for cross-checks)."""
-    state = list(state)
-    for g in netlist.gates:
-        out = gate_semantics(g.kind, tuple(state[p] for p in g.pins))
-        for p, bit in zip(g.pins, out):
-            state[p] = bit
-    return state

@@ -17,6 +17,7 @@ from .designs import (
     decimal_propagate,
     skip_carry,
 )
+from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
 from .ledger import DigitVector, adder_port, decode, encode
 from .metrics import structural_metrics
@@ -153,10 +154,16 @@ SCOPES = {
 
 
 def run_scope(scope: str, seed: int = 0, samples: int = 1000) -> list[VerifyResult]:
+    """Run one scope of SCOPES, or all of them in order for "all"."""
     if scope == "all":
-        names = ("gates", "pdfa", "propagate", "metrics", "adders")
-    else:
+        names = tuple(SCOPES)
+    elif scope in SCOPES:
         names = (scope,)
+    else:
+        choices = ", ".join(SCOPES)
+        raise InvalidArgumentError(
+            f"unknown verify scope {scope!r}; expected all or one of {choices}"
+        )
     results = []
     for name in names:
         for check in SCOPES[name]:

@@ -123,6 +123,13 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--scope", "gates", capsys=capsys)
         assert code == 1 and "FAIL" in out
 
+    def test_unknown_scope_rejected(self):
+        from revbcd.errors import InvalidArgumentError
+        from revbcd.verify import run_scope
+
+        with pytest.raises(InvalidArgumentError, match="bogus"):
+            run_scope("bogus")
+
 
 class TestMetrics:
     def test_design_with_stages(self, capsys):

@@ -122,17 +122,3 @@ class TestAlgebra:
                     assert (p, q, r) == (a, a ^ b, a ^ c)
         assert gate_semantics(GateKind.DFG, (1, 0, 0)) == (1, 1, 1)
 
-
-def test_inplace_appliers_match_semantics():
-    """The simulator's in-place forms and the pure semantics agree."""
-    from revbcd.simulator import _FACTORIES
-
-    for kind in ALL_KINDS:
-        n = arity(kind)
-        pins = tuple(range(n))
-        apply = _FACTORIES[kind](pins)
-        for value in range(1 << n):
-            state = [(value >> i) & 1 for i in range(n)]
-            want = gate_semantics(kind, tuple(state))
-            apply(state)
-            assert tuple(state) == want, kind
