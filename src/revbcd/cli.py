@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .ledger import (
     AdderPort,
     CsvConfig,
     bcd_add,
-    decode,
-    encode,
+    digit_text,
+    from_digit_text,
     ingest_csv,
     sum_ledger,
 )
@@ -136,37 +137,54 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _parse_operands(args) -> tuple[int, int, int]:
+# The integer literals int() accepts, signs included.  Operands go through
+# the codec's digit strings rather than int()/str(), which CPython refuses
+# beyond 4300 digits.
+_DECIMAL_RE = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+
+
+def _stripped(digits: str) -> str:
+    """A digit string without leading zeros ("0" for zero)."""
+    return digits.lstrip("0") or "0"
+
+
+def _parse_operands(args) -> tuple[str, str, int]:
+    """Both operands as stripped ASCII digit strings, and their digit width."""
     if args.raw_bits:
         if len(args.a) != len(args.b):
             raise InvalidArgumentError("bit strings need equal 4-per-digit length")
         va, vb = AdderPort.from_bits(args.a), AdderPort.from_bits(args.b)
-        return decode(va), decode(vb), va.width
-    try:
-        a, b = int(args.a), int(args.b)
-    except ValueError:
+        return _stripped(digit_text(va)), _stripped(digit_text(vb)), va.width
+    ma, mb = _DECIMAL_RE.fullmatch(args.a), _DECIMAL_RE.fullmatch(args.b)
+    if ma is None or mb is None:
         raise InvalidArgumentError("operands must be decimal integers")
-    if a < 0 or b < 0:
+    # int() of each character turns any Unicode decimal digit into ASCII.
+    a, b = (
+        _stripped("".join(str(int(c)) for c in m[2] if c != "_"))
+        for m in (ma, mb)
+    )
+    if (ma[1] == "-" and a != "0") or (mb[1] == "-" and b != "0"):
         raise InvalidArgumentError("operands must be non-negative")
-    n = args.digits or max(len(str(a)), len(str(b)))
-    return a, b, n
+    return a, b, max(len(a), len(b))
 
 
 def cmd_simulate(args) -> int:
-    a, b, n = _parse_operands(args)
-    if args.digits:
-        n = args.digits
-    if a >= 10**n or b >= 10**n:
+    a, b, fitted = _parse_operands(args)
+    n = args.digits or fitted
+    if n < 1:
+        raise InvalidArgumentError("width must be at least 1")
+    if max(len(a), len(b)) > n:
         raise CapacityError(f"operands do not fit in {n} digits")
-    va, vb = encode(a, n), encode(b, n)
+    va, vb = from_digit_text(a.zfill(n)), from_digit_text(b.zfill(n))
     total, carry = bcd_add(va, vb, args.design, cin=args.cin)
+    sum_text = digit_text(total)
     print(f"design={args.design} digits={n}")
     print(f"  a     = {a}")
     print(f"  b     = {b}")
     print(f"  cin   = {args.cin}")
-    print(f"  sum   = {decode(total)}")
+    print(f"  sum   = {_stripped(sum_text)}")
     print(f"  carry = {carry}")
-    print(f"  full  = {carry * 10**n + decode(total)}")
+    print(f"  full  = {_stripped(str(carry) + sum_text)}")
     print(f"  sum bits (little-endian) = {AdderPort.to_bits(total)}")
     return EXIT_OK
 

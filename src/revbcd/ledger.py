@@ -40,17 +40,52 @@ class DigitVector:
         return len(self.digits)
 
 
+# Widths up to this convert in one str()/int() call; wider values are split
+# in halves first, so no str()/int() call sees more than this many digits
+# (under CPython's 4300-digit int<->str limit).  The halving replaces the
+# per-digit powers 10**j; divmod by 10**half is still schoolbook, so the
+# codec is quadratic, with a small constant.
+_STR_DIGITS = 1000
+
+
+def _padded_text(amount: int, width: int) -> str:
+    """`amount` (< 10**width) in decimal, zero padded to `width` digits."""
+    if width <= _STR_DIGITS:
+        return str(amount).zfill(width)
+    half = width // 2
+    high, low = divmod(amount, 10**half)
+    return _padded_text(high, width - half) + _padded_text(low, half)
+
+
+def _text_value(text: str) -> int:
+    """Inverse of _padded_text."""
+    if len(text) <= _STR_DIGITS:
+        return int(text or "0")
+    half = len(text) // 2
+    return _text_value(text[:-half]) * 10**half + _text_value(text[-half:])
+
+
+def digit_text(vector: DigitVector) -> str:
+    """The digits as a decimal string, most significant first, zero padded."""
+    return "".join(map(str, reversed(vector.digits)))
+
+
+def from_digit_text(text: str) -> DigitVector:
+    """Inverse of digit_text, for a string of decimal digits."""
+    return DigitVector(tuple(map(int, reversed(text))))
+
+
 def encode(amount: int, width: int) -> DigitVector:
     """Decimal digits of `amount`, least significant first, zero padded."""
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
     if amount < 0 or amount >= 10**width:
         raise CapacityError(f"{amount} does not fit in {width} BCD digits")
-    return DigitVector(tuple((amount // 10**j) % 10 for j in range(width)))
+    return from_digit_text(_padded_text(amount, width))
 
 
 def decode(vector: DigitVector) -> int:
-    return sum(d * 10**j for j, d in enumerate(vector.digits))
+    return _text_value(digit_text(vector))
 
 
 _NIBBLES = tuple(tuple((d >> i) & 1 for i in range(4)) for d in range(10))
@@ -127,7 +162,8 @@ adder_port = lru_cache(maxsize=256)(AdderPort)  # one port per compiled adder
 
 
 @lru_cache(maxsize=256)
-def _adder(design: str, width: int) -> AdderPort:
+def cached_adder(design: str, width: int) -> AdderPort:
+    """The port of the compiled `design` adder at `width` digits, built once."""
     if design not in ADDER_DESIGNS:
         raise InvalidArgumentError(
             f"unknown adder design {design!r}; known: {', '.join(ADDER_DESIGNS)}"
@@ -143,7 +179,7 @@ def bcd_add(
     Returns (sum mod 10^width, carry bit).  The arithmetic is done by the
     gate-level circuit; nothing here computes the sum natively.
     """
-    total, carry, _ = _adder(design, a.width).add(a, b, cin)
+    total, carry, _ = cached_adder(design, a.width).add(a, b, cin)
     return total, carry
 
 

@@ -112,6 +112,14 @@ def critical_path(netlist: Netlist) -> list[int]:
     Walks backwards from the named output with the greatest arrival,
     always following the pin with the greatest pre-gate arrival (ties
     break to the lowest pin position, so the path is deterministic).
+    The setter of a line at time t is the last gate touching that line
+    that completes at t.
+
+    One backward sweep finds every setter: the search for the next one
+    starts just below the previous setter.  That skips no candidate
+    because every gate delay is at least 1: the previous setter, and every
+    later gate touching the line it hands on, completes strictly later
+    than that line's pre-gate arrival t.
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("critical path needs designated outputs")
@@ -121,15 +129,17 @@ def critical_path(netlist: Netlist) -> list[int]:
         key=lambda item: item[1],
     )
     path: list[int] = []
+    cursor = len(netlist.gates) - 1
     while t > 0:
         setter = None
-        for idx in range(len(netlist.gates) - 1, -1, -1):
+        for idx in range(cursor, -1, -1):
             if line in netlist.gates[idx].pins and profile.completions[idx] == t:
                 setter = idx
                 break
         if setter is None:
             break  # arrival 0 or a line never touched
         path.append(setter)
+        cursor = setter - 1
         pins = netlist.gates[setter].pins
         pre = profile.pre_arrivals[setter]
         best = max(range(len(pins)), key=lambda pos: (pre[pos], -pos))

@@ -19,7 +19,7 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import DigitVector, adder_port, decode, encode
+from .ledger import DigitVector, adder_port, cached_adder, decode, encode
 from .metrics import structural_metrics
 from .simulator import CompiledNetlist, compile_netlist
 
@@ -102,8 +102,8 @@ def verify_adders(
     failures = 0
     checked = 0
     for n in sizes:
-        rca = compile_netlist(build_dec_rca(n))
-        csk = compile_netlist(build_dec_csk(n))
+        rca = cached_adder("dec-rca", n).compiled
+        csk = cached_adder("dec-csk", n).compiled
         for _ in range(samples):
             a = rng.randrange(10**n)
             b = rng.randrange(10**n)

@@ -1,11 +1,12 @@
 """Command line surface: subcommands, output, exit-code contract."""
 
 import json
+import random
 
 import pytest
 
 from revbcd.cli import main
-from revbcd.ledger import generate_synthetic_csv
+from revbcd.ledger import decode, from_digit_text, generate_synthetic_csv
 from revbcd.netlist import deserialize
 
 
@@ -65,6 +66,12 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_width_below_one_usage_error(self, capsys):
+        code, _, err = run_cli(
+            "simulate", "--a", "5", "--b", "5", "--digits", "-1", capsys=capsys
+        )
+        assert code == 2 and "width must be at least 1" in err
+
     def test_designs_agree_on_seeded_pairs(self, capsys):
         import random
 
@@ -88,6 +95,42 @@ class TestSimulate:
         )
         # little-endian 4-per-digit: digits (9, 8) -> value 89
         assert code == 0 and "a     = 89" in out
+
+    @pytest.mark.parametrize(
+        "text", (" 12 ", "+7", "1_000", "007", "-0", "\u0663", "\uff15", "\t42\n")
+    )
+    def test_operand_spellings_int_accepts(self, text, capsys):
+        code, out, _ = run_cli("simulate", "--a", text, "--b", "5", capsys=capsys)
+        assert code == 0 and f"a     = {int(text)}\n" in out
+
+    @pytest.mark.parametrize(
+        "text", ("", "+", "1__0", "_1", "1_", "0x10", "1.0", "+ 5", "+-5", "\u00b2")
+    )
+    def test_operand_spellings_int_rejects(self, text, capsys):
+        code, _, err = run_cli("simulate", "--a", text, "--b", "5", capsys=capsys)
+        assert code == 2 and "decimal integers" in err
+
+    @pytest.mark.parametrize("raw_bits", (False, True))
+    def test_past_int_str_digit_limit(self, raw_bits, capsys):
+        """4301 digits: above CPython's 4300-digit int<->str limit."""
+        n = 4301
+        rng = random.Random(n)
+        texts = ["".join(rng.choice("123456789") for _ in range(n)) for _ in "ab"]
+        a, b = (decode(from_digit_text(t)) for t in texts)
+        if raw_bits:
+            texts = [
+                "".join(format(int(d), "04b")[::-1] for d in reversed(t))
+                for t in texts
+            ]
+            args = ["--raw-bits", "--a", texts[0], "--b", texts[1]]
+        else:
+            args = ["--a", texts[0], "--b", texts[1]]
+        code, out, _ = run_cli("simulate", *args, capsys=capsys)
+        assert code == 0
+        fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+        assert decode(from_digit_text(fields["  sum  "])) == (a + b) % 10**n
+        assert int(fields["  carry"]) == (a + b) // 10**n
+        assert decode(from_digit_text(fields["  full "])) == a + b
 
 
 class TestVerify:

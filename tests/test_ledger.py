@@ -48,6 +48,17 @@ class TestCodec:
             x = rng.randrange(10**12)
             assert decode(encode(x, 12)) == x
 
+    @pytest.mark.parametrize("width", (999, 1000, 1001, 2048, 4301, 9000))
+    def test_round_trip_chunk_boundaries(self, width):
+        """Around the one-call str() size, and past CPython's 4300-digit
+        int<->str limit; digits checked by arithmetic up to 2048."""
+        rng = random.Random(width)
+        for x in (0, 10**width - 1, rng.randrange(10**width)):
+            v = encode(x, width)
+            assert decode(v) == x
+            if width <= 2048:
+                assert v.digits == tuple((x // 10**j) % 10 for j in range(width))
+
     def test_overflow(self):
         with pytest.raises(CapacityError):
             encode(100, 2)

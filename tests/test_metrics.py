@@ -8,7 +8,7 @@ from revbcd.errors import (
     LineIndexError,
     MetricsUndefinedError,
 )
-from revbcd.gates import GateKind
+from revbcd.gates import ALL_KINDS, GateKind, gate_cost
 from revbcd.metrics import (
     arrival_of,
     arrival_profile,
@@ -130,6 +130,63 @@ class TestDecomposition:
         assert len(path) == 9  # 4 HNG + PG + FG + PG + HNG + FG
         kinds = [pdfa.gates[i].kind for i in path]
         assert kinds.count(GateKind.BJN) == 0
+
+
+def reference_critical_path(netlist):
+    """The quadratic walk: every step rescans the gates from the last one
+    for the last gate touching the line that completes at the arrival."""
+    profile = arrival_profile(netlist)
+    line, t = max(
+        ((l, profile.final[l]) for _, l in netlist.outputs),
+        key=lambda item: item[1],
+    )
+    path = []
+    while t > 0:
+        setter = None
+        for idx in range(len(netlist.gates) - 1, -1, -1):
+            if line in netlist.gates[idx].pins and profile.completions[idx] == t:
+                setter = idx
+                break
+        if setter is None:
+            break
+        path.append(setter)
+        pins = netlist.gates[setter].pins
+        pre = profile.pre_arrivals[setter]
+        best = max(range(len(pins)), key=lambda pos: (pre[pos], -pos))
+        line = pins[best]
+        t = pre[best]
+    path.reverse()
+    return path
+
+
+def tied_pins_netlist():
+    """Gate 2 sees equal pre-gate arrivals on both pins; line 0 is
+    touched by gates 0, 2 and 3."""
+    nl = new_netlist(4, [input_role(f"x{i}") for i in range(4)])
+    nl = append_gate(nl, GateKind.FG, (1, 0))
+    nl = append_gate(nl, GateKind.FG, (3, 2))
+    nl = append_gate(nl, GateKind.FG, (2, 0))
+    nl = append_gate(nl, GateKind.NOT, (0,))
+    return designate_outputs(nl, {"y": 0, "p": 1, "q": 2, "r": 3})
+
+
+class TestCriticalPath:
+    def test_every_gate_delay_is_positive(self):
+        """critical_path's single sweep relies on this."""
+        assert all(gate_cost(kind)[1] >= 1 for kind in ALL_KINDS)
+
+    @pytest.mark.parametrize("n", (*range(1, 9), 64))
+    @pytest.mark.parametrize("build", (build_dec_rca, build_dec_csk))
+    def test_matches_reference_walk(self, build, n):
+        netlist = build(n)
+        assert critical_path(netlist) == reference_critical_path(netlist)
+
+    def test_pdfa_matches_reference_walk(self, pdfa):
+        assert critical_path(pdfa) == reference_critical_path(pdfa)
+
+    def test_tie_breaks_to_lowest_pin_position(self):
+        nl = tied_pins_netlist()
+        assert critical_path(nl) == reference_critical_path(nl) == [1, 2, 3]
 
 
 class TestFormulaAgreement:
