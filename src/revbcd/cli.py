@@ -25,6 +25,7 @@ from .ledger import (
     AdderPort,
     CsvConfig,
     bcd_add,
+    decimal_text,
     digit_text,
     from_digit_text,
     ingest_csv,
@@ -286,12 +287,12 @@ def cmd_ledger(args) -> int:
     if args.format == "csv":
         print("group,total_cents")
         for group, total in report.totals.items():
-            print(f"{group},{total}")
+            print(f"{group},{decimal_text(total)}")
     else:
         print("| group | total (cents) |")
         print("|---|---|")
         for group, total in report.totals.items():
-            print(f"| {group} | {total} |")
+            print(f"| {group} | {decimal_text(total)} |")
     summary = dict(report.summary())
     summary["rows_read"] = diags.rows_read
     summary["rows_skipped"] = len(diags.skipped)

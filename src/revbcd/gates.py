@@ -18,6 +18,14 @@ its `_GATES` entry.  `applier` binds one to the lines of a gate instance;
 the compiled simulator runs those, and `gate_semantics` runs the same
 applier on a copy of its input tuple.
 
+Appliers work on lanes: a line value is a Python int whose bit k holds
+vector k's value on that line, so one call updates every vector at once
+with whole-word ``^ & | ~`` operations.  The state list carries one slot
+past the lines, the lane mask (bit k set for every vector in the batch).
+NOT complements against it; MF complements with ``~`` under an AND with a
+non-negative lane, which needs no mask.  A mask of 1 is the scalar case,
+where every value is a single bit.
+
 Cost constants are per-gate elementary-operation counts (qc) and delay in
 delta units.  1x1 gates carry no quantum cost.
 """
@@ -47,14 +55,14 @@ class GateKind(str, Enum):
 
 # Applier factories: each takes the gate's pins (A, B, ... in order) and
 # returns an allocation-free in-place update of a line-state list, because
-# the simulator runs these once per gate per vector.
+# the simulator runs these once per gate per batch.  v[-1] is the lane mask.
 
 
 def _not(p):
     (i,) = p
 
     def f(v):
-        v[i] ^= 1
+        v[i] ^= v[-1]
 
     return f
 
@@ -87,8 +95,8 @@ def _mf(p):
         a = v[i]
         b = v[j]
         c = v[k]
-        na = a ^ 1
-        v[j] = (na & b) ^ (a & (c ^ 1))
+        na = ~a
+        v[j] = (na & b) ^ (a & ~c)
         v[k] = (a & b) ^ (na & c)
 
     return f
@@ -156,7 +164,8 @@ def gate_cost(kind: GateKind) -> tuple[int, int]:
 def applier(kind: GateKind, pins: Sequence[int]) -> Callable[[list[int]], None]:
     """Return the gate's in-place update of a state list, bound to `pins`.
 
-    Pins are in A, B, ... order and unchecked here; `GateInstance` checks them.
+    The state's last slot holds the lane mask.  Pins are in A, B, ... order
+    and unchecked here; `GateInstance` checks them.
     """
     return _GATES[kind][3](pins)
 
@@ -172,9 +181,9 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
         raise ArityError(f"{kind} expects {want} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ArityError(f"{kind} input must be 0/1 bits: {bits!r}")
-    state = list(bits)
+    state = [*bits, 1]  # mask 1: one vector
     applier(kind, range(want))(state)
-    return tuple(state)
+    return tuple(state[:-1])
 
 
 def gate_truth_table(kind: GateKind) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

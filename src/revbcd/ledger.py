@@ -14,7 +14,9 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 from .designs import ADDER_DESIGNS, build_design
 from .errors import CapacityError, InvalidArgumentError, InvalidBCDError, LedgerFormatError
@@ -65,6 +67,15 @@ def _text_value(text: str) -> int:
     return _text_value(text[:-half]) * 10**half + _text_value(text[-half:])
 
 
+def decimal_text(amount: int) -> str:
+    """`amount` in decimal at any size, like str() without its digit limit."""
+    if amount < 0:
+        return "-" + decimal_text(-amount)
+    # bit_length * 0.30103 bounds the digit count from above (log10 2 < 0.30103)
+    width = amount.bit_length() * 30103 // 100000 + 1
+    return _padded_text(amount, width).lstrip("0") or "0"
+
+
 def digit_text(vector: DigitVector) -> str:
     """The digits as a decimal string, most significant first, zero padded."""
     return "".join(map(str, reversed(vector.digits)))
@@ -80,12 +91,42 @@ def encode(amount: int, width: int) -> DigitVector:
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
     if amount < 0 or amount >= 10**width:
-        raise CapacityError(f"{amount} does not fit in {width} BCD digits")
+        raise CapacityError(
+            f"{decimal_text(amount)} does not fit in {width} BCD digits"
+        )
     return from_digit_text(_padded_text(amount, width))
 
 
 def decode(vector: DigitVector) -> int:
     return _text_value(digit_text(vector))
+
+
+# Lanes: bit k of a lane is vector k's value on one line (see simulator).
+# A batch of `width`-digit operands is 4*width lanes, lane 4j+i holding bit i
+# of digit j of every operand.
+_BIT_OF_DIGIT = [
+    str.maketrans("0123456789", "".join(str(d >> i & 1) for d in range(10)))
+    for i in range(4)
+]
+
+
+def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
+    """The 4*width digit-bit lanes of a batch of amounts, amounts[k] in bit k."""
+    if width < 1:
+        raise InvalidArgumentError("width must be at least 1")
+    limit = 10**width
+    for amount in amounts:
+        if amount < 0 or amount >= limit:
+            raise CapacityError(
+                f"{decimal_text(amount)} does not fit in {width} BCD digits"
+            )
+    # Last amount first, so each strided column reads bit k at position k.
+    text = "".join([_padded_text(amount, width) for amount in reversed(amounts)])
+    return [
+        int(text[width - 1 - j :: width].translate(table) or "0", 2)
+        for j in range(width)
+        for table in _BIT_OF_DIGIT
+    ]
 
 
 _NIBBLES = tuple(tuple((d >> i) & 1 for i in range(4)) for d in range(10))
@@ -128,6 +169,40 @@ class AdderPort:
         if self._cin_line is not None:
             state[self._cin_line] = cin
         return state
+
+    def pack_lanes(
+        self, a: Sequence[int], b: Sequence[int], cin: int, mask: int
+    ) -> list[int]:
+        """A fresh lane state under `mask` holding to_lanes operands and a
+        carry-in lane."""
+        if len(a) != 4 * self.width or len(b) != 4 * self.width:
+            raise InvalidArgumentError(
+                f"lane counts {len(a)}, {len(b)} != {4 * self.width}"
+            )
+        state = self.compiled.fresh_state(mask)
+        for quads, lanes in ((self._a_lines, a), (self._b_lines, b)):
+            for line, lane in zip(chain.from_iterable(quads), lanes):
+                state[line] = lane
+        if self._cin_line is not None:
+            state[self._cin_line] = cin
+        return state
+
+    def add_lanes(
+        self, a: Sequence[int], b: Sequence[int], cin: int, mask: int
+    ) -> tuple[list[int], int, int]:
+        """Simulate every vector of a lane batch in one pass.
+
+        Returns (sum lanes, carry lane, moved) in the layout of to_lanes;
+        bit k of `moved` is set when vector k changed a restored line.
+        """
+        state = self.pack_lanes(a, b, cin, mask)
+        initial = [state[line] for line in self._restored]
+        self.compiled.run_state(state, mask)
+        moved = 0
+        for line, before in zip(self._restored, initial):
+            moved |= state[line] ^ before
+        sums = [state[line] for line in chain.from_iterable(self._sum_lines)]
+        return sums, state[self._carry_line], moved
 
     def add(
         self, a: DigitVector, b: DigitVector, cin: int = 0
@@ -230,7 +305,7 @@ def parse_amount(text: str) -> int:
     neg1, neg2, whole, frac = m.groups()
     if neg1 and neg2:
         raise LedgerFormatError(f"malformed amount {text!r}")
-    cents = int(whole.replace(",", "")) * 100
+    cents = _text_value(whole.replace(",", "")) * 100
     if frac:
         cents += int(frac.ljust(2, "0"))
     return -cents if (neg1 or neg2) else cents
@@ -330,7 +405,7 @@ def sum_ledger(
     for rec in records:
         if rec.amount_cents >= 10**width:
             raise CapacityError(
-                f"group {rec.group!r}: amount {rec.amount_cents} "
+                f"group {rec.group!r}: amount {decimal_text(rec.amount_cents)} "
                 f"exceeds {width} digits"
             )
         grouped.setdefault(rec.group, []).append(rec.amount_cents)

@@ -3,6 +3,16 @@
 A compiled netlist is the list of in-place appliers that `gates.applier`
 binds to each gate's pins; the gate semantics live in `gates._GATES` only.
 
+`CompiledNetlist.run_state` is the one engine, for one vector or many.
+Each line holds a lane: an int whose bit k is vector k's value, with the
+lane mask (bit k set for every vector) riding in the state's last slot
+while the gates run.  The scalar case is mask 1.  `truth_table`,
+`check_permutation` and the exhaustive branch of `verify_restored` share
+one sweep: the varied lines start from the counting pattern over all
+2^n assignments (`counting_lanes`), 2^14 vectors per `run_state` call so
+memory stays small.  Unpacking goes through byte planes (`byte_plane`)
+rather than one int per vector.
+
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
 operations (truth_table, check_permutation) are bounded at
@@ -12,9 +22,10 @@ seeded sampling (see sample_injectivity).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
 from .gates import applier
@@ -47,13 +58,22 @@ class CompiledNetlist:
         self.restored = tuple(sorted(netlist.restored))
         self.inputs = tuple(netlist.input_lines())
 
-    def run_state(self, state: list[int]) -> None:
-        """Apply every gate to `state` in place."""
+    def run_state(self, state: list[int], mask: int = 1) -> None:
+        """Apply every gate to `state` in place.
+
+        Each entry is a lane of vectors under `mask` (bit k set for each
+        vector k); the default mask 1 makes every entry a single bit.
+        """
+        state.append(mask)
         for f in self._fns:
             f(state)
+        state.pop()
 
-    def fresh_state(self) -> list[int]:
-        return self.base_state.copy()
+    def fresh_state(self, mask: int = 1) -> list[int]:
+        """Inputs 0 and constants at their value in every lane of `mask`."""
+        if mask == 1:
+            return self.base_state.copy()
+        return [mask * bit for bit in self.base_state]
 
     def result(self, initial: list[int], terminal: list[int]) -> SimulationResult:
         named = {name: terminal[line] for name, line in self.named}
@@ -101,6 +121,94 @@ def run_batch(
     return results
 
 
+def counting_lanes(count: int) -> list[int]:
+    """Lanes of `count` lines that hold all 2^count assignments.
+
+    Bit k of lane i is bit i of k, so vector k is the assignment whose
+    little-endian value is k.
+    """
+    total = 1 << count
+    lanes = []
+    for i in range(count):
+        span = 1 << i
+        lane = ((1 << span) - 1) << span  # one period: span zeros, span ones
+        period = span << 1
+        while period < total:
+            lane |= lane << period
+            period <<= 1
+        lanes.append(lane)
+    return lanes
+
+
+def bit_lane(bits: Sequence[int]) -> int:
+    """The lane whose bit k is bits[k] (each 0 or 1, or a bool)."""
+    return int("".join("1" if bit else "0" for bit in reversed(bits)) or "0", 2)
+
+
+_BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+
+
+def byte_plane(lane: int, count: int, shift: int = 0) -> int:
+    """An int whose byte k is bit k of `lane` shifted left by `shift` (0..7).
+
+    Planes of distinct shifts add into one byte per vector without carries.
+    """
+    text = bin(lane)[2:].zfill(count).encode().translate(_BYTE_OF_BIT[shift])
+    return int.from_bytes(text, "big")
+
+
+def _vector_words(lanes: Sequence[int], count: int) -> memoryview:
+    """Vector k's value over the lanes (lane i is bit i), as a uint32 view.
+
+    For up to 32 lanes: eight byte planes are summed into one byte of every
+    word, and the bytes of each word are interleaved with strided slices.
+    """
+    words = bytearray(4 * count)
+    for byte in range((len(lanes) + 7) // 8):
+        acc = 0
+        for shift, lane in enumerate(lanes[8 * byte : 8 * byte + 8]):
+            acc |= byte_plane(lane, count, shift)
+        pos = byte if sys.byteorder == "little" else 3 - byte
+        words[pos::4] = acc.to_bytes(count, "little")
+    return memoryview(words).cast("I")
+
+
+# Multi-vector callers run at most 2^BATCH_BITS vectors per run_state call,
+# so each lane stays at 2 kB and each unpack buffer near 16 kB however many
+# vectors there are: one batch over all 2^20 states would hold megabytes.
+BATCH_BITS = 14
+
+
+def _sweep(compiled: CompiledNetlist, lines: Sequence[int]):
+    """Run every assignment of `lines`, one chunk of vectors at a time.
+
+    Yields (initial, terminal, count) per chunk, in order: vector k of
+    chunk c is the assignment whose little-endian value is c * count + k.
+    Lines not varied keep their constant (inputs 0) in every lane.
+    """
+    low = min(len(lines), BATCH_BITS)
+    count = 1 << low
+    mask = (1 << count) - 1
+    pattern = counting_lanes(low)
+    for chunk in range(1 << (len(lines) - low)):
+        state = compiled.fresh_state(mask)
+        for line, lane in zip(lines, pattern):
+            state[line] = lane
+        for pos, line in enumerate(lines[low:]):
+            state[line] = mask if chunk >> pos & 1 else 0
+        initial = state.copy()
+        compiled.run_state(state, mask)
+        yield initial, state, count
+
+
+def _check_exhaustive(netlist: Netlist, fallback: str) -> None:
+    if netlist.width > EXHAUSTIVE_WIDTH_LIMIT:
+        raise CapacityError(
+            f"width {netlist.width} exceeds the exhaustive bound "
+            f"{EXHAUSTIVE_WIDTH_LIMIT}; use {fallback}"
+        )
+
+
 def truth_table(
     netlist: Netlist,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -109,21 +217,15 @@ def truth_table(
     Constants stay at their declared values; 2^(input count) rows, inputs
     enumerated little-endian in line order.
     """
-    if netlist.width > EXHAUSTIVE_WIDTH_LIMIT:
-        raise CapacityError(
-            f"width {netlist.width} exceeds the exhaustive bound "
-            f"{EXHAUSTIVE_WIDTH_LIMIT}; use sampled verification"
-        )
+    _check_exhaustive(netlist, "sampled verification")
     compiled = compile_netlist(netlist)
-    inputs = compiled.inputs
-    rows = []
-    for value in range(1 << len(inputs)):
-        state = compiled.fresh_state()
-        for pos, line in enumerate(inputs):
-            state[line] = (value >> pos) & 1
-        initial = tuple(state)
-        compiled.run_state(state)
-        rows.append((initial, tuple(state)))
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for initial, terminal, count in _sweep(compiled, compiled.inputs):
+        columns = [
+            [byte_plane(lane, count).to_bytes(count, "little") for lane in state]
+            for state in (initial, terminal)
+        ]
+        rows += zip(zip(*columns[0]), zip(*columns[1]))
     return rows
 
 
@@ -133,24 +235,12 @@ def check_permutation(netlist: Netlist) -> bool:
     Constants are varied too: this checks the circuit as a function of
     every line, not just the used inputs.
     """
-    if netlist.width > EXHAUSTIVE_WIDTH_LIMIT:
-        raise CapacityError(
-            f"width {netlist.width} exceeds the exhaustive bound "
-            f"{EXHAUSTIVE_WIDTH_LIMIT}; use sample_injectivity"
-        )
-    compiled = compile_netlist(netlist)
-    width = netlist.width
-    seen = bytearray(1 << width)
-    for value in range(1 << width):
-        state = [(value >> i) & 1 for i in range(width)]
-        compiled.run_state(state)
-        packed = 0
-        for i, bit in enumerate(state):
-            packed |= bit << i
-        if seen[packed]:
-            return False
-        seen[packed] = 1
-    return True
+    _check_exhaustive(netlist, "sample_injectivity")
+    seen = bytearray(1 << netlist.width)
+    for _, terminal, count in _sweep(compile_netlist(netlist), range(netlist.width)):
+        for word in _vector_words(terminal, count):
+            seen[word] = 1
+    return 0 not in seen
 
 
 def sample_injectivity(netlist: Netlist, samples: int = 4096, seed: int = 0) -> bool:
@@ -195,13 +285,16 @@ def verify_restored(
     if not compiled.restored:
         return True
     if len(inputs) <= EXHAUSTIVE_WIDTH_LIMIT:
-        space: Iterable[int] = range(1 << len(inputs))
-    else:
-        import random
+        return all(
+            terminal[l] == initial[l]
+            for initial, terminal, _ in _sweep(compiled, inputs)
+            for l in compiled.restored
+        )
+    import random
 
-        rng = random.Random(seed)
-        space = (rng.getrandbits(len(inputs)) for _ in range(samples))
-    for value in space:
+    rng = random.Random(seed)
+    for _ in range(samples):
+        value = rng.getrandbits(len(inputs))
         state = compiled.fresh_state()
         for pos, line in enumerate(inputs):
             state[line] = (value >> pos) & 1

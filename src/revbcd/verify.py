@@ -1,17 +1,20 @@
 """Reusable verification suites: gate laws, adder oracles, metric fidelity.
 
 Each check returns a VerifyResult; run_scope drives the named scope with a
-fixed seed so every randomized pass is reproducible bit-for-bit.
+fixed seed so every randomized pass is reproducible bit-for-bit.  Adder
+vectors are checked in lane batches (one simulator pass per design and
+batch of up to 2^14 vectors), and a failing check names its first failing
+vector.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .designs import (
-    build_dec_csk,
-    build_dec_rca,
+    ADDER_DESIGNS,
     build_pdfa,
     build_skip_generator,
     decimal_propagate,
@@ -19,9 +22,9 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import DigitVector, adder_port, cached_adder, decode, encode
+from .ledger import AdderPort, adder_port, cached_adder, decode, encode, to_lanes
 from .metrics import structural_metrics
-from .simulator import CompiledNetlist, compile_netlist
+from .simulator import BATCH_BITS, CompiledNetlist, bit_lane, compile_netlist
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,69 @@ def adder_sum(compiled: CompiledNetlist, n: int, a: int, b: int, cin: int = 0):
     return decode(total), carry, ok
 
 
+@lru_cache(maxsize=1)
+def _pdfa_port() -> AdderPort:
+    return adder_port(compile_netlist(build_pdfa()))
+
+
+@lru_cache(maxsize=1)
+def _skip_generator_port() -> AdderPort:
+    return adder_port(compile_netlist(build_skip_generator()))
+
+
+class _Additions:
+    """A batch of additions a[k] + b[k] + cin[k] at n digits, held as lanes
+    together with the lanes of their native sums and carries."""
+
+    def __init__(self, n: int, a: list[int], b: list[int], cin: list[int]):
+        self.n, self.a, self.b, self.cin = n, a, b, cin
+        limit = 10**n
+        totals = [x + y + c for x, y, c in zip(a, b, cin)]
+        self.mask = (1 << len(totals)) - 1
+        self.operands = (to_lanes(a, n), to_lanes(b, n), bit_lane(cin))
+        self.want_sums = to_lanes([t % limit for t in totals], n)
+        self.want_carry = bit_lane([t >= limit for t in totals])
+
+    def run(self, ports: dict[str, AdderPort]) -> tuple[int, str]:
+        """Run the batch once through each port; returns (failures, text).
+
+        A vector fails when a port's sum or carry differs from native
+        addition or it changed a restored line.  `text` names the lowest
+        failing vector, with what native addition gives and what the first
+        port failing it gave (a non-BCD sum digit shows in hex); it is
+        empty when nothing fails.
+        """
+        outcomes = {}
+        bad = 0
+        for name, port in ports.items():
+            sums, carry, moved = port.add_lanes(*self.operands, self.mask)
+            lane = moved | carry ^ self.want_carry
+            for got, want in zip(sums, self.want_sums):
+                lane |= got ^ want
+            outcomes[name] = (lane, sums, carry, moved)
+            bad |= lane
+        if not bad:
+            return 0, ""
+        k = (bad & -bad).bit_length() - 1
+        design = next(name for name, out in outcomes.items() if out[0] >> k & 1)
+        _, sums, carry, moved = outcomes[design]
+        n, a, b, cin = self.n, self.a[k], self.b[k], self.cin[k]
+        nibbles = (
+            sum((sums[4 * j + i] >> k & 1) << i for i in range(4))
+            for j in reversed(range(n))
+        )
+        total = a + b + cin
+        text = (
+            f"first failure: {design} N={n} a={a} b={b} cin={cin}: "
+            f"expected sum={str(total % 10**n).zfill(n)} carry={int(total >= 10**n)}, "
+            f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
+            f"carry={carry >> k & 1}"
+        )
+        if moved >> k & 1:
+            text += ", restored line changed"
+        return bad.bit_count(), text
+
+
 def verify_gates() -> VerifyResult:
     bad = [k.value for k in ALL_KINDS if not is_bijective(k)]
     return VerifyResult(
@@ -48,38 +114,27 @@ def verify_gates() -> VerifyResult:
 
 
 def verify_pdfa() -> VerifyResult:
-    port = adder_port(compile_netlist(build_pdfa()))
-    checked = failures = 0
-    for a in range(10):
-        for b in range(10):
-            for c in range(2):
-                total, carry, restored = port.add(
-                    DigitVector((a,)), DigitVector((b,)), c
-                )
-                ok = (
-                    total.digits == ((a + b + c) % 10,)
-                    and carry == int(a + b + c >= 10)
-                    and restored
-                )
-                checked += 1
-                failures += not ok
-    return VerifyResult(
-        "pdfa", failures == 0, f"{checked - failures}/{checked} oracle matches"
-    )
+    vectors = [(a, b, c) for a in range(10) for b in range(10) for c in range(2)]
+    adds = _Additions(1, *(list(column) for column in zip(*vectors)))
+    failures, first = adds.run({"pdfa": _pdfa_port()})
+    detail = f"{len(vectors) - failures}/{len(vectors)} oracle matches"
+    if first:
+        detail += f"; {first}"
+    return VerifyResult("pdfa", failures == 0, detail)
 
 
 def verify_propagate() -> VerifyResult:
-    compiled = compile_netlist(build_skip_generator())
-    port = adder_port(compiled)
+    port = _skip_generator_port()
+    compiled = port.compiled
     p_line = compiled.netlist.output_map["P"]
-    failures = 0
-    for da in range(10):
-        for db in range(10):
-            want = int(da + db == 9)
-            state = port.pack(DigitVector((da,)), DigitVector((db,)))
-            compiled.run_state(state)
-            if decimal_propagate(da, db) != want or state[p_line] != want:
-                failures += 1
+    da = [x for x in range(10) for _ in range(10)]
+    db = [y for _ in range(10) for y in range(10)]
+    want = bit_lane([x + y == 9 for x, y in zip(da, db)])
+    model = bit_lane([decimal_propagate(x, y) for x, y in zip(da, db)])
+    mask = (1 << len(da)) - 1
+    state = port.pack_lanes(to_lanes(da, 1), to_lanes(db, 1), 0, mask)
+    compiled.run_state(state, mask)
+    failures = (state[p_line] ^ want | model ^ want).bit_count()
     rows_bad = 0
     for p in range(2):
         for dc in range(2):
@@ -98,40 +153,45 @@ def verify_propagate() -> VerifyResult:
 def verify_adders(
     seed: int = 0, samples: int = 1000, sizes: tuple[int, ...] = (2, 4, 8, 16)
 ) -> VerifyResult:
+    """Add `samples` seeded vectors per size on both designs, in lane batches
+    of at most 2^BATCH_BITS vectors; a failure names the first failing
+    vector."""
     rng = random.Random(seed)
     failures = 0
     checked = 0
+    first = ""
     for n in sizes:
-        rca = cached_adder("dec-rca", n).compiled
-        csk = cached_adder("dec-csk", n).compiled
-        for _ in range(samples):
-            a = rng.randrange(10**n)
-            b = rng.randrange(10**n)
-            c = rng.randrange(2)
-            want = ((a + b + c) % 10**n, int(a + b + c >= 10**n))
-            got_r = adder_sum(rca, n, a, b, c)
-            got_c = adder_sum(csk, n, a, b, c)
-            checked += 1
-            if not (
-                got_r[:2] == want and got_c[:2] == want and got_r[2] and got_c[2]
-            ):
-                failures += 1
-    return VerifyResult(
-        "adders",
-        failures == 0,
+        ports = {design: cached_adder(design, n) for design in ADDER_DESIGNS}
+        for start in range(0, samples, 1 << BATCH_BITS):
+            a, b, cin = [], [], []
+            for _ in range(min(samples - start, 1 << BATCH_BITS)):
+                a.append(rng.randrange(10**n))
+                b.append(rng.randrange(10**n))
+                cin.append(rng.randrange(2))
+            bad, text = _Additions(n, a, b, cin).run(ports)
+            checked += len(a)
+            failures += bad
+            first = first or text
+    detail = (
         f"{checked - failures}/{checked} sampled vectors match native "
-        f"addition on both designs (seed={seed})",
+        f"addition on both designs (seed={seed})"
     )
+    if first:
+        detail += f"; {first}"
+    return VerifyResult("adders", failures == 0, detail)
 
 
 def verify_metric_fidelity() -> VerifyResult:
     problems = []
     for n in range(1, 9):
-        m = structural_metrics(build_dec_rca(n))
+        m = structural_metrics(cached_adder("dec-rca", n).compiled.netlist)
         want = (10 * n, 8 * n, 4 * n, 45 * n, 25 * n + 10)
         if (m.gc, m.ci, m.go, m.qc, m.delay) != want:
             problems.append(f"ripple N={n}: {m}")
-    delays = {n: structural_metrics(build_dec_csk(n)).delay for n in range(2, 7)}
+    delays = {
+        n: structural_metrics(cached_adder("dec-csk", n).compiled.netlist).delay
+        for n in range(2, 7)
+    }
     slopes = {delays[n + 1] - delays[n] for n in range(2, 6)}
     if slopes != {5}:
         problems.append(f"carry-skip delay slopes {sorted(slopes)} != 5")

@@ -304,6 +304,23 @@ class TestLedger:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["groups"] == 0
 
+    @pytest.mark.parametrize("width,code", [(16, 4), (4403, 0)])
+    def test_amount_past_int_str_digit_limit(self, tmp_path, capsys, width, code):
+        """A 4,400-digit amount overflows the default width with exit 4 and
+        sums exactly at a width that holds it; no int<->str limit escapes."""
+        path = tmp_path / "tx.csv"
+        path.write_text(f"user,amount\nu1,{'1' * 4400}\nu1,1.00\n", encoding="utf-8")
+        got, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "user",
+            "--amount-col", "amount", "--width", str(width), "--format", "csv",
+            capsys=capsys,
+        )
+        assert got == code
+        if code:
+            assert err.startswith("error: group 'u1': amount 1111") and "16 digits" in err
+        else:
+            assert out.splitlines()[1] == "u1," + "1" * 4399 + "200"
+
     def test_bad_rows_exit_three(self, tmp_path, capsys):
         path = tmp_path / "tx.csv"
         path.write_text("user,amount\nu1,wat\n", encoding="utf-8")

@@ -18,9 +18,9 @@ from revbcd.designs import (
     skip_carry,
 )
 from revbcd.errors import InvalidArgumentError, InvalidBCDError
-from revbcd.ledger import adder_port, encode
+from revbcd.ledger import adder_port, cached_adder, encode, to_lanes
 from revbcd.metrics import structural_metrics
-from revbcd.simulator import check_permutation, compile_netlist, run
+from revbcd.simulator import bit_lane, check_permutation, compile_netlist, run
 from revbcd.verify import adder_sum
 
 
@@ -199,6 +199,26 @@ class TestCarrySkip:
             b = rng.randrange(10**8)
             c = rng.randrange(2)
             assert adder_sum(rca, 8, a, b, c)[:2] == adder_sum(csk, 8, a, b, c)[:2]
+
+    def test_exhaustive_equivalence_two_digits(self):
+        """All 100*100*2 vectors at N=2, one lane batch per design: both
+        designs give the same sum and carry lanes, equal to native addition,
+        and restore their operands."""
+        vectors = [(a, b, c) for a in range(100) for b in range(100) for c in range(2)]
+        a, b, cin = (list(column) for column in zip(*vectors))
+        mask = (1 << len(vectors)) - 1
+        results = [
+            cached_adder(design, 2).add_lanes(
+                to_lanes(a, 2), to_lanes(b, 2), bit_lane(cin), mask
+            )
+            for design in ("dec-rca", "dec-csk")
+        ]
+        assert results[0] == results[1]
+        totals = [x + y + c for x, y, c in vectors]
+        sums, carry, moved = results[0]
+        assert sums == to_lanes([t % 100 for t in totals], 2)
+        assert carry == bit_lane([t >= 100 for t in totals])
+        assert moved == 0
 
     def test_digitwise_carries_equal_ripple(self, dec_rca8, dec_csk8):
         """The selected carry chain reproduces the ripple carries exactly."""

@@ -17,14 +17,17 @@ from revbcd.ledger import (
     LedgerRecord,
     adder_port,
     bcd_add,
+    cached_adder,
+    decimal_text,
     decode,
     encode,
     generate_synthetic_csv,
     ingest_csv,
     parse_amount,
     sum_ledger,
+    to_lanes,
 )
-from revbcd.simulator import compile_netlist
+from revbcd.simulator import bit_lane, compile_netlist
 
 
 class TestCodec:
@@ -79,6 +82,45 @@ class TestCodec:
         assert v.digits[:3] == (3, 2, 1) and v.digits[-1] == 7
         assert decode(v) == x
 
+    def test_overflow_message_past_int_str_digit_limit(self):
+        with pytest.raises(CapacityError, match=r"^10{5000} does not fit in 3 BCD"):
+            encode(10**5000, 3)
+
+    @pytest.mark.parametrize("amount", (0, 7, -7, 10**20, -(10**999), 10**1000 + 5))
+    def test_decimal_text_equals_str(self, amount):
+        assert decimal_text(amount) == str(amount)
+
+    def test_decimal_text_past_int_str_digit_limit(self):
+        assert decimal_text(2 * 10**5000 + 3) == "2" + "0" * 4999 + "3"
+
+
+class TestLanes:
+    @pytest.mark.parametrize("width", (1, 2, 16, 1001, 4401))
+    def test_layout(self, width):
+        rng = random.Random(width)
+        values = [0, 10**width - 1] + [rng.randrange(10**width) for _ in range(6)]
+        lanes = to_lanes(values, width)
+        assert len(lanes) == 4 * width
+        assert all(lane < 1 << len(values) for lane in lanes)
+        for k, value in enumerate(values):
+            digits = tuple(
+                sum((lanes[4 * j + i] >> k & 1) << i for i in range(4))
+                for j in range(width)
+            )
+            assert digits == encode(value, width).digits
+
+    def test_empty_batch(self):
+        assert to_lanes([], 3) == [0] * 12
+
+    @pytest.mark.parametrize("values", ([5, 100], [-1], [10**5000]))
+    def test_out_of_range(self, values):
+        with pytest.raises(CapacityError):
+            to_lanes(values, 2)
+
+    def test_width_below_one(self):
+        with pytest.raises(InvalidArgumentError):
+            to_lanes([0], 0)
+
 
 class TestBcdAdd:
     @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
@@ -121,6 +163,29 @@ class TestAdderPort:
         with pytest.raises(InvalidArgumentError):
             port.add(encode(1, 8), encode(1, 7))
 
+    @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
+    def test_lanes_equal_scalar_adds(self, design):
+        rng = random.Random(41)
+        port = cached_adder(design, 4)
+        a = [rng.randrange(10**4) for _ in range(200)]
+        b = [rng.randrange(10**4) for _ in range(200)]
+        cin = [rng.randrange(2) for _ in range(200)]
+        sums, carry, moved = port.add_lanes(
+            to_lanes(a, 4), to_lanes(b, 4), bit_lane(cin), (1 << 200) - 1
+        )
+        totals, carries = [], []
+        for k in range(200):
+            total, c, ok = port.add(encode(a[k], 4), encode(b[k], 4), cin[k])
+            assert ok
+            totals.append(decode(total))
+            carries.append(c)
+        assert (sums, carry, moved) == (to_lanes(totals, 4), bit_lane(carries), 0)
+
+    def test_lane_count_mismatch(self):
+        port = cached_adder("dec-rca", 2)
+        with pytest.raises(InvalidArgumentError):
+            port.add_lanes(to_lanes([1], 2), to_lanes([1], 3), 0, 1)
+
     def test_bits_round_trip(self):
         v = AdderPort.from_bits("10010001")
         assert v.digits == (9, 8)
@@ -158,6 +223,11 @@ class TestParseAmount:
     def test_bad(self, text):
         with pytest.raises(LedgerFormatError):
             parse_amount(text)
+
+    def test_past_int_str_digit_limit(self):
+        repunit = (10**4400 - 1) // 9
+        assert parse_amount("1" * 4400) == repunit * 100
+        assert parse_amount("$" + "1" * 4400 + ".5") == repunit * 100 + 50
 
 
 class TestIngest:
@@ -267,6 +337,24 @@ class TestSumLedger:
         records = [LedgerRecord("full", 9999), LedgerRecord("full", 1)]
         with pytest.raises(CapacityError, match="full"):
             sum_ledger(records, width=4)
+
+    @pytest.mark.parametrize(
+        "rows,group",
+        [
+            # "b" overflows at its second row, "a" only at its fourth: "a" sorts first
+            ([("a", 3000), ("b", 6000), ("b", 6000), ("a", 3000), ("c", 1),
+              ("a", 3000), ("a", 1000)], "a"),
+            ([("z", 6000), ("z", 6000), ("a", 1), ("a", 2), ("m", 9999)], "z"),
+        ],
+    )
+    def test_fold_overflow_names_first_sorted_group(self, rows, group):
+        records = [LedgerRecord(g, v) for g, v in rows]
+        with pytest.raises(CapacityError, match=f"^group '{group}': running total"):
+            sum_ledger(records, width=4)
+
+    def test_amount_past_int_str_digit_limit(self):
+        with pytest.raises(CapacityError, match="^group 'g': amount 10{5000} exceeds"):
+            sum_ledger([LedgerRecord("g", 10**5000)], width=16)
 
 
 class TestSynthetic:

@@ -7,10 +7,13 @@ import pytest
 from revbcd.designs import build_dec_csk, build_scl, scl_function
 from revbcd.errors import AssignmentError, CapacityError
 from revbcd.gates import GateKind, arity, gate_semantics, gate_truth_table
-from revbcd.netlist import append_gate, input_role, new_netlist
+from revbcd.netlist import append_gate, designate_outputs, input_role, new_netlist
 from revbcd.simulator import (
+    bit_lane,
+    byte_plane,
     check_permutation,
     compile_netlist,
+    counting_lanes,
     run,
     run_batch,
     sample_injectivity,
@@ -18,6 +21,50 @@ from revbcd.simulator import (
     verify_restored,
 )
 from revbcd.verify import adder_sum
+
+
+def scalar_truth_table(netlist):
+    """The one-vector-at-a-time truth table: the reference for the lane sweep."""
+    compiled = compile_netlist(netlist)
+    rows = []
+    for value in range(1 << len(compiled.inputs)):
+        state = compiled.fresh_state()
+        for pos, line in enumerate(compiled.inputs):
+            state[line] = (value >> pos) & 1
+        initial = tuple(state)
+        compiled.run_state(state)
+        rows.append((initial, tuple(state)))
+    return rows
+
+
+def scalar_is_permutation(netlist):
+    """The one-state-at-a-time bijectivity check: the reference for the sweep."""
+    compiled = compile_netlist(netlist)
+    seen = set()
+    for value in range(1 << netlist.width):
+        state = [(value >> i) & 1 for i in range(netlist.width)]
+        compiled.run_state(state)
+        seen.add(tuple(state))
+    return len(seen) == 1 << netlist.width
+
+
+def fg_copy(pins):
+    """A non-bijective FG: Q = A instead of A^B."""
+    i, j = pins
+
+    def f(v):
+        v[j] = v[i]
+
+    return f
+
+
+def random_netlist(rng, width, gates, prefix="x"):
+    nl = new_netlist(width, [input_role(f"{prefix}{i}") for i in range(width)])
+    for _ in range(gates):
+        kind = rng.choice(list(GateKind))
+        if arity(kind) <= width:
+            nl = append_gate(nl, kind, tuple(rng.sample(range(width), arity(kind))))
+    return nl
 
 
 def pdfa_inputs(a, b, c):
@@ -87,6 +134,21 @@ class TestTruthTable:
         with pytest.raises(CapacityError):
             truth_table(dec_csk8)
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_lane_rows_equal_scalar_rows(self, kind):
+        n = arity(kind)
+        nl = new_netlist(n, [input_role(f"x{i}") for i in range(n)])
+        nl = append_gate(nl, kind, range(n))
+        assert truth_table(nl) == scalar_truth_table(nl)
+
+    def test_lane_rows_equal_scalar_rows_pdfa(self, pdfa):
+        assert truth_table(pdfa) == scalar_truth_table(pdfa)
+
+    def test_lane_rows_follow_a_mutated_gate(self, mutate_gate):
+        mutate_gate(GateKind.FG, fg_copy)
+        nl = random_netlist(random.Random(2), 6, 12, prefix="m")
+        assert truth_table(nl) == scalar_truth_table(nl)
+
 
 class TestPermutation:
     @pytest.mark.parametrize("kind", list(GateKind))
@@ -114,6 +176,34 @@ class TestPermutation:
     def test_capacity_bound(self, dec_csk8):
         with pytest.raises(CapacityError):
             check_permutation(dec_csk8)
+
+    def test_non_bijective_gate_detected(self, mutate_gate):
+        mutate_gate(GateKind.FG, fg_copy)
+        nl = new_netlist(2, [input_role("p"), input_role("q")])
+        nl = append_gate(nl, GateKind.FG, (0, 1))
+        assert not check_permutation(nl)
+        assert not scalar_is_permutation(nl)
+
+    def test_sweep_agrees_with_scalar_check_under_mutation(self, mutate_gate):
+        mutate_gate(GateKind.FG, fg_copy)
+        rng = random.Random(17)
+        verdicts = []
+        for n in range(30):
+            nl = random_netlist(rng, rng.randrange(2, 10), rng.randrange(1, 8), f"s{n}_")
+            verdicts.append(check_permutation(nl))
+            assert verdicts[-1] == scalar_is_permutation(nl)
+        assert True in verdicts and False in verdicts
+
+    def test_sweep_past_one_chunk(self, mutate_gate):
+        """15 lines run as two chunks of 2^14 vectors; a gate that copies
+        across the chunk-constant line 14 is caught and truth tables agree."""
+        nl = random_netlist(random.Random(5), 15, 10, prefix="w")
+        nl = append_gate(nl, GateKind.FG, (14, 3))
+        assert truth_table(nl) == scalar_truth_table(nl)
+        assert check_permutation(nl)
+        mutate_gate(GateKind.FG, fg_copy)
+        assert not check_permutation(nl)
+        assert not scalar_is_permutation(nl)
 
     def test_sampled_injectivity_past_bound(self):
         assert sample_injectivity(build_dec_csk(1), samples=512, seed=5)
@@ -173,10 +263,43 @@ class TestBatch:
             assert ok
 
 
+class TestLanes:
+    @pytest.mark.parametrize("count", range(6))
+    def test_counting_lanes_hold_every_assignment(self, count):
+        lanes = counting_lanes(count)
+        for k in range(1 << count):
+            assert sum((lane >> k & 1) << i for i, lane in enumerate(lanes)) == k
+        assert all(lane < 1 << (1 << count) for lane in lanes)
+
+    def test_bit_lane_and_byte_plane(self):
+        bits = [1, 0, 0, 1, 1, 0, 1]
+        lane = bit_lane(bits)
+        assert lane == 0b1011001
+        assert bit_lane([]) == 0
+        plane = byte_plane(lane, len(bits), 3)
+        assert plane.to_bytes(len(bits), "little") == bytes(b << 3 for b in bits)
+
+    def test_lane_run_equals_scalar_runs(self, pdfa):
+        rng = random.Random(4)
+        compiled = compile_netlist(pdfa)
+        vectors = [[rng.randrange(2) for _ in range(pdfa.width)] for _ in range(64)]
+        lanes = [bit_lane([vec[line] for vec in vectors]) for line in range(pdfa.width)]
+        compiled.run_state(lanes, (1 << len(vectors)) - 1)
+        for k, vec in enumerate(vectors):
+            compiled.run_state(vec)
+            assert vec == [lane >> k & 1 for lane in lanes]
+
+
 class TestRestoredAndReference:
     def test_restored_verified_exhaustively(self, pdfa):
         assert verify_restored(pdfa)
         assert verify_restored(build_dec_csk(1))
+
+    def test_restored_violation_detected(self):
+        nl = new_netlist(2, [input_role("r"), input_role("t")])
+        nl = append_gate(nl, GateKind.FG, (1, 0))
+        assert not verify_restored(designate_outputs(nl, {}, restored=[0]))
+        assert verify_restored(designate_outputs(nl, {}, restored=[1]))
 
     def test_compiled_matches_reference(self, pdfa):
         rng = random.Random(9)
