@@ -60,12 +60,9 @@ from .netlist import (
     GateInstance,
     LineRole,
     Netlist,
-    append_gate,
     const_role,
     deserialize,
-    designate_outputs,
     input_role,
-    new_netlist,
     serialize,
 )
 from .simulator import (

@@ -31,7 +31,7 @@ from .ledger import (
     ingest_csv,
     sum_ledger,
 )
-from .metrics import metric_decomposition, structural_metrics
+from .metrics import arrival_profile, metric_decomposition, structural_metrics
 from .netlist import deserialize, serialize
 
 EXIT_OK = 0
@@ -208,9 +208,10 @@ def cmd_metrics(args) -> int:
     else:
         netlist = deserialize(args.netlist.read_text(encoding="utf-8"))
         label = str(args.netlist)
-    rows = [("total", structural_metrics(netlist))]
+    profile = arrival_profile(netlist)
+    rows = [("total", structural_metrics(netlist, profile=profile))]
     if args.stages:
-        rows += list(metric_decomposition(netlist).items())
+        rows += list(metric_decomposition(netlist, profile=profile).items())
     if args.format == "csv":
         print("scope,gc,ci,go,qc,delay")
         for scope, rep in rows:

@@ -433,7 +433,7 @@ def structural_discrepancy_report() -> str:
     always use the published formulas.
     """
     from .designs import build_dec_csk, build_dec_rca
-    from .metrics import metric_decomposition
+    from .metrics import arrival_profile, metric_decomposition
 
     lines = ["## Structural analysis vs published formulas", ""]
 
@@ -448,7 +448,9 @@ def structural_discrepancy_report() -> str:
     delays = {n: structural_metrics(build_dec_csk(n)).delay for n in sizes}
     slopes = {n: delays[n + 1] - delays[n] for n in sizes[:-1]}
     intercept = delays[2] - 10
-    m1 = structural_metrics(build_dec_csk(1))
+    csk1 = build_dec_csk(1)
+    profile = arrival_profile(csk1)
+    m1 = structural_metrics(csk1, profile=profile)
     lines.append(
         f"- Carry-skip design, structural per digit: gc={m1.gc} ci={m1.ci} "
         f"go={m1.go} qc={m1.qc}; published per-digit totals are gc=18 ci=10 "
@@ -459,9 +461,9 @@ def structural_discrepancy_report() -> str:
         f"- Carry-skip structural delay: slope {set(slopes.values()).pop() if len(set(slopes.values())) == 1 else slopes}"
         f" delta/digit for N >= 2 (published slope 5), intercept {intercept} "
         f"vs published 40 (delta {intercept - 40:+d}); single digit: "
-        f"{structural_metrics(build_dec_csk(1)).delay}."
+        f"{m1.delay}."
     )
-    dec = metric_decomposition(build_dec_csk(1))
+    dec = metric_decomposition(csk1, profile=profile)
     budget = csk_published_detection_budget()
     det = dec["detection"]
     lines.append(

@@ -93,7 +93,9 @@ def skip_carry(p: int, dc_in: int, g: int) -> int:
 
 class _Builder:
     """Single-phase netlist assembly (kept internal; the public surface is
-    the functional netlist operations plus the build_* entry points)."""
+    `Netlist` itself plus the build_* entry points).  Lines and gates are
+    collected as plain records; `build` makes the `Netlist`, which
+    validates them all in one pass."""
 
     def __init__(self):
         self.roles: list[LineRole] = []
@@ -110,7 +112,7 @@ class _Builder:
         return len(self.roles) - 1
 
     def gate(self, kind: GateKind, *pins: int, stage: str | None = None) -> None:
-        self.gates.append(GateInstance(kind, tuple(pins), stage))
+        self.gates.append(GateInstance(kind, pins, stage))
 
     def name(self, name: str, line: int) -> None:
         self.outputs.append((name, line))

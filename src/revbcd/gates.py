@@ -165,7 +165,7 @@ def applier(kind: GateKind, pins: Sequence[int]) -> Callable[[list[int]], None]:
     """Return the gate's in-place update of a state list, bound to `pins`.
 
     The state's last slot holds the lane mask.  Pins are in A, B, ... order
-    and unchecked here; `GateInstance` checks them.
+    and unchecked here; `Netlist.validate` checks them.
     """
     return _GATES[kind][3](pins)
 

@@ -13,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DecompositionError, LineIndexError, MetricsUndefinedError
-from .gates import gate_cost
+from .gates import ALL_KINDS, gate_cost
 from .netlist import Netlist
+
+# Per-kind quantum cost and delay, read once per gate by the sweeps below.
+_QC = {kind: gate_cost(kind)[0] for kind in ALL_KINDS}
+_DELAY = {kind: gate_cost(kind)[1] for kind in ALL_KINDS}
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,11 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class ArrivalProfile:
-    """Per-line final arrivals plus per-gate completion bookkeeping."""
+    """Per-line final arrivals plus per-gate completion bookkeeping.
+
+    Callers that need several figures of one netlist compute it once and
+    pass it to each as ``profile=``.
+    """
 
     final: tuple[int, ...]
     completions: tuple[int, ...]
@@ -56,10 +64,11 @@ def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     arr = [0] * netlist.width
     completions = []
     pres = []
-    for g in netlist.gates:
-        pre = tuple(arr[p] for p in g.pins)
-        t = max(pre) + gate_cost(g.kind)[1]
-        for p in g.pins:
+    delay = _DELAY
+    for kind, pins, _ in netlist.gates:
+        pre = tuple([arr[p] for p in pins])
+        t = max(pre) + delay[kind]
+        for p in pins:
             arr[p] = t
         completions.append(t)
         pres.append(pre)
@@ -81,32 +90,42 @@ def arrival_of(netlist: Netlist, line_or_name: int | str) -> int:
     return profile.final[line]
 
 
-def circuit_delay(netlist: Netlist) -> int:
+def circuit_delay(
+    netlist: Netlist, *, profile: ArrivalProfile | None = None
+) -> int:
     if not netlist.outputs:
         raise MetricsUndefinedError(
             "delay needs designated outputs; none are named"
         )
-    profile = arrival_profile(netlist)
+    if profile is None:
+        profile = arrival_profile(netlist)
     return max(profile.final[line] for _, line in netlist.outputs)
 
 
-def structural_metrics(netlist: Netlist) -> MetricReport:
-    """Compute the full metric bundle for a netlist with named outputs."""
+def structural_metrics(
+    netlist: Netlist, *, profile: ArrivalProfile | None = None
+) -> MetricReport:
+    """Compute the full metric bundle for a netlist with named outputs.
+
+    `profile`, when given, must be `arrival_profile(netlist)`.
+    """
     if not netlist.outputs:
         raise MetricsUndefinedError(
             "structural metrics need designated outputs"
         )
-    qc = sum(gate_cost(g.kind)[0] for g in netlist.gates)
+    qc = sum(_QC[kind] for kind, _, _ in netlist.gates)
     return MetricReport(
         gc=len(netlist.gates),
         ci=len(netlist.const_lines()),
         go=len(netlist.garbage_lines()),
         qc=qc,
-        delay=circuit_delay(netlist),
+        delay=circuit_delay(netlist, profile=profile),
     )
 
 
-def critical_path(netlist: Netlist) -> list[int]:
+def critical_path(
+    netlist: Netlist, *, profile: ArrivalProfile | None = None
+) -> list[int]:
     """Gate indices along the longest path to the slowest named output.
 
     Walks backwards from the named output with the greatest arrival,
@@ -123,7 +142,8 @@ def critical_path(netlist: Netlist) -> list[int]:
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("critical path needs designated outputs")
-    profile = arrival_profile(netlist)
+    if profile is None:
+        profile = arrival_profile(netlist)
     line, t = max(
         ((l, profile.final[l]) for _, l in netlist.outputs),
         key=lambda item: item[1],
@@ -155,7 +175,9 @@ def _stage_of(gate, index: int) -> str:
     return gate.stage
 
 
-def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
+def metric_decomposition(
+    netlist: Netlist, *, profile: ArrivalProfile | None = None
+) -> dict[str, MetricReport]:
     """Per-stage metric bundles for a fully stage-tagged netlist.
 
     gc/qc sum per stage over that stage's gates.  A constant line counts
@@ -163,7 +185,8 @@ def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
     toward the stage of the last gate touching it.  The delay figure is
     the stage's contribution to the circuit critical path (the sum of
     critical-path gate delays tagged with that stage), matching the
-    additive per-stage delay arithmetic of the designs.
+    additive per-stage delay arithmetic of the designs.  `profile`, when
+    given, must be `arrival_profile(netlist)`.
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("decomposition needs designated outputs")
@@ -186,9 +209,9 @@ def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
     go = {s: 0 for s in stages}
     delay = {s: 0 for s in stages}
 
-    for g in netlist.gates:
-        gc[g.stage] += 1
-        qc[g.stage] += gate_cost(g.kind)[0]
+    for kind, _, stage in netlist.gates:
+        gc[stage] += 1
+        qc[stage] += _QC[kind]
 
     for line in netlist.const_lines():
         if line not in first_toucher:
@@ -204,9 +227,9 @@ def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
             )
         go[netlist.gates[last_toucher[line]].stage] += 1
 
-    for idx in critical_path(netlist):
-        g = netlist.gates[idx]
-        delay[g.stage] += gate_cost(g.kind)[1]
+    for idx in critical_path(netlist, profile=profile):
+        kind, _, stage = netlist.gates[idx]
+        delay[stage] += _DELAY[kind]
 
     return {
         s: MetricReport(gc[s], ci[s], go[s], qc[s], delay[s]) for s in stages

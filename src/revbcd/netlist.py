@@ -13,14 +13,18 @@ Terminal lines fall into three classes:
     equals their initial value (pass-through), and
   * garbage, everything else.
 
-Netlists are immutable; the building operations return new values.
+Netlists are immutable.  Lines and gates are plain records; every
+structural rule is checked once, in one pass of `Netlist.validate`, when a
+netlist is made.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
 from .errors import (
     ArityError,
@@ -30,16 +34,16 @@ from .errors import (
     LineIndexError,
     NetlistFormatError,
 )
-from .gates import GateKind, arity
+from .gates import ALL_KINDS, GateKind, arity
 
 ROLE_INPUT = "input"
 ROLE_CONST0 = "const0"
 ROLE_CONST1 = "const1"
 _ROLES = (ROLE_INPUT, ROLE_CONST0, ROLE_CONST1)
+_ARITY = {kind: arity(kind) for kind in ALL_KINDS}
 
 
-@dataclass(frozen=True)
-class LineRole:
+class LineRole(NamedTuple):
     """Role of one line: labelled primary input, or constant 0/1.
 
     Constants may carry an informational label for debugging; only input
@@ -48,12 +52,6 @@ class LineRole:
 
     kind: str
     label: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in _ROLES:
-            raise InvalidArgumentError(f"unknown line role {self.kind!r}")
-        if self.kind == ROLE_INPUT and not self.label:
-            raise InvalidArgumentError("primary input lines need a label")
 
     @property
     def is_input(self) -> bool:
@@ -78,9 +76,8 @@ def const_role(bit: int, label: str | None = None) -> LineRole:
     return LineRole(ROLE_CONST0 if bit == 0 else ROLE_CONST1, label)
 
 
-@dataclass(frozen=True)
-class GateInstance:
-    """One placed gate: a kind plus the ordered lines it acts on.
+class GateInstance(NamedTuple):
+    """One placed gate: a kind plus the ordered lines (a tuple) it acts on.
 
     The optional stage tag groups gates for per-stage metric reporting.
     """
@@ -88,14 +85,6 @@ class GateInstance:
     kind: GateKind
     pins: tuple[int, ...]
     stage: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "pins", tuple(self.pins))
-        want = arity(self.kind)
-        if len(self.pins) != want:
-            raise ArityError(f"{self.kind} takes {want} pins, got {len(self.pins)}")
-        if len(set(self.pins)) != len(self.pins):
-            raise FanInError(f"{self.kind} pins {self.pins} repeat a line")
 
 
 @dataclass(frozen=True)
@@ -118,35 +107,64 @@ class Netlist:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Full structural re-validation; raises on any violation."""
-        if self.width < 1:
+        """Check every structural rule once; raises on the first violation.
+
+        Lines: a known role, a non-empty unique label on every input, unique
+        constant labels.  Gates: a known kind whose pins are a tuple of as
+        many distinct existing lines as its arity.  Outputs and restored
+        lines: on existing lines, each line designated once, restored
+        lines primary inputs that are not also named outputs.
+        """
+        width = self.width
+        if width < 1:
             raise InvalidArgumentError("netlist width must be positive")
-        if len(self.roles) != self.width:
-            raise InvalidArgumentError(
-                f"{len(self.roles)} roles for width {self.width}"
-            )
-        labels = [r.label for r in self.roles if r.is_input]
-        if len(labels) != len(set(labels)):
-            raise InvalidArgumentError("duplicate input labels")
-        const_labels = [r.label for r in self.roles if not r.is_input and r.label]
-        if len(const_labels) != len(set(const_labels)):
-            raise InvalidArgumentError("duplicate constant labels")
-        for g in self.gates:
-            for p in g.pins:
-                if not 0 <= p < self.width:
-                    raise LineIndexError(f"pin {p} outside 0..{self.width - 1}")
+        if len(self.roles) != width:
+            raise InvalidArgumentError(f"{len(self.roles)} roles for width {width}")
+        input_labels: set[str] = set()
+        const_labels: set[str] = set()
+        for kind, label in self.roles:
+            if kind == ROLE_INPUT:
+                if not label:
+                    raise InvalidArgumentError("primary input lines need a label")
+                if label in input_labels:
+                    raise InvalidArgumentError("duplicate input labels")
+                input_labels.add(label)
+            elif kind == ROLE_CONST0 or kind == ROLE_CONST1:
+                if label:
+                    if label in const_labels:
+                        raise InvalidArgumentError("duplicate constant labels")
+                    const_labels.add(label)
+            else:
+                raise InvalidArgumentError(f"unknown line role {kind!r}")
+        lines = frozenset(range(width))
+        for i, (kind, pins, _) in enumerate(self.gates):
+            want = _ARITY.get(kind)
+            if want is None:
+                raise InvalidArgumentError(f"gates[{i}]: unknown gate kind {kind!r}")
+            if type(pins) is not tuple:
+                raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
+            if len(pins) != want:
+                raise ArityError(
+                    f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
+                )
+            used = set(pins)
+            if len(used) != want:
+                raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
+            if not used <= lines:
+                bad = next(p for p in pins if p not in lines)
+                raise LineIndexError(f"gates[{i}]: pin {bad} outside 0..{width - 1}")
         names = [n for n, _ in self.outputs]
         if len(names) != len(set(names)):
             raise DesignationError("output names must be unique")
         named_lines = set()
         for name, line in self.outputs:
-            if not 0 <= line < self.width:
+            if not 0 <= line < width:
                 raise LineIndexError(f"output {name!r} on missing line {line}")
             if line in named_lines:
                 raise DesignationError(f"line {line} designated twice")
             named_lines.add(line)
         for line in self.restored:
-            if not 0 <= line < self.width:
+            if not 0 <= line < width:
                 raise LineIndexError(f"restored line {line} out of range")
             if not self.roles[line].is_input:
                 raise DesignationError(
@@ -164,14 +182,14 @@ class Netlist:
         return dict(self.outputs)
 
     def input_lines(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r.is_input]
+        return [i for i, r in enumerate(self.roles) if r.kind == ROLE_INPUT]
 
     def const_lines(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if not r.is_input]
+        return [i for i, r in enumerate(self.roles) if r.kind != ROLE_INPUT]
 
     def label_map(self) -> dict[str, int]:
         """Input label -> line index."""
-        return {r.label: i for i, r in enumerate(self.roles) if r.is_input}
+        return {r.label: i for i, r in enumerate(self.roles) if r.kind == ROLE_INPUT}
 
     def garbage_lines(self) -> list[int]:
         """Terminal lines that are neither named outputs nor restored inputs."""
@@ -189,44 +207,6 @@ class Netlist:
         raise LineIndexError(f"no constant line labelled {label!r}")
 
 
-# -- building operations ---------------------------------------------------
-
-
-def new_netlist(width: int, roles: Iterable[LineRole]) -> Netlist:
-    """Create an empty netlist; `roles` must supply one role per line."""
-    return Netlist(width=width, roles=tuple(roles))
-
-
-def append_gate(
-    netlist: Netlist,
-    kind: GateKind,
-    pins: Iterable[int],
-    stage: str | None = None,
-) -> Netlist:
-    """Return a new netlist with one gate appended at the end."""
-    g = GateInstance(kind, tuple(pins), stage)
-    return replace(netlist, gates=netlist.gates + (g,))
-
-
-def designate_outputs(
-    netlist: Netlist,
-    names: Mapping[str, int],
-    restored: Iterable[int] = (),
-) -> Netlist:
-    """Return a new netlist with named outputs and restored inputs recorded.
-
-    Terminal lines that end up in neither set are garbage.  Restored
-    designations are structural claims here; the simulator verifies them
-    on every run (SimulationResult.restored_ok) and the verify suite
-    checks them over the input domain.
-    """
-    return replace(
-        netlist,
-        outputs=tuple((str(k), int(v)) for k, v in names.items()),
-        restored=frozenset(int(x) for x in restored),
-    )
-
-
 # -- serialization ----------------------------------------------------------
 #
 # Text format (UTF-8 JSON).  Normative fields:
@@ -236,24 +216,61 @@ def designate_outputs(
 #             optional "stage" tag per gate
 #   outputs   array of {name, line}
 #   restored  array of line indices
-# Serialization is deterministic: same netlist, byte-identical output.
+# Serialization is deterministic: same netlist, byte-identical output.  The
+# layout is exactly json.dumps(document, indent=2) plus a newline, with the
+# keys in the order above; serialize writes that text directly, because
+# json's indent mode always runs its pure-Python encoder.
+
+
+def _scalar(value) -> str:
+    """JSON text of a label, stage or name, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+_KIND_TEXT = {kind: _scalar(kind.value) for kind in GateKind}
+_ROLE_TEXT = {role: _scalar(role) for role in _ROLES}
+
+
+def _array(key: str, items: list[str]) -> str:
+    """One top-level array member; `items` are its indented elements."""
+    if not items:
+        return f'  "{key}": []'
+    body = ",\n".join(items)
+    return f'  "{key}": [\n{body}\n  ]'
 
 
 def serialize(netlist: Netlist) -> str:
-    doc = {
-        "width": netlist.width,
-        "lines": [
-            {"index": i, "role": r.kind, "label": r.label}
-            for i, r in enumerate(netlist.roles)
-        ],
-        "gates": [
-            {"kind": g.kind.value, "pins": list(g.pins), "stage": g.stage}
-            for g in netlist.gates
-        ],
-        "outputs": [{"name": n, "line": l} for n, l in netlist.outputs],
-        "restored": sorted(netlist.restored),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    lines = [
+        f'    {{\n      "index": {i},\n      "role": {_ROLE_TEXT[kind]},'
+        f'\n      "label": {_scalar(label)}\n    }}'
+        for i, (kind, label) in enumerate(netlist.roles)
+    ]
+    stages = {None: "null"}
+    gates = []
+    for kind, pins, stage in netlist.gates:
+        stage_text = stages.get(stage) or stages.setdefault(stage, _scalar(stage))
+        pin_text = ",\n        ".join(map(str, pins))
+        gates.append(
+            f'    {{\n      "kind": {_KIND_TEXT[kind]},\n      "pins": [\n'
+            f"        {pin_text}\n      ],\n      \"stage\": {stage_text}\n    }}"
+        )
+    outputs = [
+        f'    {{\n      "name": {_scalar(name)},\n      "line": {line}\n    }}'
+        for name, line in netlist.outputs
+    ]
+    restored = [f"    {line}" for line in sorted(netlist.restored)]
+    members = (
+        f'  "width": {netlist.width}',
+        _array("lines", lines),
+        _array("gates", gates),
+        _array("outputs", outputs),
+        _array("restored", restored),
+    )
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def _require(doc, key: str, where: str):
@@ -271,8 +288,33 @@ def _require_list(doc: Mapping, key: str) -> list:
     return value
 
 
+def _records(entries: list, key: str, fields: tuple[str, ...]):
+    """Yield (position, entry, its required `fields`) for the array `key`.
+
+    A non-object entry or a missing field is a NetlistFormatError that
+    names the entry.
+    """
+    get = itemgetter(*fields)
+    for pos, entry in enumerate(entries):
+        try:
+            values = get(entry)
+        except (KeyError, TypeError):
+            values = tuple(_require(entry, f, f"{key}[{pos}]") for f in fields)
+        yield pos, entry, values
+
+
+_KIND_BY_NAME = {kind.value: kind for kind in GateKind}
+# `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
+_INT = frozenset((int,))
+
+
 def deserialize(text: str) -> Netlist:
-    """Parse the text format back into a netlist; inverse of serialize."""
+    """Parse the text format back into a netlist; inverse of serialize.
+
+    Checks the JSON types and the role and gate kind names here; every
+    structural rule is left to `Netlist.validate`, whose errors come back
+    as NetlistFormatError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -291,68 +333,62 @@ def deserialize(text: str) -> Netlist:
     # allocation below.
     if len(entries) != width:
         raise NetlistFormatError(f"lines: {len(entries)} entries for width {width}")
-    roles: list[tuple | None] = [None] * width
-    for pos, entry in enumerate(entries):
-        where = f"lines[{pos}]"
-        idx = _require(entry, "index", where)
-        role = _require(entry, "role", where)
+    roles: list[LineRole | None] = [None] * width
+    for pos, entry, (idx, role) in _records(entries, "lines", ("index", "role")):
         label = entry.get("label")
         if type(idx) is not int or not 0 <= idx < width:
-            raise NetlistFormatError(f"{where}: index {idx!r} outside 0..{width - 1}")
+            raise NetlistFormatError(
+                f"lines[{pos}]: index {idx!r} outside 0..{width - 1}"
+            )
         if roles[idx] is not None:
-            raise NetlistFormatError(f"{where}: line {idx} defined twice")
+            raise NetlistFormatError(f"lines[{pos}]: line {idx} defined twice")
         if role not in _ROLES:
-            raise NetlistFormatError(f"{where}: unknown role {role!r}")
-        if label is not None and not isinstance(label, str):
-            raise NetlistFormatError(f"{where}: label must be a string")
-        roles[idx] = (role, label)
+            raise NetlistFormatError(f"lines[{pos}]: unknown role {role!r}")
+        if label is not None and type(label) is not str:
+            raise NetlistFormatError(f"lines[{pos}]: label must be a string")
+        roles[idx] = LineRole(role, label)
 
     gates = []
-    for pos, entry in enumerate(_require_list(doc, "gates")):
-        where = f"gates[{pos}]"
-        kind_name = _require(entry, "kind", where)
-        pins = _require(entry, "pins", where)
+    gate_entries = _require_list(doc, "gates")
+    for pos, entry, (kind_name, pins) in _records(
+        gate_entries, "gates", ("kind", "pins")
+    ):
         stage = entry.get("stage")
-        try:
-            kind = GateKind(kind_name)
-        except ValueError:
-            raise NetlistFormatError(f"{where}: unknown gate kind {kind_name!r}")
-        if not isinstance(pins, list) or not all(type(p) is int for p in pins):
-            raise NetlistFormatError(f"{where}: pins must be a list of integers")
-        for p in pins:
-            if not 0 <= p < width:
-                raise NetlistFormatError(
-                    f"{where}: pin {p} outside 0..{width - 1}"
-                )
-        if stage is not None and not isinstance(stage, str):
-            raise NetlistFormatError(f"{where}: stage must be a string")
-        try:
-            gates.append(GateInstance(kind, tuple(pins), stage))
-        except (FanInError, ValueError) as exc:
-            raise NetlistFormatError(f"{where}: {exc}") from exc
+        kind = _KIND_BY_NAME.get(kind_name) if type(kind_name) is str else None
+        if kind is None:
+            raise NetlistFormatError(f"gates[{pos}]: unknown gate kind {kind_name!r}")
+        if type(pins) is not list or not _INT.issuperset(map(type, pins)):
+            raise NetlistFormatError(f"gates[{pos}]: pins must be a list of integers")
+        if stage is not None and type(stage) is not str:
+            raise NetlistFormatError(f"gates[{pos}]: stage must be a string")
+        gates.append(GateInstance(kind, tuple(pins), stage))
 
     outputs = []
-    for pos, entry in enumerate(_require_list(doc, "outputs")):
-        where = f"outputs[{pos}]"
-        name = _require(entry, "name", where)
-        line = _require(entry, "line", where)
-        if not isinstance(name, str):
-            raise NetlistFormatError(f"{where}: name must be a string")
-        if type(line) is not int or not 0 <= line < width:
-            raise NetlistFormatError(f"{where}: line {line!r} outside 0..{width - 1}")
+    output_entries = _require_list(doc, "outputs")
+    for pos, _, (name, line) in _records(output_entries, "outputs", ("name", "line")):
+        if type(name) is not str:
+            raise NetlistFormatError(f"outputs[{pos}]: name must be a string")
+        if type(line) is not int:
+            raise NetlistFormatError(f"outputs[{pos}]: line {line!r} is not an integer")
         outputs.append((name, line))
 
     restored = _require_list(doc, "restored")
-    if not all(type(x) is int for x in restored):
+    if not _INT.issuperset(map(type, restored)):
         raise NetlistFormatError("restored must be a list of line indices")
 
     try:
         return Netlist(
             width=width,
-            roles=tuple(LineRole(kind, label) for kind, label in roles),
+            roles=tuple(roles),
             gates=tuple(gates),
             outputs=tuple(outputs),
             restored=frozenset(restored),
         )
-    except (DesignationError, InvalidArgumentError, LineIndexError) as exc:
+    except (
+        ArityError,
+        DesignationError,
+        FanInError,
+        InvalidArgumentError,
+        LineIndexError,
+    ) as exc:
         raise NetlistFormatError(str(exc)) from exc

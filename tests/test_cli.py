@@ -213,17 +213,43 @@ class TestMetrics:
     ):
         from revbcd.gates import GateKind
         from revbcd.netlist import (
-            append_gate, const_role, designate_outputs, input_role,
-            new_netlist, serialize,
+            GateInstance, Netlist, const_role, input_role, serialize,
         )
 
-        nl = new_netlist(2, [input_role("a"), const_role(0)])
-        nl = designate_outputs(append_gate(nl, GateKind.FG, (0, 1)), outputs)
+        nl = Netlist(
+            width=2,
+            roles=(input_role("a"), const_role(0)),
+            gates=(GateInstance(GateKind.FG, (0, 1)),),
+            outputs=tuple(outputs.items()),
+        )
         path = tmp_path / "n.json"
         path.write_text(serialize(nl))
         code, _, err = run_cli("metrics", "--netlist", str(path), *flags, capsys=capsys)
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+
+class TestArrivalProfileSharing:
+    """`metrics` computes one arrival profile per call and shares it."""
+
+    @pytest.mark.parametrize("flags", [(), ("--stages",)], ids=["total", "stages"])
+    def test_one_profile_per_call(self, monkeypatch, capsys, flags):
+        from revbcd import cli, metrics
+
+        calls = []
+        original = metrics.arrival_profile
+
+        def counting(netlist):
+            calls.append(netlist)
+            return original(netlist)
+
+        monkeypatch.setattr(metrics, "arrival_profile", counting)
+        monkeypatch.setattr(cli, "arrival_profile", counting)
+        argv = ("metrics", "--design", "dec-csk", "--digits", "3", *flags)
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert code == 0 and len(calls) == 1
+        monkeypatch.undo()
+        assert run_cli(*argv, capsys=capsys)[1] == out
 
 
 class TestCompare:

@@ -200,3 +200,27 @@ class TestDiscrepancyReport:
         assert "42.55" in text and "42.58" in text
         assert "2% enhancement" in text
         assert "qc=30" in text  # published detection budget
+
+    def test_builds_and_measures_each_netlist_once(self, monkeypatch):
+        from revbcd import designs, metrics
+
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(arg):
+                calls.append((name, arg))
+                return original(arg)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(designs, "build_dec_rca")
+        count(designs, "build_dec_csk")
+        count(metrics, "arrival_profile")
+        structural_discrepancy_report()
+        builds = sorted(call for call in calls if call[0] != "arrival_profile")
+        assert builds == [("build_dec_csk", n) for n in range(1, 7)] + [
+            ("build_dec_rca", 4)
+        ]
+        assert len(calls) == 2 * len(builds)  # one profile per built netlist

@@ -1,5 +1,7 @@
 """Structural metrics: counts, arrivals, critical path, stage split."""
 
+from dataclasses import replace
+
 import pytest
 
 from revbcd.designs import build_dec_csk, build_dec_rca
@@ -16,13 +18,7 @@ from revbcd.metrics import (
     metric_decomposition,
     structural_metrics,
 )
-from revbcd.netlist import (
-    append_gate,
-    const_role,
-    designate_outputs,
-    input_role,
-    new_netlist,
-)
+from revbcd.netlist import GateInstance, Netlist, const_role, input_role
 
 
 def four_bit_rca():
@@ -31,12 +27,27 @@ def four_bit_rca():
     roles += [input_role(f"b{i}") for i in range(4)]
     roles.append(input_role("cin"))
     roles += [const_role(0, f"k{i}") for i in range(4)]
-    nl = new_netlist(13, roles)
     chain = [8, 9, 10, 11, 12]
-    for i in range(4):
-        nl = append_gate(nl, GateKind.HNG, (i, 4 + i, chain[i], 9 + i), "addition")
+    gates = [
+        GateInstance(GateKind.HNG, (i, 4 + i, chain[i], 9 + i), "addition")
+        for i in range(4)
+    ]
     names = {"S0": 8, "S1": 9, "S2": 10, "S3": 11, "C4": 12}
-    return designate_outputs(nl, names, restored=set(range(8)))
+    return Netlist(
+        width=13,
+        roles=roles,
+        gates=gates,
+        outputs=tuple(names.items()),
+        restored=set(range(8)),
+    )
+
+
+_AB = (input_role("a"), input_role("b"))
+
+
+def with_fg(nl, pins):
+    """`nl` with one untagged Feynman gate appended."""
+    return replace(nl, gates=nl.gates + (GateInstance(GateKind.FG, pins),))
 
 
 class TestStructural:
@@ -49,14 +60,17 @@ class TestStructural:
         assert (m.gc, m.ci, m.go, m.qc, m.delay) == (10, 8, 4, 45, 35)
 
     def test_single_fg(self):
-        nl = new_netlist(2, [input_role("a"), input_role("b")])
-        nl = append_gate(nl, GateKind.FG, (0, 1))
-        nl = designate_outputs(nl, {"p": 0, "q": 1})
+        nl = Netlist(
+            width=2,
+            roles=_AB,
+            gates=(GateInstance(GateKind.FG, (0, 1)),),
+            outputs=(("p", 0), ("q", 1)),
+        )
         m = structural_metrics(nl)
         assert (m.qc, m.delay) == (1, 1)
 
     def test_undesignated_rejected(self):
-        nl = new_netlist(2, [input_role("a"), input_role("b")])
+        nl = Netlist(width=2, roles=_AB)
         with pytest.raises(MetricsUndefinedError):
             structural_metrics(nl)
 
@@ -67,9 +81,12 @@ class TestArrivals:
         assert arrival_of(pdfa, "S3") == 35
 
     def test_untouched_input_is_zero(self):
-        nl = new_netlist(2, [input_role("a"), input_role("b")])
-        nl = append_gate(nl, GateKind.NOT, (0,))
-        nl = designate_outputs(nl, {"na": 0})
+        nl = Netlist(
+            width=2,
+            roles=_AB,
+            gates=(GateInstance(GateKind.NOT, (0,)),),
+            outputs=(("na", 0),),
+        )
         assert arrival_of(nl, 1) == 0
 
     def test_unknown_name(self, pdfa):
@@ -78,7 +95,7 @@ class TestArrivals:
 
     def test_monotone_under_append(self, pdfa):
         before = arrival_profile(pdfa).final
-        grown = append_gate(pdfa, GateKind.FG, (0, 4))
+        grown = with_fg(pdfa, (0, 4))
         after = arrival_profile(grown).final
         assert all(b >= a for a, b in zip(before, after))
 
@@ -113,7 +130,7 @@ class TestDecomposition:
         assert dec["detection"].qc == 63
 
     def test_untagged_gate_rejected(self, pdfa):
-        grown = append_gate(pdfa, GateKind.FG, (0, 4))
+        grown = with_fg(pdfa, (0, 4))
         with pytest.raises(DecompositionError):
             metric_decomposition(grown)
 
@@ -162,12 +179,18 @@ def reference_critical_path(netlist):
 def tied_pins_netlist():
     """Gate 2 sees equal pre-gate arrivals on both pins; line 0 is
     touched by gates 0, 2 and 3."""
-    nl = new_netlist(4, [input_role(f"x{i}") for i in range(4)])
-    nl = append_gate(nl, GateKind.FG, (1, 0))
-    nl = append_gate(nl, GateKind.FG, (3, 2))
-    nl = append_gate(nl, GateKind.FG, (2, 0))
-    nl = append_gate(nl, GateKind.NOT, (0,))
-    return designate_outputs(nl, {"y": 0, "p": 1, "q": 2, "r": 3})
+    gates = [
+        GateInstance(GateKind.FG, (1, 0)),
+        GateInstance(GateKind.FG, (3, 2)),
+        GateInstance(GateKind.FG, (2, 0)),
+        GateInstance(GateKind.NOT, (0,)),
+    ]
+    return Netlist(
+        width=4,
+        roles=[input_role(f"x{i}") for i in range(4)],
+        gates=gates,
+        outputs=(("y", 0), ("p", 1), ("q", 2), ("r", 3)),
+    )
 
 
 class TestCriticalPath:

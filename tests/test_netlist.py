@@ -12,6 +12,7 @@ from revbcd.designs import (
     build_skip_generator,
 )
 from revbcd.errors import (
+    ArityError,
     DesignationError,
     FanInError,
     InvalidArgumentError,
@@ -20,18 +21,23 @@ from revbcd.errors import (
 )
 from revbcd.gates import GateKind
 from revbcd.netlist import (
-    append_gate,
+    GateInstance,
+    LineRole,
+    Netlist,
     const_role,
     deserialize,
-    designate_outputs,
     input_role,
-    new_netlist,
     serialize,
 )
 
+_TWO_LINES = (input_role("a"), const_role(0))
 
-def two_line():
-    return new_netlist(2, [input_role("a"), const_role(0)])
+
+def two_line(**fields):
+    return Netlist(width=2, roles=_TWO_LINES, **fields)
+
+
+_FG01 = (GateInstance(GateKind.FG, (0, 1)),)
 
 
 class TestConstruction:
@@ -41,11 +47,11 @@ class TestConstruction:
 
     def test_zero_width_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            new_netlist(0, [])
+            Netlist(width=0, roles=())
 
     def test_role_count_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            new_netlist(3, [input_role("a")])
+            Netlist(width=3, roles=(input_role("a"),))
 
     def test_pdfa_layout(self):
         nl = build_pdfa()
@@ -54,24 +60,27 @@ class TestConstruction:
         assert len(nl.const_lines()) == 8
 
     def test_append_gate(self):
-        nl = append_gate(two_line(), GateKind.FG, (0, 1))
+        nl = two_line(gates=_FG01)
         assert len(nl.gates) == 1
         nl.validate()
 
     def test_duplicate_pin_rejected(self):
-        nl = new_netlist(3, [input_role("a"), input_role("b"), const_role(0)])
+        roles = (input_role("a"), input_role("b"), const_role(0))
         with pytest.raises(FanInError):
-            append_gate(nl, GateKind.HNG, (0, 0, 1, 2))
+            gates = (GateInstance(GateKind.HNG, (0, 0, 1, 2)),)
+            Netlist(width=3, roles=roles, gates=gates)
 
     def test_out_of_range_pin(self):
         with pytest.raises(LineIndexError):
-            append_gate(two_line(), GateKind.FG, (0, 5))
+            two_line(gates=(GateInstance(GateKind.FG, (0, 5)),))
 
     def test_pdfa_gate_sequence_validates(self):
         nl = build_pdfa()
-        rebuilt = new_netlist(nl.width, nl.roles)
-        for g in nl.gates:
-            rebuilt = append_gate(rebuilt, g.kind, g.pins, g.stage)
+        rebuilt = Netlist(
+            width=nl.width,
+            roles=nl.roles,
+            gates=tuple(GateInstance(g.kind, g.pins, g.stage) for g in nl.gates),
+        )
         rebuilt.validate()
         assert rebuilt.gates == nl.gates
 
@@ -81,23 +90,21 @@ class TestDesignation:
         assert len(build_pdfa().garbage_lines()) == 4
 
     def test_no_designation_all_garbage(self):
-        nl = append_gate(two_line(), GateKind.FG, (0, 1))
+        nl = two_line(gates=_FG01)
         assert nl.garbage_lines() == [0, 1]
 
     def test_restored_const_rejected(self):
-        nl = two_line()
         with pytest.raises(DesignationError):
-            designate_outputs(nl, {"q": 0}, restored={1})
+            two_line(outputs=(("q", 0),), restored={1})
 
     def test_named_and_restored_conflict(self):
-        nl = two_line()
         with pytest.raises(DesignationError):
-            designate_outputs(nl, {"q": 0}, restored={0})
+            two_line(outputs=(("q", 0),), restored={0})
 
     def test_duplicate_names_rejected(self):
-        nl = new_netlist(2, [input_role("a"), input_role("b")])
+        roles = (input_role("a"), input_role("b"))
         with pytest.raises(DesignationError):
-            designate_outputs(nl, {"q": 0, "q ": 0})
+            Netlist(width=2, roles=roles, outputs=(("q", 0), ("q ", 0)))
 
 
 ALL_BUILDERS = [
@@ -120,7 +127,7 @@ class TestSerialization:
         assert deserialize(serialize(nl)) == nl
 
     def test_empty_netlist_round_trips(self):
-        nl = designate_outputs(two_line(), {"a_out": 0})
+        nl = two_line(outputs=(("a_out", 0),))
         assert deserialize(serialize(nl)) == nl
 
     def test_deterministic_bytes(self, pdfa):
@@ -193,6 +200,7 @@ class TestDeserializeBoundary:
             {"lines": [dict(_LINE_A, index=False), _LINE_K]},
             {"lines": [_LINE_A, dict(_LINE_K, label=7)]},
             {"lines": [dict(_LINE_A, label=None), _LINE_K]},
+            {"lines": [dict(_LINE_A, label=""), _LINE_K]},
             {"gates": [{"kind": "FG", "pins": [False, 1]}]},
             {"gates": [{"kind": "FG", "pins": [0, 1], "stage": 3}]},
             {"outputs": [{"name": "out", "line": True}]},
@@ -202,10 +210,168 @@ class TestDeserializeBoundary:
         ids=[
             "lines-entry-int", "lines-int", "gates-int", "gates-entry-int",
             "outputs-int", "outputs-entry-int", "width-bool", "width-huge",
-            "index-bool", "label-int", "input-label-null", "pin-bool",
+            "index-bool", "label-int", "input-label-null", "input-label-empty",
+            "pin-bool",
             "stage-int", "output-line-bool", "output-name-int", "restored-bool",
         ],
     )
     def test_rejected(self, fields):
         with pytest.raises(NetlistFormatError):
             deserialize(_doc(**fields))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"kind": "FG", "pins": [1, 1]},
+            {"kind": "HNG", "pins": [0, 1, 0, 1]},
+            {"kind": "PG", "pins": [0, 1]},
+            {"kind": "NOT", "pins": [0, 1]},
+            {"kind": "FG", "pins": []},
+            {"kind": "XYZ", "pins": [0, 1]},
+            {"kind": None, "pins": [0, 1]},
+            {"kind": ["FG"], "pins": [0, 1]},
+            {"kind": "fg", "pins": [0, 1]},
+        ],
+        ids=[
+            "repeated-pin", "repeated-pin-hng", "too-few-pins", "too-many-pins",
+            "no-pins", "unknown-kind", "kind-null", "kind-list", "kind-lowercase",
+        ],
+    )
+    def test_gate_structure_rejected(self, gate):
+        with pytest.raises(NetlistFormatError):
+            deserialize(_doc(gates=[gate]))
+
+
+_THREE_LINES = (input_role("a"), input_role("b"), const_role(0))
+
+
+class TestValidateGates:
+    """Netlist(...) rejects a bad gate wherever it sits in the list."""
+
+    @pytest.mark.parametrize(
+        "kind,pins,error",
+        [
+            (GateKind.FG, (0,), ArityError),
+            (GateKind.HNG, (0, 1, 2), ArityError),
+            (GateKind.NOT, (0, 1), ArityError),
+            (GateKind.FG, (1, 1), FanInError),
+            (GateKind.PG, (0, 2, 0), FanInError),
+            (GateKind.FG, (0, 3), LineIndexError),
+            (GateKind.NOT, (-1,), LineIndexError),
+        ],
+        ids=[
+            "fg-one-pin", "hng-three-pins", "not-two-pins", "fg-repeat",
+            "pg-repeat", "pin-past-width", "pin-negative",
+        ],
+    )
+    def test_bad_gate_rejected(self, kind, pins, error):
+        good = GateInstance(GateKind.FG, (0, 1))
+        with pytest.raises(error):
+            Netlist(
+                width=3,
+                roles=_THREE_LINES,
+                gates=(good, GateInstance(kind, pins), good),
+            )
+
+    def test_good_gates_accepted(self):
+        gates = (
+            GateInstance(GateKind.PG, (0, 1, 2), "s"),
+            GateInstance(GateKind.NOT, (2,)),
+        )
+        nl = Netlist(width=3, roles=_THREE_LINES, gates=gates)
+        assert nl.gates == gates
+
+
+class TestValidateLines:
+    """Netlist(...) checks every line role; the role records check nothing."""
+
+    @pytest.mark.parametrize(
+        "roles",
+        [
+            [("input", None), ("const0", None)],
+            [("input", ""), ("const0", None)],
+            [("wire", "a"), ("const0", None)],
+            [("input", "a"), ("input", "a")],
+            [("const0", "k"), ("const1", "k")],
+        ],
+        ids=["input-label-none", "input-label-empty", "unknown-role",
+             "duplicate-input-label", "duplicate-const-label"],
+    )
+    def test_bad_roles_rejected(self, roles):
+        with pytest.raises(InvalidArgumentError):
+            Netlist(width=2, roles=tuple(LineRole(*r) for r in roles))
+
+    def test_unlabelled_constants_accepted(self):
+        nl = Netlist(width=3, roles=(input_role("a"), const_role(0), const_role(1)))
+        assert nl.const_lines() == [1, 2]
+
+
+def old_document(nl) -> dict:
+    """The document serialize has always written, as a plain dict."""
+    return {
+        "width": nl.width,
+        "lines": [
+            {"index": i, "role": r.kind, "label": r.label}
+            for i, r in enumerate(nl.roles)
+        ],
+        "gates": [
+            {"kind": g.kind.value, "pins": list(g.pins), "stage": g.stage}
+            for g in nl.gates
+        ],
+        "outputs": [{"name": n, "line": l} for n, l in nl.outputs],
+        "restored": sorted(nl.restored),
+    }
+
+
+_ODD_LABELS = ('say "hi"', "two\nlines", "naïve ✓ 𝄞", "back\\slash\t", "\x00")
+
+
+def edge_empty():
+    """No gates, no outputs, nothing restored; labels that need escaping."""
+    roles = [input_role(label) for label in _ODD_LABELS]
+    roles += [const_role(0), const_role(1, '"quoted"\n'), const_role(0, "é")]
+    return Netlist(width=len(roles), roles=tuple(roles))
+
+
+def edge_stages():
+    """Gates with and without stage tags, escaped stage and output names,
+    and a restored set that a set iterates out of order."""
+    roles = (input_role("x"), input_role('y"'), const_role(0), const_role(1, None))
+    roles += tuple(input_role(f"i{k}") for k in range(4, 10))
+    gates = (
+        GateInstance(GateKind.FG, (0, 2), None),
+        GateInstance(GateKind.PG, (0, 1, 3), 'st"age\n'),
+        GateInstance(GateKind.NOT, (2,), "ünï"),
+        GateInstance(GateKind.DFG, (1, 2, 3), None),
+    )
+    return Netlist(
+        width=10,
+        roles=roles,
+        gates=gates,
+        outputs=(("ø\"ut", 2), ("o\n2", 3)),
+        restored=frozenset({8, 1, 0}),
+    )
+
+
+BYTE_FORMAT_CASES = ALL_BUILDERS + [
+    ("dec-rca-64", lambda: build_dec_rca(64)),
+    ("dec-csk-64", lambda: build_dec_csk(64)),
+    ("edge-empty", edge_empty),
+    ("edge-stages", edge_stages),
+]
+
+
+class TestByteFormat:
+    """serialize writes exactly json.dumps(document, indent=2) plus a newline."""
+
+    @pytest.mark.parametrize(
+        "name,builder", BYTE_FORMAT_CASES, ids=[n for n, _ in BYTE_FORMAT_CASES]
+    )
+    def test_layout_is_json_dumps_indent_2(self, name, builder):
+        import json
+
+        nl = builder()
+        text = serialize(nl)
+        assert text == json.dumps(old_document(nl), indent=2) + "\n"
+        assert text.isascii()
+        assert deserialize(text) == nl

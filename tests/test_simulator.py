@@ -1,13 +1,14 @@
 """Simulation, truth tables, bijectivity, and batch behavior."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from revbcd.designs import build_dec_csk, build_scl, scl_function
 from revbcd.errors import AssignmentError, CapacityError
 from revbcd.gates import GateKind, arity, gate_semantics, gate_truth_table
-from revbcd.netlist import append_gate, designate_outputs, input_role, new_netlist
+from revbcd.netlist import GateInstance, Netlist, input_role
 from revbcd.simulator import (
     bit_lane,
     byte_plane,
@@ -58,13 +59,31 @@ def fg_copy(pins):
     return f
 
 
+def inputs_netlist(width, gates=(), prefix="x", **fields):
+    """A netlist whose lines are all primary inputs."""
+    roles = [input_role(f"{prefix}{i}") for i in range(width)]
+    return Netlist(width=width, roles=roles, gates=gates, **fields)
+
+
+def one_gate(kind):
+    """A single gate on lines 0..arity-1."""
+    n = arity(kind)
+    return inputs_netlist(n, (GateInstance(kind, tuple(range(n))),))
+
+
+def with_fg(nl, pins):
+    """`nl` with one Feynman gate appended."""
+    return replace(nl, gates=nl.gates + (GateInstance(GateKind.FG, pins),))
+
+
 def random_netlist(rng, width, gates, prefix="x"):
-    nl = new_netlist(width, [input_role(f"{prefix}{i}") for i in range(width)])
+    placed = []
     for _ in range(gates):
         kind = rng.choice(list(GateKind))
         if arity(kind) <= width:
-            nl = append_gate(nl, kind, tuple(rng.sample(range(width), arity(kind))))
-    return nl
+            pins = tuple(rng.sample(range(width), arity(kind)))
+            placed.append(GateInstance(kind, pins))
+    return inputs_netlist(width, placed, prefix)
 
 
 def pdfa_inputs(a, b, c):
@@ -111,10 +130,7 @@ class TestRun:
 class TestTruthTable:
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_single_gate_matches_gate_table(self, kind):
-        n = arity(kind)
-        nl = new_netlist(n, [input_role(f"x{i}") for i in range(n)])
-        nl = append_gate(nl, kind, range(n))
-        assert truth_table(nl) == gate_truth_table(kind)
+        assert truth_table(one_gate(kind)) == gate_truth_table(kind)
 
     def test_scl_rows_match_detection_function(self):
         rows = truth_table(build_scl())
@@ -136,9 +152,7 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_lane_rows_equal_scalar_rows(self, kind):
-        n = arity(kind)
-        nl = new_netlist(n, [input_role(f"x{i}") for i in range(n)])
-        nl = append_gate(nl, kind, range(n))
+        nl = one_gate(kind)
         assert truth_table(nl) == scalar_truth_table(nl)
 
     def test_lane_rows_equal_scalar_rows_pdfa(self, pdfa):
@@ -153,9 +167,7 @@ class TestTruthTable:
 class TestPermutation:
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_single_gate_is_permutation(self, kind):
-        n = arity(kind)
-        nl = new_netlist(n, [input_role(f"x{i}") for i in range(n)])
-        assert check_permutation(append_gate(nl, kind, tuple(range(n))))
+        assert check_permutation(one_gate(kind))
 
     def test_pdfa_is_permutation(self, pdfa):
         assert check_permutation(pdfa)
@@ -164,14 +176,14 @@ class TestPermutation:
         rng = random.Random(11)
         for _ in range(20):
             width = rng.randrange(4, 9)
-            nl = new_netlist(width, [input_role(f"x{i}") for i in range(width)])
+            gates = []
             for _ in range(rng.randrange(1, 12)):
                 kind = rng.choice(list(GateKind))
                 if arity(kind) > width:
                     continue
                 pins = tuple(rng.sample(range(width), arity(kind)))
-                nl = append_gate(nl, kind, pins)
-            assert check_permutation(nl)
+                gates.append(GateInstance(kind, pins))
+            assert check_permutation(inputs_netlist(width, gates))
 
     def test_capacity_bound(self, dec_csk8):
         with pytest.raises(CapacityError):
@@ -179,8 +191,11 @@ class TestPermutation:
 
     def test_non_bijective_gate_detected(self, mutate_gate):
         mutate_gate(GateKind.FG, fg_copy)
-        nl = new_netlist(2, [input_role("p"), input_role("q")])
-        nl = append_gate(nl, GateKind.FG, (0, 1))
+        nl = Netlist(
+            width=2,
+            roles=(input_role("p"), input_role("q")),
+            gates=(GateInstance(GateKind.FG, (0, 1)),),
+        )
         assert not check_permutation(nl)
         assert not scalar_is_permutation(nl)
 
@@ -197,8 +212,7 @@ class TestPermutation:
     def test_sweep_past_one_chunk(self, mutate_gate):
         """15 lines run as two chunks of 2^14 vectors; a gate that copies
         across the chunk-constant line 14 is caught and truth tables agree."""
-        nl = random_netlist(random.Random(5), 15, 10, prefix="w")
-        nl = append_gate(nl, GateKind.FG, (14, 3))
+        nl = with_fg(random_netlist(random.Random(5), 15, 10, prefix="w"), (14, 3))
         assert truth_table(nl) == scalar_truth_table(nl)
         assert check_permutation(nl)
         mutate_gate(GateKind.FG, fg_copy)
@@ -296,10 +310,9 @@ class TestRestoredAndReference:
         assert verify_restored(build_dec_csk(1))
 
     def test_restored_violation_detected(self):
-        nl = new_netlist(2, [input_role("r"), input_role("t")])
-        nl = append_gate(nl, GateKind.FG, (1, 0))
-        assert not verify_restored(designate_outputs(nl, {}, restored=[0]))
-        assert verify_restored(designate_outputs(nl, {}, restored=[1]))
+        gates = (GateInstance(GateKind.FG, (1, 0)),)
+        assert not verify_restored(inputs_netlist(2, gates, "r", restored=[0]))
+        assert verify_restored(inputs_netlist(2, gates, "r", restored=[1]))
 
     def test_compiled_matches_reference(self, pdfa):
         rng = random.Random(9)
