@@ -52,9 +52,12 @@ def _default_seed() -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+    return values
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -171,7 +174,7 @@ def _parse_operands(args) -> tuple[str, str, int]:
 
 def cmd_simulate(args) -> int:
     a, b, fitted = _parse_operands(args)
-    n = args.digits or fitted
+    n = fitted if args.digits is None else args.digits
     if n < 1:
         raise InvalidArgumentError("width must be at least 1")
     if max(len(a), len(b)) > n:

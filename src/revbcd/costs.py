@@ -102,24 +102,18 @@ def display_name(name: str) -> str:
     return DISPLAY_NAMES.get(name, name)
 
 
-def evaluate_model(model: BaselineModel | str, n: int) -> tuple[int, int, int, int]:
-    """(ci, go, qc, delay) of a model at digit count n."""
-    if n < 1:
-        raise InvalidArgumentError("digit count must be at least 1")
-    if isinstance(model, str):
-        try:
-            model = MODELS[model]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown design {model!r}")
-    return model.ci(n), model.go(n), model.qc(n), model.delay(n)
-
-
 def metric_value(name: str, metric: str, n: int) -> int:
+    """One metric of a named model at digit count n."""
     if name not in MODELS:
         raise InvalidArgumentError(f"unknown design {name!r}")
     if n < 1:
         raise InvalidArgumentError("digit count must be at least 1")
     return MODELS[name].metric(metric)(n)
+
+
+def evaluate_model(name: str, n: int) -> tuple[int, int, int, int]:
+    """(ci, go, qc, delay) of a named model at digit count n."""
+    return tuple(metric_value(name, m, n) for m in METRICS)
 
 
 def round_half_up(value: Fraction | float, places: int = 2) -> Decimal:
@@ -420,8 +414,8 @@ def per_n_deltas(tolerance: Decimal = Decimal("0.01")) -> list[dict]:
     return out
 
 
-def csk_published_detection_budget() -> dict[str, int]:
-    return {"gc": 11, "qc": 30, "ci": 4, "go": 9}
+# Published figures for the carry-skip digit's detection stage.
+CSK_PUBLISHED_DETECTION_BUDGET = {"gc": 11, "qc": 30, "ci": 4, "go": 9}
 
 
 def structural_discrepancy_report() -> str:
@@ -464,7 +458,7 @@ def structural_discrepancy_report() -> str:
         f"{m1.delay}."
     )
     dec = metric_decomposition(csk1, profile=profile)
-    budget = csk_published_detection_budget()
+    budget = CSK_PUBLISHED_DETECTION_BUDGET
     det = dec["detection"]
     lines.append(
         f"- Carry-skip detection stage, structural: gc={det.gc} qc={det.qc} "

@@ -22,7 +22,16 @@ forwards the incoming carry, and in every other case the digit's carry
 out does not depend on the incoming carry at all, so the locally
 generated signal is already correct.
 
-Each builder tags gates with one of the STAGE_* labels so the metric
+Both adders are one frame (``_adder``): the operand lines, then N copies
+of the design's digit cell (``_ripple_digit`` or ``_csk_digit``) with the
+cell's carry lines threaded digit to digit.  Each circuit fragment (the
+HNG raw-sum chain, the BJN+PG detection, the six-correction, the MF+DFG
+carry select and the propagate network) is emitted by one function; the
+digit cells call them, and so do the fragment's standalone blocks
+(``build_scl``, ``build_correction``, ``build_skip_block``,
+``build_skip_generator``), which add only their input lines and names.
+
+Each emitter tags its gates with one of the STAGE_* labels so the metric
 engine can report the three-stage split.
 """
 
@@ -130,130 +139,60 @@ class _Builder:
         )
 
 
-def _operand_lines(b: _Builder, n: int, mk_label) -> tuple[list, list, int]:
-    """Allocate the shared input layout: per digit a0..a3 then b0..b3,
-    then the single carry-in line last."""
-    a_lines, b_lines = [], []
-    for j in range(n):
-        a_lines.append([b.input(mk_label("a", i, j)) for i in range(4)])
-        b_lines.append([b.input(mk_label("b", i, j)) for i in range(4)])
-    cin = b.input("cin")
-    return a_lines, b_lines, cin
+# -- fragment emitters ------------------------------------------------------
+#
+# Each fragment of the two adders is emitted by exactly one function below;
+# the digit cells and the standalone blocks call these.
+# An emitter allocates its own constants (labelled with the caller's tag)
+# and appends its gates, each tagged with the fragment's stage.
 
 
-# -- fragments ---------------------------------------------------------------
+def _raw_sum(
+    b: _Builder, a: list[int], bb: list[int], carry: int, tag: str
+) -> list[int]:
+    """Four HNG full adders over the operand bits, carry threaded from
+    `carry` through k0..k3.  Returns k0..k3: the sum bit S0 lands on
+    `carry`, S1..S3 on k0..k2 and the binary carry C4 on k3."""
+    k = [b.const(0, f"k{i}{tag}") for i in range(4)]
+    chain = [carry] + k
+    for i in range(4):
+        b.gate(GateKind.HNG, a[i], bb[i], chain[i], k[i], stage=STAGE_ADDITION)
+    return k
 
 
-def build_scl() -> Netlist:
-    """Standalone detection block: raw-sum bits in, decimal carry out.
-
-    The OR of s1/s2 lands on the first ancilla, the Peres gate folds it
-    with s3 into the binary carry line, and a Feynman copy peels the
-    result off so one copy can keep threading (dC_chain) while the named
-    dC feeds the next consumer.
-    """
-    b = _Builder()
-    s1 = b.input("S1")
-    s2 = b.input("S2")
-    s3 = b.input("S3")
-    c4 = b.input("C4")
-    m0 = b.const(0, "or")
-    m1 = b.const(0, "carry_copy")
+def _detection(b: _Builder, s1: int, s2: int, s3: int, c4: int, tag: str) -> None:
+    """Decimal carry onto the C4 line: s1|s2 onto a fresh ancilla, then a
+    Peres gate folds it with s3 into C4 (c4 ^ s3.(s1|s2))."""
+    m0 = b.const(0, f"or{tag}")
     b.gate(GateKind.BJN, s1, s2, m0, stage=STAGE_DETECTION)
     b.gate(GateKind.PG, s3, m0, c4, stage=STAGE_DETECTION)
-    b.gate(GateKind.FG, c4, m1, stage=STAGE_DETECTION)
-    b.name("dC", m1)
-    b.name("dC_chain", c4)
-    b.restore(s1, s2, s3)
-    return b.build()
 
 
-def build_correction() -> Netlist:
-    """Standalone six-correction block for the upper three sum bits.
-
-    Functional contract: with raw sum S (bit 0 untouched by adding six)
-    the outputs are the matching bits of (S + 6*dC) mod 16.
-    """
-    b = _Builder()
-    dc = b.input("dC")
-    s1 = b.input("S1")
-    s2 = b.input("S2")
-    s3 = b.input("S3")
-    n0 = b.const(0, "c2")
-    n1 = b.const(0, "c3")
+def _correction(b: _Builder, dc: int, s1: int, s2: int, s3: int, tag: str) -> int:
+    """Add 6*dC to the upper three sum bits.  s1 and s3 are corrected in
+    place; the corrected S2 lands on a fresh line, which is returned."""
+    n0 = b.const(0, f"c2{tag}")
+    n1 = b.const(0, f"c3{tag}")
     b.gate(GateKind.PG, dc, s1, n0, stage=STAGE_CORRECTION)
     b.gate(GateKind.HNG, s2, dc, n0, n1, stage=STAGE_CORRECTION)
     b.gate(GateKind.FG, n1, s3, stage=STAGE_CORRECTION)
-    b.name("S1c", s1)
-    b.name("S2c", n0)
-    b.name("S3c", s3)
-    b.restore(dc, s2)
-    return b.build()
+    return n0
 
 
-def _ripple_digit(
-    b: _Builder, a: list[int], bb: list[int], carry_in: int, j: int
-) -> tuple[dict[str, int], int]:
-    """Append one decimal full-adder digit; returns its sum lines and the
-    carry-copy line that threads to the next digit."""
-    tag = f".{j}"
-    k = [b.const(0, f"k{i}{tag}") for i in range(4)]
-    chain = [carry_in] + k
-    for i in range(4):
-        b.gate(GateKind.HNG, a[i], bb[i], chain[i], k[i], stage=STAGE_ADDITION)
-    # raw sum: S0 on the carry-in line, S1..S3 on k0..k2, C4 on k3
-    m0 = b.const(0, f"or{tag}")
-    m1 = b.const(0, f"dCcopy{tag}")
-    b.gate(GateKind.BJN, k[0], k[1], m0, stage=STAGE_DETECTION)
-    b.gate(GateKind.PG, k[2], m0, k[3], stage=STAGE_DETECTION)
-    b.gate(GateKind.FG, k[3], m1, stage=STAGE_DETECTION)
-    n0 = b.const(0, f"c2{tag}")
-    n1 = b.const(0, f"c3{tag}")
-    b.gate(GateKind.PG, k[3], k[0], n0, stage=STAGE_CORRECTION)
-    b.gate(GateKind.HNG, k[1], k[3], n0, n1, stage=STAGE_CORRECTION)
-    b.gate(GateKind.FG, n1, k[2], stage=STAGE_CORRECTION)
-    sums = {"S0": carry_in, "S1": k[0], "S2": n0, "S3": k[2]}
-    return sums, m1
+def _carry_select(
+    b: _Builder, p: int, dc_in: int, g: int, labels: tuple[str, str]
+) -> tuple[int, int]:
+    """Multiplexer leaving `dc_in` if p else the generate signal on `g`,
+    then a double-Feynman fan of it onto two fresh lines, returned."""
+    b.gate(GateKind.MF, p, dc_in, g, stage=STAGE_DETECTION)
+    z0 = b.const(0, labels[0])
+    z1 = b.const(0, labels[1])
+    b.gate(GateKind.DFG, g, z0, z1, stage=STAGE_DETECTION)
+    return z0, z1
 
 
-def _build_ripple(n: int, pdfa_names: bool) -> Netlist:
-    if n < 1:
-        raise InvalidArgumentError("digit count must be at least 1")
-    b = _Builder()
-    if pdfa_names:
-        mk = lambda op, i, j: f"{op}{i}"
-    else:
-        mk = lambda op, i, j: f"{op}{i}.{j}"
-    a_lines, b_lines, cin = _operand_lines(b, n, mk)
-    carry = cin
-    for j in range(n):
-        sums, carry = _ripple_digit(b, a_lines[j], b_lines[j], carry, j)
-        suffix = "" if pdfa_names else f".{j}"
-        for i in range(4):
-            b.name(f"S{i}{suffix}", sums[f"S{i}"])
-    b.name("dC", carry)
-    for j in range(n):
-        b.restore(*a_lines[j], *b_lines[j])
-    return b.build()
-
-
-def build_pdfa() -> Netlist:
-    """Single-digit decimal full adder (17 lines, 10 gates)."""
-    return _build_ripple(1, pdfa_names=True)
-
-
-def build_dec_rca(n: int) -> Netlist:
-    """n-digit ripple BCD adder built from decimal full-adder digits."""
-    return _build_ripple(n, pdfa_names=False)
-
-
-# -- carry-skip pieces -------------------------------------------------------
-
-
-def _propagate_block(
-    b: _Builder, a: list[int], bb: list[int], consts: dict[str, int]
-) -> None:
-    """Emit the propagate-signal gates.
+def _propagate(b: _Builder, a: list[int], bb: list[int], tag: str) -> int:
+    """Emit the propagate-signal gates; returns the P line.
 
     Reads the operand digit off the a/b pass-through lines, accumulates
     the sum-to-9 detector of decimal_propagate onto the P line, and
@@ -264,12 +203,7 @@ def _propagate_block(
     both be set when both digits are at most 9.
     """
     u1, u2, x, y, v0, pline = (
-        consts["u1"],
-        consts["u2"],
-        consts["x"],
-        consts["y"],
-        consts["v0"],
-        consts["P"],
+        b.const(0, f"{label}{tag}") for label in ("g1", "g2", "x", "y", "scratch", "P")
     )
     g = lambda kind, *pins: b.gate(kind, *pins, stage=STAGE_DETECTION)
     g(GateKind.FG, a[0], bb[0])          # b0 <- p0
@@ -287,6 +221,43 @@ def _propagate_block(
     g(GateKind.PG, bb[0], x, pline)      # P <- p0.x
     for i in range(4):
         g(GateKind.FG, a[i], bb[i])      # b_i <- a_i ^ p_i = b_i
+    return pline
+
+
+# -- standalone blocks --------------------------------------------------------
+
+
+def build_scl() -> Netlist:
+    """Standalone detection block: raw-sum bits in, decimal carry out.
+
+    A Feynman copy peels the decimal carry off so one copy can keep
+    threading (dC_chain) while the named dC feeds the next consumer.
+    """
+    b = _Builder()
+    s1, s2, s3, c4 = (b.input(label) for label in ("S1", "S2", "S3", "C4"))
+    _detection(b, s1, s2, s3, c4, "")
+    copy = b.const(0, "carry_copy")
+    b.gate(GateKind.FG, c4, copy, stage=STAGE_DETECTION)
+    b.name("dC", copy)
+    b.name("dC_chain", c4)
+    b.restore(s1, s2, s3)
+    return b.build()
+
+
+def build_correction() -> Netlist:
+    """Standalone six-correction block for the upper three sum bits.
+
+    Functional contract: with raw sum S (bit 0 untouched by adding six)
+    the outputs are the matching bits of (S + 6*dC) mod 16.
+    """
+    b = _Builder()
+    dc, s1, s2, s3 = (b.input(label) for label in ("dC", "S1", "S2", "S3"))
+    s2c = _correction(b, dc, s1, s2, s3, "")
+    b.name("S1c", s1)
+    b.name("S2c", s2c)
+    b.name("S3c", s3)
+    b.restore(dc, s2)
+    return b.build()
 
 
 def build_skip_generator() -> Netlist:
@@ -298,16 +269,7 @@ def build_skip_generator() -> Netlist:
     b = _Builder()
     a = [b.input(f"a{i}") for i in range(4)]
     bb = [b.input(f"b{i}") for i in range(4)]
-    consts = {
-        "u1": b.const(0, "g1"),
-        "u2": b.const(0, "g2"),
-        "x": b.const(0, "x"),
-        "y": b.const(0, "y"),
-        "v0": b.const(0, "scratch"),
-        "P": b.const(0, "P"),
-    }
-    _propagate_block(b, a, bb, consts)
-    b.name("P", consts["P"])
+    b.name("P", _propagate(b, a, bb, ""))
     b.restore(*a, *bb)
     return b.build()
 
@@ -320,87 +282,113 @@ def build_skip_block() -> Netlist:
     and the next skip stage, while the original drives the correction.
     """
     b = _Builder()
-    p = b.input("P")
-    dc_in = b.input("dC_in")
-    g_line = b.input("G")
-    z0 = b.const(0, "copy0")
-    z1 = b.const(0, "copy1")
-    b.gate(GateKind.MF, p, dc_in, g_line, stage=STAGE_DETECTION)
-    b.gate(GateKind.DFG, g_line, z0, z1, stage=STAGE_DETECTION)
-    b.name("dC", g_line)
+    p, dc_in, g = (b.input(label) for label in ("P", "dC_in", "G"))
+    z0, z1 = _carry_select(b, p, dc_in, g, ("copy0", "copy1"))
+    b.name("dC", g)
     b.name("copy0", z0)
     b.name("copy1", z1)
     b.restore(p)
     return b.build()
 
 
-def build_dec_csk(n: int) -> Netlist:
-    """n-digit carry-skip BCD adder; outputs equal build_dec_rca(n)'s."""
+# -- digit cells and the adder frame ------------------------------------------
+#
+# A digit cell appends one digit's lines and gates.  It takes the digit's
+# operand lines, the tuple of carry lines threaded in from the previous
+# digit and the constant-label tag, and returns the four sum lines S0..S3
+# and the tuple of carry lines it threads out; the first of those is the
+# digit's decimal carry.
+
+
+def _ripple_digit(
+    b: _Builder, a: list[int], bb: list[int], carries: tuple[int], tag: str
+) -> tuple[list[int], tuple[int]]:
+    """One decimal full-adder digit; one carry line in and out."""
+    (carry_in,) = carries
+    k = _raw_sum(b, a, bb, carry_in, tag)
+    _detection(b, k[0], k[1], k[2], k[3], tag)
+    copy = b.const(0, f"dCcopy{tag}")
+    b.gate(GateKind.FG, k[3], copy, stage=STAGE_DETECTION)
+    s2 = _correction(b, k[3], k[0], k[1], k[2], tag)
+    return [carry_in, k[0], s2, k[2]], (copy,)
+
+
+def _csk_digit(
+    b: _Builder, a: list[int], bb: list[int], carries: tuple[int, int], tag: str
+) -> tuple[list[int], tuple[int, int]]:
+    """One carry-skip digit.  Two carry lines in and out: the first feeds
+    the increment chain, the second the carry mux (in digit 0 both are
+    the carry-in line)."""
+    rca_in, mux_in = carries
+    zc = b.const(0, f"zc{tag}")
+    k = _raw_sum(b, a, bb, zc, tag)
+    # carry-free raw sum: S0' zc, S1' k0, S2' k1, S3' k2, C4' k3
+    p = _propagate(b, a, bb, tag)
+    _detection(b, k[0], k[1], k[2], k[3], tag)
+    # k3 now holds the carry-independent generate signal
+    w = [b.const(0, f"w{i}{tag}") for i in (1, 2, 3)]
+    b.gate(GateKind.PG, rca_in, zc, w[0], stage=STAGE_DETECTION)
+    b.gate(GateKind.PG, w[0], k[0], w[1], stage=STAGE_DETECTION)
+    b.gate(GateKind.PG, w[1], k[1], w[2], stage=STAGE_DETECTION)
+    b.gate(GateKind.FG, w[2], k[2], stage=STAGE_DETECTION)
+    # zc/k0/k1/k2 now hold the true sum bits (raw sum + incoming carry)
+    carries_out = _carry_select(b, p, mux_in, k[3], (f"dCnext{tag}", f"dCskip{tag}"))
+    s2 = _correction(b, k[3], k[0], k[1], k[2], tag)
+    return [zc, k[0], s2, k[2]], carries_out
+
+
+def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
+    """An n-digit adder: the operand lines (per digit a0..a3 then b0..b3,
+    then the single carry-in line last), then n copies of `digit` with
+    its `threads` carry lines threaded digit to digit from the carry-in.
+
+    Input labels and output names carry the digit suffix ``.j`` unless
+    `suffixed` is false (the single-digit pdfa); constant labels always do.
+    """
     if n < 1:
         raise InvalidArgumentError("digit count must be at least 1")
     b = _Builder()
-    mk = lambda op, i, j: f"{op}{i}.{j}"
-    a_lines, b_lines, cin = _operand_lines(b, n, mk)
-    rca_in = cin   # feeds the increment chain (digit 0: pass-through reuse)
-    mux_in = cin   # feeds the carry mux
-    dc_out = cin
-    for j in range(n):
-        a, bb = a_lines[j], b_lines[j]
-        tag = f".{j}"
-        zc = b.const(0, f"zc{tag}")
-        k = [b.const(0, f"k{i}{tag}") for i in range(4)]
-        chain = [zc] + k
+    suffixes = [f".{j}" if suffixed else "" for j in range(n)]
+    operands = [
+        tuple([b.input(f"{op}{i}{s}") for i in range(4)] for op in "ab")
+        for s in suffixes
+    ]
+    carries = (b.input("cin"),) * threads
+    for j, (a, bb) in enumerate(operands):
+        sums, carries = digit(b, a, bb, carries, f".{j}")
         for i in range(4):
-            b.gate(GateKind.HNG, a[i], bb[i], chain[i], k[i], stage=STAGE_ADDITION)
-        # carry-free raw sum: S0' zc, S1' k0, S2' k1, S3' k2, C4' k3
-        consts = {
-            "u1": b.const(0, f"g1{tag}"),
-            "u2": b.const(0, f"g2{tag}"),
-            "x": b.const(0, f"x{tag}"),
-            "y": b.const(0, f"y{tag}"),
-            "v0": b.const(0, f"scratch{tag}"),
-            "P": b.const(0, f"P{tag}"),
-        }
-        _propagate_block(b, a, bb, consts)
-        m0 = b.const(0, f"or{tag}")
-        b.gate(GateKind.BJN, k[0], k[1], m0, stage=STAGE_DETECTION)
-        b.gate(GateKind.PG, k[2], m0, k[3], stage=STAGE_DETECTION)
-        # k3 now holds the carry-independent generate signal
-        w = [b.const(0, f"w{i}{tag}") for i in (1, 2, 3)]
-        b.gate(GateKind.PG, rca_in, zc, w[0], stage=STAGE_DETECTION)
-        b.gate(GateKind.PG, w[0], k[0], w[1], stage=STAGE_DETECTION)
-        b.gate(GateKind.PG, w[1], k[1], w[2], stage=STAGE_DETECTION)
-        b.gate(GateKind.FG, w[2], k[2], stage=STAGE_DETECTION)
-        # zc/k0/k1/k2 now hold the true sum bits (raw sum + incoming carry)
-        b.gate(GateKind.MF, consts["P"], mux_in, k[3], stage=STAGE_DETECTION)
-        z0 = b.const(0, f"dCnext{tag}")
-        z1 = b.const(0, f"dCskip{tag}")
-        b.gate(GateKind.DFG, k[3], z0, z1, stage=STAGE_DETECTION)
-        n0 = b.const(0, f"c2{tag}")
-        n1 = b.const(0, f"c3{tag}")
-        b.gate(GateKind.PG, k[3], k[0], n0, stage=STAGE_CORRECTION)
-        b.gate(GateKind.HNG, k[1], k[3], n0, n1, stage=STAGE_CORRECTION)
-        b.gate(GateKind.FG, n1, k[2], stage=STAGE_CORRECTION)
-        b.name(f"S0{tag}", zc)
-        b.name(f"S1{tag}", k[0])
-        b.name(f"S2{tag}", n0)
-        b.name(f"S3{tag}", k[2])
-        rca_in, mux_in, dc_out = z0, z1, z0
-    b.name("dC", dc_out)
-    for j in range(n):
-        b.restore(*a_lines[j], *b_lines[j])
+            b.name(f"S{i}{suffixes[j]}", sums[i])
+    b.name("dC", carries[0])
+    for a, bb in operands:
+        b.restore(*a, *bb)
     return b.build()
+
+
+def build_pdfa() -> Netlist:
+    """Single-digit decimal full adder (17 lines, 10 gates)."""
+    return _adder(1, _ripple_digit, 1, suffixed=False)
+
+
+def build_dec_rca(n: int) -> Netlist:
+    """n-digit ripple BCD adder built from decimal full-adder digits."""
+    return _adder(n, _ripple_digit, 1)
+
+
+def build_dec_csk(n: int) -> Netlist:
+    """n-digit carry-skip BCD adder; outputs equal build_dec_rca(n)'s."""
+    return _adder(n, _csk_digit, 2)
 
 
 # -- design registry ---------------------------------------------------------
 
 DESIGN_BUILDERS = {
-    "scl": lambda n=1: build_scl(),
-    "pdfa": lambda n=1: build_pdfa(),
+    "scl": build_scl,
+    "pdfa": build_pdfa,
     "dec-rca": build_dec_rca,
     "dec-csk": build_dec_csk,
 }
 
+# The multi-digit designs; every other builder takes no digit count.
 ADDER_DESIGNS = ("dec-rca", "dec-csk")
 
 
@@ -412,6 +400,8 @@ def build_design(name: str, digits: int = 1) -> Netlist:
         raise InvalidArgumentError(
             f"unknown design {name!r}; known: {', '.join(sorted(DESIGN_BUILDERS))}"
         )
-    if name in ("scl", "pdfa") and digits != 1:
+    if name in ADDER_DESIGNS:
+        return builder(digits)
+    if digits != 1:
         raise InvalidArgumentError(f"design {name!r} is single-digit only")
-    return builder(digits)
+    return builder()

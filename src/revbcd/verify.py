@@ -156,6 +156,8 @@ def verify_adders(
     """Add `samples` seeded vectors per size on both designs, in lane batches
     of at most 2^BATCH_BITS vectors; a failure names the first failing
     vector."""
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     failures = 0
     checked = 0

@@ -268,7 +268,7 @@ def test_c09_carry_skip_delay_slope():
 
 def test_c10_carry_skip_structural_qc():
     stages = metric_decomposition(build_dec_csk(1))
-    budget = costs.csk_published_detection_budget()
+    budget = costs.CSK_PUBLISHED_DETECTION_BUDGET
     detection_qc = stages["detection"].qc
     text = costs.structural_discrepancy_report()
     if detection_qc > budget["qc"]:

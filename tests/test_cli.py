@@ -72,6 +72,12 @@ class TestSimulate:
         )
         assert code == 2 and "width must be at least 1" in err
 
+    def test_zero_width_usage_error(self, capsys):
+        code, out, err = run_cli(
+            "simulate", "--a", "5", "--b", "5", "--digits", "0", capsys=capsys
+        )
+        assert code == 2 and "width must be at least 1" in err and out == ""
+
     def test_designs_agree_on_seeded_pairs(self, capsys):
         import random
 
@@ -165,6 +171,14 @@ class TestVerify:
         )
         code, out, _ = run_cli("verify", "--scope", "gates", capsys=capsys)
         assert code == 1 and "FAIL" in out
+
+    @pytest.mark.parametrize("samples", ("0", "-5"))
+    def test_samples_below_one_usage_error(self, samples, capsys):
+        code, out, err = run_cli(
+            "verify", "--scope", "adders", "--samples", samples, capsys=capsys
+        )
+        assert code == 2 and "samples must be at least 1" in err
+        assert "PASS" not in out
 
     def test_unknown_scope_rejected(self):
         from revbcd.errors import InvalidArgumentError
@@ -273,6 +287,14 @@ class TestCompare:
             "compare", "--digits", "8", "--no-structural", capsys=capsys
         )
         assert code == 0 and "| 8 |" in out
+
+
+    @pytest.mark.parametrize("command", ("compare", "pareto"))
+    @pytest.mark.parametrize("digits", ("", ","))
+    def test_empty_digit_list_usage_error(self, command, digits, capsys):
+        code, out, err = run_cli(command, "--digits", digits, capsys=capsys)
+        assert code == 2 and "not a comma list of integers" in err
+        assert out == ""
 
 
 class TestPareto:

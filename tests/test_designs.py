@@ -1,5 +1,6 @@
 """Adder builders against their boolean evaluators and the native oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from revbcd.designs import (
     build_dec_csk,
     build_dec_rca,
     build_design,
+    build_pdfa,
     build_scl,
     build_skip_block,
     build_skip_generator,
@@ -20,6 +22,7 @@ from revbcd.designs import (
 from revbcd.errors import InvalidArgumentError, InvalidBCDError
 from revbcd.ledger import adder_port, cached_adder, encode, to_lanes
 from revbcd.metrics import structural_metrics
+from revbcd.netlist import serialize
 from revbcd.simulator import bit_lane, check_permutation, compile_netlist, run
 from revbcd.verify import adder_sum
 
@@ -262,3 +265,39 @@ class TestRegistry:
     def test_single_digit_designs_reject_digits(self):
         with pytest.raises(InvalidArgumentError):
             build_design("pdfa", 3)
+
+
+# SHA-256 of serialize() for each netlist, recorded before the builders
+# were rebuilt from shared fragment emitters.  Any change to a line's
+# allocation order, label or role, or to a gate's kind, pins or stage,
+# changes these bytes.
+NETLIST_DIGESTS = {
+    ("scl", None): "8c4340ee51049a44456d1eadb07c8645e857420cdeb766739fc22fc6fb70779c",
+    ("pdfa", None): "2761cd10aa8682e36f75643a3298718335cae39b25ef62ab7542a01e35c452bd",
+    ("correction", None): "46967ddbef2f77f82567954ac732628ed4873e988e094550d7299520d1467bf4",
+    ("skip-block", None): "99ab521ced96737ff94cc80748264b83b9bcc064b85f955b21b36e831e00943b",
+    ("skip-generator", None): "db2829123657d861efa9e7197e2dedeec70b4d61fae3d02f81bbd2fa1cbc0054",
+    ("dec-rca", 1): "5dbc80dd999e9b44301f92428b55af34f106bff71bf815754216b2414c0ddb6d",
+    ("dec-rca", 2): "1743326929cb4eb092e84a67f44f5c8486e275e1bbb772e9e3aec4af3938c3b2",
+    ("dec-rca", 3): "045ea747d52bbe75a37252c4f7f825fbc8026c780232d1438065843c12e0ec32",
+    ("dec-rca", 8): "53474da532c6c5bda9be4f53456e64976dbde1dadc689c5ec884b423a520c886",
+    ("dec-csk", 1): "96fc4ce4a42bdda0d51db31ad5ff23e6adf610fca9e3287b953a678a3d0977e0",
+    ("dec-csk", 2): "8391af6567b4401d4fd9f27856a7fbd1debe65cbe3202cfbd27dd8cfcc685fd4",
+    ("dec-csk", 3): "3e099f37a278a5850efcb61aeb1e42dde53a9d40f2023bc6e537a6d58cceba17",
+    ("dec-csk", 8): "ca46afa4e2d0d17ab038270caa809511cf733a3521abb865644350540546fa08",
+}
+
+_BLOCKS = {
+    "scl": build_scl,
+    "pdfa": build_pdfa,
+    "correction": build_correction,
+    "skip-block": build_skip_block,
+    "skip-generator": build_skip_generator,
+}
+
+
+@pytest.mark.parametrize("name,digits", sorted(NETLIST_DIGESTS, key=str))
+def test_netlist_bytes_pinned(name, digits):
+    nl = _BLOCKS[name]() if digits is None else build_design(name, digits)
+    digest = hashlib.sha256(serialize(nl).encode("ascii")).hexdigest()
+    assert digest == NETLIST_DIGESTS[name, digits]

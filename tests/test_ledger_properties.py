@@ -1,0 +1,41 @@
+"""Property tests for the ledger amount boundary (needs hypothesis).
+
+Any text either parses to an int or fails with LedgerFormatError, and
+every rendering of a cents value the parser documents reads back exactly.
+"""
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from revbcd.errors import LedgerFormatError
+from revbcd.ledger import parse_amount
+
+# Text drawn mostly from the characters an amount is made of, so the
+# parser's later branches (signs, commas, the fraction) are reached often.
+_AMOUNT_LIKE = st.text(alphabet="0123456789,.$- \t\n", max_size=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_AMOUNT_LIKE | st.text(max_size=16))
+def test_any_text_parses_or_raises_format_error(text):
+    try:
+        value = parse_amount(text)
+    except LedgerFormatError:
+        return
+    assert type(value) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**30))
+def test_rendered_cents_read_back(cents):
+    whole, frac = divmod(cents, 100)
+    tails = (f".{frac:02d}", "") if frac == 0 else (f".{frac:02d}",)
+    for grouped, dollar, minus in itertools.product((False, True), repeat=3):
+        for tail in tails:
+            text = f"{whole:,}" if grouped else str(whole)
+            text = f"{'-' if minus else ''}{'$' if dollar else ''}{text}{tail}"
+            assert parse_amount(text) == (-cents if minus else cents), text
