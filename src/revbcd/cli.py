@@ -41,6 +41,11 @@ EXIT_IO = 3
 EXIT_OVERFLOW = 4
 EXIT_LEDGER = 5
 
+# The widest adder any command builds or simulates, in digits.  A dec-csk
+# netlist costs about 24 kB per digit, so this bounds what one argument
+# can make the process allocate.
+MAX_DIGITS = 10_000
+
 
 def _default_seed() -> int:
     raw = os.environ.get("REVBCD_SEED", "0")
@@ -60,6 +65,19 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _digit_count(text: str) -> int:
+    """A --digits or --width value: an int of at most MAX_DIGITS."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{value} digits exceeds the limit of {MAX_DIGITS}"
+        )
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revbcd",
@@ -69,7 +87,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a design and emit its netlist")
     p_build.add_argument("--design", required=True, choices=sorted(DESIGN_BUILDERS))
-    p_build.add_argument("--digits", type=int, default=1)
+    p_build.add_argument("--digits", type=_digit_count, default=1)
     p_build.add_argument("--out", type=Path, help="netlist file to write")
 
     p_sim = sub.add_parser("simulate", help="add two decimal operands")
@@ -77,7 +95,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--a", required=True)
     p_sim.add_argument("--b", required=True)
     p_sim.add_argument("--cin", type=int, default=0, choices=(0, 1))
-    p_sim.add_argument("--digits", type=int, help="digit width (default: fit operands)")
+    p_sim.add_argument(
+        "--digits", type=_digit_count, help="digit width (default: fit operands)"
+    )
     p_sim.add_argument(
         "--raw-bits",
         action="store_true",
@@ -97,7 +117,7 @@ def make_parser() -> argparse.ArgumentParser:
     src = p_metrics.add_mutually_exclusive_group(required=True)
     src.add_argument("--design", choices=sorted(DESIGN_BUILDERS))
     src.add_argument("--netlist", type=Path, help="netlist file to analyze")
-    p_metrics.add_argument("--digits", type=int, default=1)
+    p_metrics.add_argument("--digits", type=_digit_count, default=1)
     p_metrics.add_argument("--stages", action="store_true", help="per-stage split")
     p_metrics.add_argument("--format", default="md", choices=("md", "csv"))
 
@@ -123,7 +143,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_led.add_argument("--group-col", required=True)
     p_led.add_argument("--amount-col", required=True)
     p_led.add_argument("--design", default="dec-rca", choices=sorted(ADDER_DESIGNS))
-    p_led.add_argument("--width", type=int, default=DEFAULT_WIDTH)
+    p_led.add_argument("--width", type=_digit_count, default=DEFAULT_WIDTH)
     p_led.add_argument("--delimiter", default=",")
     p_led.add_argument("--lenient", action="store_true", help="skip bad rows")
     p_led.add_argument("--format", default="md", choices=("md", "csv"))
@@ -177,6 +197,10 @@ def cmd_simulate(args) -> int:
     n = fitted if args.digits is None else args.digits
     if n < 1:
         raise InvalidArgumentError("width must be at least 1")
+    if n > MAX_DIGITS:
+        raise InvalidArgumentError(
+            f"operands of {n} digits exceed the limit of {MAX_DIGITS}"
+        )
     if max(len(a), len(b)) > n:
         raise CapacityError(f"operands do not fit in {n} digits")
     va, vb = from_digit_text(a.zfill(n)), from_digit_text(b.zfill(n))

@@ -35,12 +35,6 @@ class Affine:
     def __call__(self, n: int) -> int:
         return self.slope * n + self.intercept
 
-    def pretty(self) -> str:
-        if self.intercept == 0:
-            return f"{self.slope}N"
-        sign = "+" if self.intercept > 0 else "-"
-        return f"{self.slope}N{sign}{abs(self.intercept)}"
-
 
 @dataclass(frozen=True)
 class BaselineModel:

@@ -401,9 +401,10 @@ def sum_ledger(
     Raises CapacityError naming the group if a fold overflows the digit
     width; group order in the report is sorted by key.
     """
+    limit = 10**width
     grouped: dict[str, list[int]] = {}
     for rec in records:
-        if rec.amount_cents >= 10**width:
+        if rec.amount_cents >= limit:
             raise CapacityError(
                 f"group {rec.group!r}: amount {decimal_text(rec.amount_cents)} "
                 f"exceeds {width} digits"

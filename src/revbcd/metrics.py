@@ -6,6 +6,11 @@ start at time 0; a gate completes at (max arrival over its pins) + its
 delay and sets all its pins, pass-through outputs included, to the
 completion time.  Circuit delay is the maximum arrival over the designated
 named outputs; garbage lines do not set the delay.
+
+Every figure that needs arrivals reads them from one forward sweep,
+`arrival_profile`.  Besides each gate's completion it links each gate to
+its critical predecessor, so the critical path is a walk along those links
+and the stage split reads each line's first and last gate from it too.
 """
 
 from __future__ import annotations
@@ -31,15 +36,6 @@ class MetricReport:
     qc: int
     delay: int
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "gc": self.gc,
-            "ci": self.ci,
-            "go": self.go,
-            "qc": self.qc,
-            "delay": self.delay,
-        }
-
     def __str__(self) -> str:
         return (
             f"gc={self.gc} ci={self.ci} go={self.go} "
@@ -49,7 +45,13 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class ArrivalProfile:
-    """Per-line final arrivals plus per-gate completion bookkeeping.
+    """What one forward sweep over the gates records.
+
+    Per gate g: ``completions[g]``, its completion time, and ``via[g]``,
+    the last gate before g to touch g's latest-arriving pin (the lowest
+    pin position on a tie), or -1 when that arrival is 0.  Per line:
+    ``final``, its arrival after the last gate, and ``first`` / ``last``,
+    the first and last gate touching it (-1 when none does).
 
     Callers that need several figures of one netlist compute it once and
     pass it to each as ``profile=``.
@@ -57,22 +59,34 @@ class ArrivalProfile:
 
     final: tuple[int, ...]
     completions: tuple[int, ...]
-    pre_arrivals: tuple[tuple[int, ...], ...]
+    via: tuple[int, ...]
+    first: tuple[int, ...]
+    last: tuple[int, ...]
 
 
 def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     arr = [0] * netlist.width
+    first = [-1] * netlist.width
+    last = [-1] * netlist.width
     completions = []
-    pres = []
+    via = []
     delay = _DELAY
-    for kind, pins, _ in netlist.gates:
-        pre = tuple([arr[p] for p in pins])
-        t = max(pre) + delay[kind]
+    for g, (kind, pins, _) in enumerate(netlist.gates):
+        pre = [arr[p] for p in pins]
+        t = max(pre)
+        # An untouched line arrives at 0 and every touched one later, so
+        # the latest pin's last gate is -1 exactly when its arrival is 0.
+        via.append(last[pins[pre.index(t)]])
+        t += delay[kind]
+        completions.append(t)
         for p in pins:
             arr[p] = t
-        completions.append(t)
-        pres.append(pre)
-    return ArrivalProfile(tuple(arr), tuple(completions), tuple(pres))
+            if last[p] < 0:
+                first[p] = g
+            last[p] = g
+    return ArrivalProfile(
+        tuple(arr), tuple(completions), tuple(via), tuple(first), tuple(last)
+    )
 
 
 def arrival_of(netlist: Netlist, line_or_name: int | str) -> int:
@@ -90,18 +104,6 @@ def arrival_of(netlist: Netlist, line_or_name: int | str) -> int:
     return profile.final[line]
 
 
-def circuit_delay(
-    netlist: Netlist, *, profile: ArrivalProfile | None = None
-) -> int:
-    if not netlist.outputs:
-        raise MetricsUndefinedError(
-            "delay needs designated outputs; none are named"
-        )
-    if profile is None:
-        profile = arrival_profile(netlist)
-    return max(profile.final[line] for _, line in netlist.outputs)
-
-
 def structural_metrics(
     netlist: Netlist, *, profile: ArrivalProfile | None = None
 ) -> MetricReport:
@@ -113,13 +115,14 @@ def structural_metrics(
         raise MetricsUndefinedError(
             "structural metrics need designated outputs"
         )
-    qc = sum(_QC[kind] for kind, _, _ in netlist.gates)
+    if profile is None:
+        profile = arrival_profile(netlist)
     return MetricReport(
         gc=len(netlist.gates),
         ci=len(netlist.const_lines()),
         go=len(netlist.garbage_lines()),
-        qc=qc,
-        delay=circuit_delay(netlist, profile=profile),
+        qc=sum(_QC[kind] for kind, _, _ in netlist.gates),
+        delay=max(profile.final[line] for _, line in netlist.outputs),
     )
 
 
@@ -128,51 +131,24 @@ def critical_path(
 ) -> list[int]:
     """Gate indices along the longest path to the slowest named output.
 
-    Walks backwards from the named output with the greatest arrival,
-    always following the pin with the greatest pre-gate arrival (ties
-    break to the lowest pin position, so the path is deterministic).
-    The setter of a line at time t is the last gate touching that line
-    that completes at t.
-
-    One backward sweep finds every setter: the search for the next one
-    starts just below the previous setter.  That skips no candidate
-    because every gate delay is at least 1: the previous setter, and every
-    later gate touching the line it hands on, completes strictly later
-    than that line's pre-gate arrival t.
+    Starts at the last gate on the named output with the greatest arrival
+    (the first-named one on a tie) and follows each gate's `via` link, the
+    gate that set its latest-arriving pin, until an arrival of 0.  The
+    path is empty when that output arrives at 0.
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("critical path needs designated outputs")
     if profile is None:
         profile = arrival_profile(netlist)
-    line, t = max(
-        ((l, profile.final[l]) for _, l in netlist.outputs),
-        key=lambda item: item[1],
-    )
+    final, via = profile.final, profile.via
+    _, line = max(netlist.outputs, key=lambda output: final[output[1]])
     path: list[int] = []
-    cursor = len(netlist.gates) - 1
-    while t > 0:
-        setter = None
-        for idx in range(cursor, -1, -1):
-            if line in netlist.gates[idx].pins and profile.completions[idx] == t:
-                setter = idx
-                break
-        if setter is None:
-            break  # arrival 0 or a line never touched
-        path.append(setter)
-        cursor = setter - 1
-        pins = netlist.gates[setter].pins
-        pre = profile.pre_arrivals[setter]
-        best = max(range(len(pins)), key=lambda pos: (pre[pos], -pos))
-        line = pins[best]
-        t = pre[best]
+    gate = profile.last[line]
+    while gate >= 0:
+        path.append(gate)
+        gate = via[gate]
     path.reverse()
     return path
-
-
-def _stage_of(gate, index: int) -> str:
-    if gate.stage is None:
-        raise DecompositionError(f"gate {index} ({gate.kind}) has no stage tag")
-    return gate.stage
 
 
 def metric_decomposition(
@@ -185,52 +161,39 @@ def metric_decomposition(
     toward the stage of the last gate touching it.  The delay figure is
     the stage's contribution to the circuit critical path (the sum of
     critical-path gate delays tagged with that stage), matching the
-    additive per-stage delay arithmetic of the designs.  `profile`, when
-    given, must be `arrival_profile(netlist)`.
+    additive per-stage delay arithmetic of the designs.  Stages come in
+    the order their first gate does.  `profile`, when given, must be
+    `arrival_profile(netlist)`.
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("decomposition needs designated outputs")
-    stages: list[str] = []
-    for i, g in enumerate(netlist.gates):
-        s = _stage_of(g, i)
-        if s not in stages:
-            stages.append(s)
+    gates = netlist.gates
+    rows: dict[str, list[int]] = {}  # stage -> [gc, ci, go, qc, delay]
+    for i, (kind, _, stage) in enumerate(gates):
+        if stage is None:
+            raise DecompositionError(f"gate {i} ({kind}) has no stage tag")
+        row = rows.get(stage)
+        if row is None:
+            row = rows[stage] = [0, 0, 0, 0, 0]
+        row[0] += 1
+        row[3] += _QC[kind]
 
-    first_toucher: dict[int, int] = {}
-    last_toucher: dict[int, int] = {}
-    for i, g in enumerate(netlist.gates):
-        for p in g.pins:
-            first_toucher.setdefault(p, i)
-            last_toucher[p] = i
-
-    gc = {s: 0 for s in stages}
-    qc = {s: 0 for s in stages}
-    ci = {s: 0 for s in stages}
-    go = {s: 0 for s in stages}
-    delay = {s: 0 for s in stages}
-
-    for kind, _, stage in netlist.gates:
-        gc[stage] += 1
-        qc[stage] += _QC[kind]
-
+    if profile is None:
+        profile = arrival_profile(netlist)
     for line in netlist.const_lines():
-        if line not in first_toucher:
+        if profile.first[line] < 0:
             raise DecompositionError(
                 f"constant line {line} is consumed by no gate"
             )
-        ci[netlist.gates[first_toucher[line]].stage] += 1
-
+        rows[gates[profile.first[line]].stage][1] += 1
     for line in netlist.garbage_lines():
-        if line not in last_toucher:
+        if profile.last[line] < 0:
             raise DecompositionError(
                 f"garbage line {line} is touched by no gate"
             )
-        go[netlist.gates[last_toucher[line]].stage] += 1
-
+        rows[gates[profile.last[line]].stage][2] += 1
     for idx in critical_path(netlist, profile=profile):
-        kind, _, stage = netlist.gates[idx]
-        delay[stage] += _DELAY[kind]
+        kind, _, stage = gates[idx]
+        rows[stage][4] += _DELAY[kind]
 
-    return {
-        s: MetricReport(gc[s], ci[s], go[s], qc[s], delay[s]) for s in stages
-    }
+    return {stage: MetricReport(*row) for stage, row in rows.items()}

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .designs import (
     ADDER_DESIGNS,
     build_pdfa,
+    build_skip_block,
     build_skip_generator,
     decimal_propagate,
     skip_carry,
@@ -24,7 +25,13 @@ from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
 from .ledger import AdderPort, adder_port, cached_adder, decode, encode, to_lanes
 from .metrics import structural_metrics
-from .simulator import BATCH_BITS, CompiledNetlist, bit_lane, compile_netlist
+from .simulator import (
+    BATCH_BITS,
+    CompiledNetlist,
+    bit_lane,
+    compile_netlist,
+    truth_table,
+)
 
 
 @dataclass(frozen=True)
@@ -40,14 +47,13 @@ def adder_sum(compiled: CompiledNetlist, n: int, a: int, b: int, cin: int = 0):
     return decode(total), carry, ok
 
 
-@lru_cache(maxsize=1)
-def _pdfa_port() -> AdderPort:
-    return adder_port(compile_netlist(build_pdfa()))
-
-
-@lru_cache(maxsize=1)
-def _skip_generator_port() -> AdderPort:
-    return adder_port(compile_netlist(build_skip_generator()))
+@lru_cache(maxsize=None)
+def _compiled_block(builder: str) -> CompiledNetlist:
+    """The compiled netlist of the standalone block made by the builder of
+    this name (build_pdfa, build_skip_generator, build_skip_block), built
+    once.  The name is looked up at the first call, so a builder replaced
+    before then is the one that runs."""
+    return compile_netlist(globals()[builder]())
 
 
 class _Additions:
@@ -116,7 +122,7 @@ def verify_gates() -> VerifyResult:
 def verify_pdfa() -> VerifyResult:
     vectors = [(a, b, c) for a in range(10) for b in range(10) for c in range(2)]
     adds = _Additions(1, *(list(column) for column in zip(*vectors)))
-    failures, first = adds.run({"pdfa": _pdfa_port()})
+    failures, first = adds.run({"pdfa": adder_port(_compiled_block("build_pdfa"))})
     detail = f"{len(vectors) - failures}/{len(vectors)} oracle matches"
     if first:
         detail += f"; {first}"
@@ -124,7 +130,9 @@ def verify_pdfa() -> VerifyResult:
 
 
 def verify_propagate() -> VerifyResult:
-    port = _skip_generator_port()
+    """The skip generator's P on every digit pair, and the skip block's
+    selected carry dC on every (P, dC_in, G) row, against the models."""
+    port = adder_port(_compiled_block("build_skip_generator"))
     compiled = port.compiled
     p_line = compiled.netlist.output_map["P"]
     da = [x for x in range(10) for _ in range(10)]
@@ -135,18 +143,20 @@ def verify_propagate() -> VerifyResult:
     state = port.pack_lanes(to_lanes(da, 1), to_lanes(db, 1), 0, mask)
     compiled.run_state(state, mask)
     failures = (state[p_line] ^ want | model ^ want).bit_count()
-    rows_bad = 0
-    for p in range(2):
-        for dc in range(2):
-            for g in range(2):
-                if skip_carry(p, dc, g) != (dc if p else g):
-                    rows_bad += 1
+    block = _compiled_block("build_skip_block").netlist
+    p, dc_in, g = (block.label_map()[label] for label in ("P", "dC_in", "G"))
+    dc = block.output_map["dC"]
+    rows = truth_table(block)
+    rows_bad = sum(
+        terminal[dc] != skip_carry(initial[p], initial[dc_in], initial[g])
+        for initial, terminal in rows
+    )
     passed = failures == 0 and rows_bad == 0
     return VerifyResult(
         "propagate",
         passed,
         f"{100 - failures}/100 digit pairs sound; carry-select rows "
-        f"{8 - rows_bad}/8",
+        f"{len(rows) - rows_bad}/{len(rows)}",
     )
 
 

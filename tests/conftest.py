@@ -33,8 +33,7 @@ def mutate_gate(monkeypatch):
             simulator.compile_netlist,
             ledger.adder_port,
             ledger.cached_adder,
-            verify._pdfa_port,
-            verify._skip_generator_port,
+            verify._compiled_block,
         ):
             cached.cache_clear()
 

@@ -243,6 +243,75 @@ class TestMetrics:
         assert err.startswith("error: ") and message in err
 
 
+class TestDigitLimit:
+    """No digit count past MAX_DIGITS reaches a builder: each exits 2
+    naming the limit."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        from revbcd import designs
+
+        def refuse(*args):
+            raise AssertionError("a netlist was built")
+
+        for name in designs.DESIGN_BUILDERS:
+            monkeypatch.setitem(designs.DESIGN_BUILDERS, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "--design", "dec-csk"),
+            ("metrics", "--design", "dec-csk", "--stages"),
+            ("simulate", "--design", "dec-csk", "--a", "1", "--b", "2"),
+        ],
+        ids=["build", "metrics", "simulate"],
+    )
+    def test_digits_past_limit_usage_error(self, no_build, argv, capsys):
+        from revbcd.cli import MAX_DIGITS
+
+        too_many = str(MAX_DIGITS + 1)
+        code, out, err = run_cli(*argv, "--digits", too_many, capsys=capsys)
+        assert code == 2 and out == ""
+        assert f"{too_many} digits exceeds the limit of {MAX_DIGITS}" in err
+
+    def test_fitted_operands_past_limit_usage_error(self, no_build, capsys):
+        from revbcd.cli import MAX_DIGITS
+
+        wide = "1" * (MAX_DIGITS + 1)
+        code, out, err = run_cli("simulate", "--a", wide, "--b", "1", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: operands of {MAX_DIGITS + 1} digits exceed the limit "
+            f"of {MAX_DIGITS}\n"
+        )
+
+    def test_ledger_width_past_limit_usage_error(self, no_build, tmp_path, capsys):
+        from revbcd.cli import MAX_DIGITS
+
+        path = tmp_path / "t.csv"
+        path.write_text("g,a\nx,1.00\nx,2.00\n")
+        code, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "g", "--amount-col", "a",
+            "--width", str(MAX_DIGITS + 1), capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert f"{MAX_DIGITS + 1} digits exceeds the limit of {MAX_DIGITS}" in err
+
+    @pytest.mark.parametrize("flag", ["--digits", "--width"])
+    def test_limit_itself_reaches_the_builder(self, no_build, flag, tmp_path):
+        from revbcd.cli import MAX_DIGITS
+
+        path = tmp_path / "t.csv"
+        path.write_text("g,a\nx,1.00\nx,2.00\n")
+        argv = {
+            "--digits": ("build", "--design", "dec-csk"),
+            "--width": ("ledger", "--csv", str(path), "--group-col", "g",
+                        "--amount-col", "a"),
+        }[flag]
+        with pytest.raises(AssertionError, match="a netlist was built"):
+            main([*argv, flag, str(MAX_DIGITS)])
+
+
 class TestArrivalProfileSharing:
     """`metrics` computes one arrival profile per call and shares it."""
 

@@ -1,5 +1,6 @@
 """Structural metrics: counts, arrivals, critical path, stage split."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,9 +10,11 @@ from revbcd.errors import (
     DecompositionError,
     LineIndexError,
     MetricsUndefinedError,
+    RevbcdError,
 )
-from revbcd.gates import ALL_KINDS, GateKind, gate_cost
+from revbcd.gates import ALL_KINDS, GateKind, arity, gate_cost
 from revbcd.metrics import (
+    MetricReport,
     arrival_of,
     arrival_profile,
     critical_path,
@@ -149,26 +152,42 @@ class TestDecomposition:
         assert kinds.count(GateKind.BJN) == 0
 
 
+def reference_arrivals(netlist):
+    """Per-gate pre-gate pin arrivals and completions, and final arrivals."""
+    arr = [0] * netlist.width
+    pres, completions = [], []
+    for kind, pins, _ in netlist.gates:
+        pre = tuple(arr[p] for p in pins)
+        t = max(pre) + gate_cost(kind)[1]
+        for p in pins:
+            arr[p] = t
+        pres.append(pre)
+        completions.append(t)
+    return arr, completions, pres
+
+
 def reference_critical_path(netlist):
     """The quadratic walk: every step rescans the gates from the last one
     for the last gate touching the line that completes at the arrival."""
-    profile = arrival_profile(netlist)
+    if not netlist.outputs:
+        raise MetricsUndefinedError("critical path needs designated outputs")
+    final, completions, pres = reference_arrivals(netlist)
     line, t = max(
-        ((l, profile.final[l]) for _, l in netlist.outputs),
+        ((l, final[l]) for _, l in netlist.outputs),
         key=lambda item: item[1],
     )
     path = []
     while t > 0:
         setter = None
         for idx in range(len(netlist.gates) - 1, -1, -1):
-            if line in netlist.gates[idx].pins and profile.completions[idx] == t:
+            if line in netlist.gates[idx].pins and completions[idx] == t:
                 setter = idx
                 break
         if setter is None:
             break
         path.append(setter)
         pins = netlist.gates[setter].pins
-        pre = profile.pre_arrivals[setter]
+        pre = pres[setter]
         best = max(range(len(pins)), key=lambda pos: (pre[pos], -pos))
         line = pins[best]
         t = pre[best]
@@ -240,3 +259,124 @@ class TestFormulaAgreement:
     def test_carry_skip_slope_is_five(self):
         delays = {n: structural_metrics(build_dec_csk(n)).delay for n in range(2, 9)}
         assert {delays[n + 1] - delays[n] for n in range(2, 8)} == {5}
+
+
+def reference_structural_metrics(netlist):
+    if not netlist.outputs:
+        raise MetricsUndefinedError("structural metrics need designated outputs")
+    final, _, _ = reference_arrivals(netlist)
+    return MetricReport(
+        gc=len(netlist.gates),
+        ci=len(netlist.const_lines()),
+        go=len(netlist.garbage_lines()),
+        qc=sum(gate_cost(g.kind)[0] for g in netlist.gates),
+        delay=max(final[line] for _, line in netlist.outputs),
+    )
+
+
+def reference_decomposition(netlist):
+    """The stage split with its own pass for each line's first and last
+    toucher, one dict per figure."""
+    if not netlist.outputs:
+        raise MetricsUndefinedError("decomposition needs designated outputs")
+    stages = []
+    for i, g in enumerate(netlist.gates):
+        if g.stage is None:
+            raise DecompositionError(f"gate {i} ({g.kind}) has no stage tag")
+        if g.stage not in stages:
+            stages.append(g.stage)
+    first_toucher, last_toucher = {}, {}
+    for i, g in enumerate(netlist.gates):
+        for p in g.pins:
+            first_toucher.setdefault(p, i)
+            last_toucher[p] = i
+    gc, qc, ci, go, delay = ({s: 0 for s in stages} for _ in range(5))
+    for kind, _, stage in netlist.gates:
+        gc[stage] += 1
+        qc[stage] += gate_cost(kind)[0]
+    for line in netlist.const_lines():
+        if line not in first_toucher:
+            raise DecompositionError(f"constant line {line} is consumed by no gate")
+        ci[netlist.gates[first_toucher[line]].stage] += 1
+    for line in netlist.garbage_lines():
+        if line not in last_toucher:
+            raise DecompositionError(f"garbage line {line} is touched by no gate")
+        go[netlist.gates[last_toucher[line]].stage] += 1
+    for idx in reference_critical_path(netlist):
+        kind, _, stage = netlist.gates[idx]
+        delay[stage] += gate_cost(kind)[1]
+    return {
+        s: MetricReport(gc[s], ci[s], go[s], qc[s], delay[s]) for s in stages
+    }
+
+
+def random_tagged_netlist(rng):
+    """1-8 lines of inputs and constants, 0-12 gates of any kind that fits,
+    stage tags that may be missing, and outputs and restored inputs on any
+    lines, touched or not."""
+    width = rng.randint(1, 8)
+    is_input = [rng.random() < 0.6 for _ in range(width)]
+    roles = [
+        input_role(f"x{i}") if is_input[i] else const_role(rng.randrange(2), f"k{i}")
+        for i in range(width)
+    ]
+    tagged = rng.random() < 0.7
+    stages = ("s0", "s1", "s2") if tagged else ("s0", "s1", None)
+    kinds = [k for k in GateKind if arity(k) <= width]
+    gates = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.choice(kinds)
+        pins = tuple(rng.sample(range(width), arity(kind)))
+        gates.append(GateInstance(kind, pins, rng.choice(stages)))
+    lines = list(range(width))
+    rng.shuffle(lines)
+    named = lines[: rng.randint(0, width)]
+    restored = [l for l in lines[len(named) :] if is_input[l] and rng.random() < 0.5]
+    return Netlist(
+        width=width,
+        roles=roles,
+        gates=gates,
+        outputs=tuple((f"y{l}", l) for l in named),
+        restored=restored,
+    )
+
+
+def outcome(fn, netlist):
+    """fn's value on `netlist`, or the type and message of its error."""
+    try:
+        return fn(netlist)
+    except RevbcdError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepAgreement:
+    """The one-sweep profile against self-contained references: the
+    quadratic walk and a stage split with its own toucher pass."""
+
+    def test_random_netlists(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(2000):
+            nl = random_tagged_netlist(rng)
+            final, completions, _ = reference_arrivals(nl)
+            profile = arrival_profile(nl)
+            assert profile.final == tuple(final)
+            assert profile.completions == tuple(completions)
+            for fn, ref in (
+                (critical_path, reference_critical_path),
+                (structural_metrics, reference_structural_metrics),
+                (metric_decomposition, reference_decomposition),
+            ):
+                got = outcome(fn, nl)
+                assert got == outcome(ref, nl), (fn.__name__, nl)
+                seen.add((fn.__name__, got[0] if isinstance(got, tuple) else "value"))
+        # every branch of the comparison was reached
+        assert seen == {
+            ("critical_path", "value"),
+            ("critical_path", MetricsUndefinedError),
+            ("structural_metrics", "value"),
+            ("structural_metrics", MetricsUndefinedError),
+            ("metric_decomposition", "value"),
+            ("metric_decomposition", MetricsUndefinedError),
+            ("metric_decomposition", DecompositionError),
+        }

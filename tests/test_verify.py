@@ -29,6 +29,19 @@ def bjn_and(pins):
     return f
 
 
+def mf_outputs_swapped(pins):
+    """An MF whose two mux outputs trade lines: still bijective, but the
+    selected carry lands on the wrong line."""
+    i, j, k = pins
+
+    def f(v):
+        a, b, c = v[i], v[j], v[k]
+        v[j] = (a & b) ^ (~a & c)
+        v[k] = (~a & b) ^ (a & ~c)
+
+    return f
+
+
 def scalar_failures(seed, samples, sizes):
     """Failing vectors of verify_adders, one scalar run per vector and design.
 
@@ -138,6 +151,18 @@ class TestCells:
         assert not result.passed
         assert 0 < matched(result.detail)[0] < 200
         assert "; first failure: pdfa N=1 a=" in result.detail
+
+    def test_propagate_passing_detail_unchanged(self):
+        result = verify.verify_propagate()
+        assert result.passed
+        assert result.detail == "100/100 digit pairs sound; carry-select rows 8/8"
+
+    def test_carry_select_rows_follow_the_skip_block(self, mutate_gate):
+        mutate_gate(GateKind.MF, mf_outputs_swapped)
+        result = verify.verify_propagate()
+        assert not result.passed
+        assert "carry-select rows 8/8" not in result.detail
+        assert re.search(r"carry-select rows [0-7]/8$", result.detail)
 
     def test_scopes_rebuild_nothing_once_warm(self, monkeypatch):
         assert all(r.passed for r in verify.run_scope("all", seed=1, samples=10))
