@@ -28,7 +28,8 @@ for n in (16, 32, 64):
     print(f"  N={n}: " + ", ".join(f"{p.name} ({p.qc}, {p.delay})" for p in front))
 
 out = Path("pareto-N16.svg")
-out.write_text(render_svg(pareto_points(16)), encoding="utf-8")
+points = pareto_points(16)
+out.write_text(render_svg(points, pareto_front(points)), encoding="utf-8")
 print(f"\nwrote a scatter plot to {out}")
 
 print("\n" + structural_discrepancy_report())

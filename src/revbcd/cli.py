@@ -280,7 +280,7 @@ def cmd_pareto(args) -> int:
         points = costs.pareto_points(n)
         front = costs.pareto_front(points)
         if args.format == "tsv":
-            print(costs.render_points_tsv(points), end="")
+            print(costs.render_points_tsv(points, front), end="")
         else:
             print(f"## N={n}")
             print("| design | qc | delay | on front |")
@@ -298,7 +298,7 @@ def cmd_pareto(args) -> int:
         if args.svg_dir:
             args.svg_dir.mkdir(parents=True, exist_ok=True)
             out = args.svg_dir / f"pareto-N{n}.svg"
-            out.write_text(costs.render_svg(points), encoding="utf-8")
+            out.write_text(costs.render_svg(points, front), encoding="utf-8")
             print(f"wrote {out}")
     return EXIT_OK
 

@@ -281,9 +281,8 @@ def pareto_front(points: list[CostPoint]) -> list[CostPoint]:
     return sorted(front, key=lambda p: (p.qc, p.delay, p.name))
 
 
-def render_points_tsv(points: list[CostPoint]) -> str:
-    """Plot-ready rows: qc, delay, name, on_front."""
-    front = pareto_front(points)
+def render_points_tsv(points: list[CostPoint], front: list[CostPoint]) -> str:
+    """Plot-ready rows: qc, delay, name, on_front (membership of `front`)."""
     lines = ["qc\tdelay\tname\ton_front"]
     for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name)):
         flag = "1" if p in front else "0"
@@ -291,12 +290,16 @@ def render_points_tsv(points: list[CostPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(points: list[CostPoint], width: int = 640, height: int = 440) -> str:
-    """Minimal static scatter with the front polyline; no dependencies."""
+def render_svg(
+    points: list[CostPoint],
+    front: list[CostPoint],
+    width: int = 640,
+    height: int = 440,
+) -> str:
+    """Minimal static scatter with the `front` polyline; no dependencies."""
     if not points:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
     n = points[0].n
-    front = pareto_front(points)
     margin = 60
     qc_max = max(p.qc for p in points)
     d_max = max(p.delay for p in points)

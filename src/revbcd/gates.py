@@ -13,18 +13,27 @@ tuple of the same length, and every map is a bijection on {0,1}^arity:
     BJN  (3 lines)  P = A,  Q = B,  R = (A|B) ^ C
     DFG  (3 lines)  P = A,  Q = A^B,  R = A^C             (double Feynman)
 
-Each gate's semantics are written once, as the in-place applier factory in
-its `_GATES` entry.  `applier` binds one to the lines of a gate instance;
-the compiled simulator runs those, and `gate_semantics` runs the same
-applier on a copy of its input tuple.
+Each gate's semantics are written once, as the statement template in its
+`_GATES` entry: in-place Python statements on the named operands {a}, {b},
+... (pins A, B, ... in order).  `block` turns a run of gates into one
+fused applier from those templates, and the simulator and `gate_semantics`
+(a block of one gate) both run such appliers; no per-gate engine exists
+beside them.
+
+A block's shape is its (kind, slots) list, with its lines renamed to slots
+in first-use order, so every copy of a repeated digit cell has the same
+shape.  `block` generates and compiles one factory per shape and keeps it
+in a bounded cache shared by every netlist and size.  The generated source
+holds only template text and slot numbers: line indices are the factory's
+arguments, so no text from a netlist reaches `compile`.
 
 Appliers work on lanes: a line value is a Python int whose bit k holds
 vector k's value on that line, so one call updates every vector at once
 with whole-word ``^ & | ~`` operations.  The state list carries one slot
 past the lines, the lane mask (bit k set for every vector in the batch).
-NOT complements against it; MF complements with ``~`` under an AND with a
-non-negative lane, which needs no mask.  A mask of 1 is the scalar case,
-where every value is a single bit.
+NOT complements against it (``v[-1]``); MF complements with ``~`` under an
+AND with a non-negative lane, which needs no mask.  A mask of 1 is the
+scalar case, where every value is a single bit.
 
 Cost constants are per-gate elementary-operation counts (qc) and delay in
 delta units.  1x1 gates carry no quantum cost.
@@ -33,7 +42,8 @@ delta units.  1x1 gates carry no quantum cost.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
 from .errors import ArityError
 
@@ -53,98 +63,27 @@ class GateKind(str, Enum):
         return self.value
 
 
-# Applier factories: each takes the gate's pins (A, B, ... in order) and
-# returns an allocation-free in-place update of a line-state list, because
-# the simulator runs these once per gate per batch.  v[-1] is the lane mask.
+# Statement templates, one statement a line.  A template may use the scratch
+# names t and u and reads the lane mask as v[-1].  Each statement that writes
+# an operand starts with it and a space ("{b} ^= ..."): that is how `block`
+# knows which lines to store back.
+_NOT = "{a} ^= v[-1]"
+_FG = "{b} ^= {a}"
+_PG = "{c} ^= {a} & {b}\n{b} ^= {a}"
+_MF = "t = {b}\nu = ~{a}\n{b} = (u & t) ^ ({a} & ~{c})\n{c} = ({a} & t) ^ (u & {c})"
+_HNG = "t = {a} ^ {b}\n{d} ^= (t & {c}) ^ ({a} & {b})\n{c} ^= t"
+_BJN = "{c} ^= {a} | {b}"
+_DFG = "{b} ^= {a}\n{c} ^= {a}"
 
-
-def _not(p):
-    (i,) = p
-
-    def f(v):
-        v[i] ^= v[-1]
-
-    return f
-
-
-def _fg(p):
-    i, j = p
-
-    def f(v):
-        v[j] ^= v[i]
-
-    return f
-
-
-def _pg(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        v[j] = a ^ b
-        v[k] ^= a & b
-
-    return f
-
-
-def _mf(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        c = v[k]
-        na = ~a
-        v[j] = (na & b) ^ (a & ~c)
-        v[k] = (a & b) ^ (na & c)
-
-    return f
-
-
-def _hng(p):
-    i, j, k, l = p
-
-    def f(v):
-        a = v[i]
-        b = v[j]
-        c = v[k]
-        ab = a ^ b
-        v[k] = ab ^ c
-        v[l] ^= (ab & c) ^ (a & b)
-
-    return f
-
-
-def _bjn(p):
-    i, j, k = p
-
-    def f(v):
-        v[k] ^= v[i] | v[j]
-
-    return f
-
-
-def _dfg(p):
-    i, j, k = p
-
-    def f(v):
-        a = v[i]
-        v[j] ^= a
-        v[k] ^= a
-
-    return f
-
-
-# kind -> (arity, qc, delay, applier factory)
+# kind -> (arity, qc, delay, statement template)
 _GATES = {
-    GateKind.NOT: (1, 0, 1, _not),
-    GateKind.FG: (2, 1, 1, _fg),
-    GateKind.PG: (3, 4, 4, _pg),
-    GateKind.MF: (3, 4, 3, _mf),
-    GateKind.HNG: (4, 6, 5, _hng),
-    GateKind.BJN: (3, 5, 4, _bjn),
-    GateKind.DFG: (3, 2, 2, _dfg),
+    GateKind.NOT: (1, 0, 1, _NOT),
+    GateKind.FG: (2, 1, 1, _FG),
+    GateKind.PG: (3, 4, 4, _PG),
+    GateKind.MF: (3, 4, 3, _MF),
+    GateKind.HNG: (4, 6, 5, _HNG),
+    GateKind.BJN: (3, 5, 4, _BJN),
+    GateKind.DFG: (3, 2, 2, _DFG),
 }
 
 ALL_KINDS = tuple(_GATES)
@@ -161,13 +100,37 @@ def gate_cost(kind: GateKind) -> tuple[int, int]:
     return qc, delay
 
 
-def applier(kind: GateKind, pins: Sequence[int]) -> Callable[[list[int]], None]:
-    """Return the gate's in-place update of a state list, bound to `pins`.
+@lru_cache(maxsize=512)
+def block(
+    shape: tuple[tuple[GateKind, tuple[int, ...]], ...],
+) -> Callable[..., Callable[[list[int]], None]]:
+    """The factory of the fused applier for one block shape.
 
-    The state's last slot holds the lane mask.  Pins are in A, B, ... order
-    and unchecked here; `Netlist.validate` checks them.
+    `shape` holds (kind, slots) per gate, in order, with the block's lines
+    renamed to slots 0, 1, ... in first-use order.  The factory takes the
+    line of each slot as its arguments and returns one in-place update of
+    a state list: it loads those lines into locals, runs every gate's
+    template inline and stores back only the lines a gate wrote.  The
+    generated source holds template text and slot numbers only; line
+    indices arrive as arguments, so no netlist text reaches `compile`.
     """
-    return _GATES[kind][3](pins)
+    count = 1 + max(s for _, slots in shape for s in slots)
+    body, written = [], set()
+    for kind, slots in shape:
+        names = dict(zip("abcd", (f"x{s:d}" for s in slots)))
+        lines = _GATES[kind][3].format(**names).splitlines()
+        body += lines
+        written.update(line.split()[0] for line in lines if line.startswith("x"))
+    loads = [f"x{s} = v[i{s}]" for s in range(count)]
+    stores = [f"v[i{s}] = x{s}" for s in range(count) if f"x{s}" in written]
+    source = "\n".join(
+        [f"def make({', '.join(f'i{s}' for s in range(count))}):", "    def run(v):"]
+        + [f"        {line}" for line in loads + body + stores]
+        + ["    return run"]
+    )
+    scope: dict = {}
+    exec(compile(source, "<gate block>", "exec"), scope)
+    return scope["make"]
 
 
 def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
@@ -182,7 +145,8 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in bits):
         raise ArityError(f"{kind} input must be 0/1 bits: {bits!r}")
     state = [*bits, 1]  # mask 1: one vector
-    applier(kind, range(want))(state)
+    pins = tuple(range(want))
+    block(((kind, pins),))(*pins)(state)
     return tuple(state[:-1])
 
 

@@ -130,6 +130,7 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
 
 
 _NIBBLES = tuple(tuple((d >> i) & 1 for i in range(4)) for d in range(10))
+_NIBBLE_TEXT = tuple("".join(map(str, bits)) for bits in _NIBBLES)
 
 
 class AdderPort:
@@ -230,7 +231,7 @@ class AdderPort:
     @staticmethod
     def to_bits(vector: DigitVector) -> str:
         """Inverse of from_bits."""
-        return "".join(str(bit) for d in vector.digits for bit in _NIBBLES[d])
+        return "".join([_NIBBLE_TEXT[d] for d in vector.digits])
 
 
 adder_port = lru_cache(maxsize=256)(AdderPort)  # one port per compiled adder

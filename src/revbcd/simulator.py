@@ -1,7 +1,14 @@
 """Bit-exact netlist evaluation, truth tables, and bijectivity checking.
 
-A compiled netlist is the list of in-place appliers that `gates.applier`
-binds to each gate's pins; the gate semantics live in `gates._GATES` only.
+A compiled netlist is a list of fused appliers, one per block of
+consecutive gates; the gate semantics live in `gates._GATES` only.  A block
+holds at least BLOCK_MIN gates and at most BLOCK_MAX; between the two it
+ends where its first gate's stage run starts again, so in the adders a cut
+falls on a digit-cell boundary and every repeated cell (or pair of ripple
+cells) has one shape.  `gates.block` compiles each shape once, into a
+cache that every netlist and size shares, so the cost of compiling does
+not grow with the number of digits; only template text and slot numbers
+enter the generated source, never text from the netlist.
 
 `CompiledNetlist.run_state` is the one engine, for one vector or many.
 Each line holds a lane: an int whose bit k is vector k's value, with the
@@ -25,13 +32,18 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
-from .gates import applier
-from .netlist import Netlist
+from .gates import block
+from .netlist import GateInstance, Netlist
 
 EXHAUSTIVE_WIDTH_LIMIT = 20
+
+# Gates per block: enough that one call does real work, few enough that
+# the repeated digit cells, not whole netlists, make the shapes.
+BLOCK_MIN = 16
+BLOCK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -43,12 +55,38 @@ class SimulationResult:
     restored_ok: bool
 
 
+def _block_end(gates: Sequence[GateInstance], start: int) -> int:
+    """Where the block that starts at gate `start` ends (exclusive)."""
+    first = gates[start].stage
+    stop = min(start + BLOCK_MAX, len(gates))
+    for i in range(start + BLOCK_MIN, stop):
+        if gates[i].stage == first and gates[i - 1].stage != first:
+            return i
+    return stop
+
+
+def _appliers(gates: Sequence[GateInstance]) -> list[Callable[[list[int]], None]]:
+    """One fused applier per block of `gates`, in order."""
+    fns = []
+    start = 0
+    while start < len(gates):
+        end = _block_end(gates, start)
+        slot: dict[int, int] = {}
+        shape = tuple(
+            (g.kind, tuple([slot.setdefault(p, len(slot)) for p in g.pins]))
+            for g in gates[start:end]
+        )
+        fns.append(block(shape)(*slot))
+        start = end
+    return fns
+
+
 class CompiledNetlist:
-    """A netlist lowered to a list of in-place bit operations."""
+    """A netlist lowered to a list of fused in-place bit operations."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._fns = [applier(g.kind, g.pins) for g in netlist.gates]
+        self._fns = _appliers(netlist.gates)
         base = []
         for role in netlist.roles:
             base.append(0 if role.is_input else role.const_value)

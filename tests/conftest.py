@@ -20,16 +20,17 @@ def dec_csk8():
 
 @pytest.fixture
 def mutate_gate(monkeypatch):
-    """Swap one gate kind's applier factory for the length of a test.
+    """Swap one gate kind's statement template for the length of a test.
 
-    Every compiled cache is emptied when the swap is made and again when
-    it is undone, so no netlist compiled under the other semantics is
-    reused.
+    The block-shape cache and every compiled cache are emptied when the
+    swap is made and again when it is undone, so no block or netlist
+    compiled under the other semantics is reused.
     """
     from revbcd import gates, ledger, simulator, verify
 
     def clear():
         for cached in (
+            gates.block,
             simulator.compile_netlist,
             ledger.adder_port,
             ledger.cached_adder,
@@ -37,9 +38,9 @@ def mutate_gate(monkeypatch):
         ):
             cached.cache_clear()
 
-    def mutate(kind, factory):
+    def mutate(kind, template):
         arity, qc, delay, _ = gates._GATES[kind]
-        monkeypatch.setitem(gates._GATES, kind, (arity, qc, delay, factory))
+        monkeypatch.setitem(gates._GATES, kind, (arity, qc, delay, template))
         clear()
 
     yield mutate

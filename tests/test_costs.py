@@ -176,7 +176,8 @@ class TestPareto:
                 assert dominated(p)
 
     def test_tsv_flags(self):
-        text = render_points_tsv(pareto_points(16))
+        points = pareto_points(16)
+        text = render_points_tsv(points, pareto_front(points))
         lines = text.strip().splitlines()
         assert lines[0] == "qc\tdelay\tname\ton_front"
         flags = {row.split("\t")[2]: row.split("\t")[3] for row in lines[1:]}
@@ -186,7 +187,8 @@ class TestPareto:
     def test_svg_is_well_formed(self):
         import xml.etree.ElementTree as ET
 
-        svg = render_svg(pareto_points(16))
+        points = pareto_points(16)
+        svg = render_svg(points, pareto_front(points))
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert len(svg) > 500

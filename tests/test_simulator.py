@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import pytest
 
-from revbcd.designs import build_dec_csk, build_scl, scl_function
+from revbcd.designs import build_dec_csk, build_dec_rca, build_scl, scl_function
 from revbcd.errors import AssignmentError, CapacityError
-from revbcd.gates import GateKind, arity, gate_semantics, gate_truth_table
+from revbcd.gates import GateKind, arity, block, gate_semantics, gate_truth_table
 from revbcd.netlist import GateInstance, Netlist, input_role
 from revbcd.simulator import (
+    BLOCK_MAX,
+    BLOCK_MIN,
+    CompiledNetlist,
+    _block_end,
     bit_lane,
     byte_plane,
     check_permutation,
@@ -49,14 +53,8 @@ def scalar_is_permutation(netlist):
     return len(seen) == 1 << netlist.width
 
 
-def fg_copy(pins):
-    """A non-bijective FG: Q = A instead of A^B."""
-    i, j = pins
-
-    def f(v):
-        v[j] = v[i]
-
-    return f
+# A non-bijective FG: Q = A instead of A^B.
+fg_copy = "{b} = {a}"
 
 
 def inputs_netlist(width, gates=(), prefix="x", **fields):
@@ -84,6 +82,52 @@ def random_netlist(rng, width, gates, prefix="x"):
             pins = tuple(rng.sample(range(width), arity(kind)))
             placed.append(GateInstance(kind, pins))
     return inputs_netlist(width, placed, prefix)
+
+
+STAGES = ("addition", "detection", "correction", None)
+
+
+def staged_netlist(rng, prefix):
+    """1-12 lines and 0-150 gates of every kind that fits, with stage tags
+    in runs (so runs restart), all None, or drawn gate by gate."""
+    width = rng.randint(1, 12)
+    kinds = [k for k in GateKind if arity(k) <= width]
+    style = rng.choice(("runs", "none", "mixed"))
+    stage = rng.choice(STAGES) if style == "runs" else None
+    placed = []
+    for _ in range(rng.randint(0, 150)):
+        if style == "mixed" or (style == "runs" and rng.random() < 0.2):
+            stage = rng.choice(STAGES)
+        kind = rng.choice(kinds)
+        pins = tuple(rng.sample(range(width), arity(kind)))
+        placed.append(GateInstance(kind, pins, stage))
+    return inputs_netlist(width, placed, prefix)
+
+
+def block_cuts(gates):
+    """Why each block of `gates` ends: at the minimum size, at a stage
+    restart past it, at the maximum size, or at the last gate."""
+    cuts, start = [], 0
+    while start < len(gates):
+        end = _block_end(gates, start)
+        if end - start == BLOCK_MAX:
+            cuts.append("max")
+        elif end == len(gates):
+            cuts.append("end")
+        else:
+            cuts.append("min" if end - start == BLOCK_MIN else "restart")
+        start = end
+    return cuts
+
+
+def per_gate_reference(netlist, state):
+    """Terminal state of one vector, one gate_semantics call per gate."""
+    state = list(state)
+    for g in netlist.gates:
+        out = gate_semantics(g.kind, tuple(state[p] for p in g.pins))
+        for p, bit in zip(g.pins, out):
+            state[p] = bit
+    return state
 
 
 def pdfa_inputs(a, b, c):
@@ -321,8 +365,31 @@ class TestRestoredAndReference:
             state = [rng.randrange(2) for _ in range(pdfa.width)]
             fast = state.copy()
             compiled.run_state(fast)
-            for g in pdfa.gates:
-                out = gate_semantics(g.kind, tuple(state[p] for p in g.pins))
-                for p, bit in zip(g.pins, out):
-                    state[p] = bit
-            assert fast == state
+            assert fast == per_gate_reference(pdfa, state)
+
+
+class TestFusedBlocks:
+    def test_blocks_equal_the_per_gate_reference(self):
+        """Random staged netlists, one vector at a time and 64 at once."""
+        rng = random.Random(23)
+        cuts = set()
+        for n in range(32):
+            nl = staged_netlist(rng, f"f{n}_")
+            cuts.update(block_cuts(nl.gates))
+            compiled = compile_netlist(nl)
+            vectors = [[rng.randrange(2) for _ in range(nl.width)] for _ in range(64)]
+            want = [per_gate_reference(nl, vec) for vec in vectors]
+            lanes = [bit_lane([vec[line] for vec in vectors]) for line in range(nl.width)]
+            compiled.run_state(lanes, (1 << 64) - 1)
+            assert lanes == [bit_lane([ref[line] for ref in want]) for line in range(nl.width)]
+            for vec, ref in zip(vectors, want):
+                compiled.run_state(vec)
+                assert vec == ref
+        assert {"min", "restart", "max"} <= cuts
+
+    def test_block_shapes_do_not_grow_with_digits(self):
+        for build in (build_dec_rca, build_dec_csk):
+            CompiledNetlist(build(8))
+            made = block.cache_info().misses
+            CompiledNetlist(build(1024))
+            assert block.cache_info().misses == made

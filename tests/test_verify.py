@@ -9,37 +9,19 @@ from revbcd.gates import GateKind
 from revbcd.ledger import AdderPort, cached_adder, encode
 
 
-def dfg_first_only(pins):
-    """A DFG that drops its second target: still bijective, wrong for adders."""
-    i, j, _ = pins
-
-    def f(v):
-        v[j] ^= v[i]
-
-    return f
+# A DFG that drops its second target: still bijective, wrong for adders.
+dfg_first_only = "{b} ^= {a}"
 
 
-def bjn_and(pins):
-    """A BJN with AND in place of OR: still bijective, wrong for adders."""
-    i, j, k = pins
-
-    def f(v):
-        v[k] ^= v[i] & v[j]
-
-    return f
+# A BJN with AND in place of OR: still bijective, wrong for adders.
+bjn_and = "{c} ^= {a} & {b}"
 
 
-def mf_outputs_swapped(pins):
-    """An MF whose two mux outputs trade lines: still bijective, but the
-    selected carry lands on the wrong line."""
-    i, j, k = pins
-
-    def f(v):
-        a, b, c = v[i], v[j], v[k]
-        v[j] = (a & b) ^ (~a & c)
-        v[k] = (~a & b) ^ (a & ~c)
-
-    return f
+# An MF whose two mux outputs trade lines: still bijective, but the
+# selected carry lands on the wrong line.
+mf_outputs_swapped = (
+    "t = {b}\n{b} = ({a} & t) ^ (~{a} & {c})\n{c} = (~{a} & t) ^ ({a} & ~{c})"
+)
 
 
 def scalar_failures(seed, samples, sizes):
