@@ -14,7 +14,6 @@ from .costs import (
     ImprovementReport,
     MODELS,
     cost_table,
-    evaluate_model,
     improvement,
     pareto_front,
     pareto_points,
@@ -29,7 +28,6 @@ from .designs import (
     build_scl,
     build_skip_block,
     build_skip_generator,
-    decimal_generate,
     decimal_propagate,
     scl_function,
     skip_carry,
@@ -50,7 +48,6 @@ from .ledger import (
 )
 from .metrics import (
     MetricReport,
-    arrival_of,
     arrival_profile,
     critical_path,
     metric_decomposition,
@@ -69,10 +66,7 @@ from .simulator import (
     SimulationResult,
     check_permutation,
     run,
-    run_batch,
-    sample_injectivity,
     truth_table,
-    verify_restored,
 )
 
 __version__ = "1.0.0"

@@ -15,11 +15,18 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import costs, verify
 from .designs import ADDER_DESIGNS, DESIGN_BUILDERS, build_design
-from .errors import CapacityError, InvalidArgumentError, LedgerFormatError, RevbcdError
+from .errors import (
+    CapacityError,
+    InvalidArgumentError,
+    LedgerFormatError,
+    NetlistFormatError,
+    RevbcdError,
+)
 from .ledger import (
     DEFAULT_WIDTH,
     AdderPort,
@@ -78,6 +85,10 @@ def _digit_count(text: str) -> int:
     return value
 
 
+# Built on the first main() call and reused: a parser costs about 1.5 ms
+# and leaves some hundred objects in reference cycles.  Every default is
+# immutable, so no parse can change what the next one sees.
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revbcd",
@@ -123,7 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="reproduce the comparison tables")
     p_cmp.add_argument("--metric", default="qc", choices=("qc", "delay"))
-    p_cmp.add_argument("--digits", type=_int_list, default=list(costs.TABLE_NS))
+    p_cmp.add_argument("--digits", type=_int_list, default=tuple(costs.TABLE_NS))
     p_cmp.add_argument("--format", default="md", choices=("md", "csv"))
     p_cmp.add_argument(
         "--no-structural",
@@ -132,7 +143,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     p_par = sub.add_parser("pareto", help="cost/delay trade-off points and front")
-    p_par.add_argument("--digits", type=_int_list, default=[16, 32, 64])
+    p_par.add_argument("--digits", type=_int_list, default=(16, 32, 64))
     p_par.add_argument("--format", default="md", choices=("md", "tsv"))
     p_par.add_argument(
         "--svg-dir", type=Path, help="write pareto-N<digits>.svg files here"
@@ -182,11 +193,14 @@ def _parse_operands(args) -> tuple[str, str, int]:
     ma, mb = _DECIMAL_RE.fullmatch(args.a), _DECIMAL_RE.fullmatch(args.b)
     if ma is None or mb is None:
         raise InvalidArgumentError("operands must be decimal integers")
-    # int() of each character turns any Unicode decimal digit into ASCII.
-    a, b = (
-        _stripped("".join(str(int(c)) for c in m[2] if c != "_"))
-        for m in (ma, mb)
-    )
+    operands = []
+    for m in (ma, mb):
+        digits = m[2].replace("_", "")
+        if not digits.isascii():
+            # int() of each character turns any Unicode decimal digit into ASCII.
+            digits = "".join(str(int(c)) for c in digits)
+        operands.append(_stripped(digits))
+    a, b = operands
     if (ma[1] == "-" and a != "0") or (mb[1] == "-" and b != "0"):
         raise InvalidArgumentError("operands must be non-negative")
     return a, b, max(len(a), len(b))
@@ -233,7 +247,13 @@ def cmd_metrics(args) -> int:
         netlist = build_design(args.design, args.digits)
         label = f"{args.design} digits={args.digits}"
     else:
-        netlist = deserialize(args.netlist.read_text(encoding="utf-8"))
+        try:
+            text = args.netlist.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise NetlistFormatError(
+                f"not valid UTF-8 text (byte {exc.start}): {exc.reason}"
+            ) from exc
+        netlist = deserialize(text)
         label = str(args.netlist)
     profile = arrival_profile(netlist)
     rows = [("total", structural_metrics(netlist, profile=profile))]

@@ -105,11 +105,6 @@ def metric_value(name: str, metric: str, n: int) -> int:
     return MODELS[name].metric(metric)(n)
 
 
-def evaluate_model(name: str, n: int) -> tuple[int, int, int, int]:
-    """(ci, go, qc, delay) of a named model at digit count n."""
-    return tuple(metric_value(name, m, n) for m in METRICS)
-
-
 def round_half_up(value: Fraction | float, places: int = 2) -> Decimal:
     """Decimal rounding, ties away from zero, for display/comparison."""
     if isinstance(value, Fraction):

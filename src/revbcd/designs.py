@@ -54,12 +54,6 @@ def scl_function(s1: int, s2: int, s3: int, c4: int) -> int:
     return c4 ^ (s3 & (s2 | s1))
 
 
-def decimal_generate(c4: int, s3: int, s2: int, s1: int) -> int:
-    """Generate signal over the 4-bit raw sum; same function as the
-    detection block, exposed with the conventional argument order."""
-    return scl_function(s1, s2, s3, c4)
-
-
 def decimal_propagate(da: int, db: int) -> int:
     """1 exactly when the two BCD digits sum to 9 (carry bypass condition).
 

@@ -286,6 +286,10 @@ class CsvConfig:
     def __post_init__(self):
         if self.negative_mode not in ("magnitude", "skip", "error"):
             raise InvalidArgumentError(f"unknown negative_mode {self.negative_mode!r}")
+        if len(self.delimiter) != 1:
+            raise InvalidArgumentError(
+                f"delimiter must be one character, got {self.delimiter!r}"
+            )
 
 
 @dataclass
@@ -319,46 +323,55 @@ def ingest_csv(
 
     Strict mode aborts at the first bad row; lenient mode skips bad rows
     and counts them in the diagnostics, with 1-based data row numbers.
+    A file that is not UTF-8 or that csv cannot split is an error in
+    either mode.
     """
     path = Path(path)
     diags = IngestDiagnostics()
     records: list[LedgerRecord] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=config.delimiter)
-        header = reader.fieldnames
-        if header is None:
-            raise LedgerFormatError("file has no header row")
-        for col in (config.group_column, config.amount_column):
-            if col not in header:
-                raise LedgerFormatError(
-                    f"column {col!r} not in header {header}"
-                )
-        for row_no, row in enumerate(reader, start=1):
-            diags.rows_read += 1
-            try:
-                group = (row[config.group_column] or "").strip()
-                if not group:
-                    raise LedgerFormatError("empty group key", row_no)
-                raw = row[config.amount_column]
-                if raw is None:
-                    raise LedgerFormatError("missing amount field", row_no)
-                cents = parse_amount(raw)
-                if cents < 0:
-                    if config.negative_mode == "magnitude":
-                        cents = -cents
-                    elif config.negative_mode == "skip":
-                        diags.skipped.append((row_no, "negative amount"))
-                        continue
-                    else:
-                        raise LedgerFormatError("negative amount", row_no)
-                records.append(LedgerRecord(group, cents))
-                diags.rows_kept += 1
-            except LedgerFormatError as exc:
-                if config.strict:
-                    if exc.row is None:
-                        raise LedgerFormatError(str(exc), row_no) from exc
-                    raise
-                diags.skipped.append((row_no, str(exc)))
+    # Undecodable text and csv's own errors (a field past its size limit, a
+    # NUL byte) end the read in lenient mode too: no later row is trusted.
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle, delimiter=config.delimiter)
+            header = reader.fieldnames
+            if header is None:
+                raise LedgerFormatError("file has no header row")
+            for col in (config.group_column, config.amount_column):
+                if col not in header:
+                    raise LedgerFormatError(
+                        f"column {col!r} not in header {header}"
+                    )
+            for row_no, row in enumerate(reader, start=1):
+                diags.rows_read += 1
+                try:
+                    group = (row[config.group_column] or "").strip()
+                    if not group:
+                        raise LedgerFormatError("empty group key", row_no)
+                    raw = row[config.amount_column]
+                    if raw is None:
+                        raise LedgerFormatError("missing amount field", row_no)
+                    cents = parse_amount(raw)
+                    if cents < 0:
+                        if config.negative_mode == "magnitude":
+                            cents = -cents
+                        elif config.negative_mode == "skip":
+                            diags.skipped.append((row_no, "negative amount"))
+                            continue
+                        else:
+                            raise LedgerFormatError("negative amount", row_no)
+                    records.append(LedgerRecord(group, cents))
+                    diags.rows_kept += 1
+                except LedgerFormatError as exc:
+                    if config.strict:
+                        if exc.row is None:
+                            raise LedgerFormatError(str(exc), row_no) from exc
+                        raise
+                    diags.skipped.append((row_no, str(exc)))
+    except UnicodeDecodeError as exc:
+        raise LedgerFormatError(f"not valid UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise LedgerFormatError(f"unreadable CSV: {exc}") from exc
     return records, diags
 
 

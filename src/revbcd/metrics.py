@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DecompositionError, LineIndexError, MetricsUndefinedError
+from .errors import DecompositionError, MetricsUndefinedError
 from .gates import ALL_KINDS, gate_cost
 from .netlist import Netlist
 
@@ -87,21 +87,6 @@ def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     return ArrivalProfile(
         tuple(arr), tuple(completions), tuple(via), tuple(first), tuple(last)
     )
-
-
-def arrival_of(netlist: Netlist, line_or_name: int | str) -> int:
-    """Arrival time (delta units) of a line index or a named output."""
-    profile = arrival_profile(netlist)
-    if isinstance(line_or_name, str):
-        try:
-            line = netlist.output_map[line_or_name]
-        except KeyError:
-            raise LineIndexError(f"no output named {line_or_name!r}")
-    else:
-        line = line_or_name
-        if not 0 <= line < netlist.width:
-            raise LineIndexError(f"line {line} outside 0..{netlist.width - 1}")
-    return profile.final[line]
 
 
 def structural_metrics(

@@ -200,12 +200,6 @@ class Netlist:
             if i not in named and i not in self.restored
         ]
 
-    def line_by_const_label(self, label: str) -> int:
-        for i, r in enumerate(self.roles):
-            if not r.is_input and r.label == label:
-                return i
-        raise LineIndexError(f"no constant line labelled {label!r}")
-
 
 # -- serialization ----------------------------------------------------------
 #

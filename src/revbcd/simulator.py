@@ -13,18 +13,16 @@ enter the generated source, never text from the netlist.
 `CompiledNetlist.run_state` is the one engine, for one vector or many.
 Each line holds a lane: an int whose bit k is vector k's value, with the
 lane mask (bit k set for every vector) riding in the state's last slot
-while the gates run.  The scalar case is mask 1.  `truth_table`,
-`check_permutation` and the exhaustive branch of `verify_restored` share
-one sweep: the varied lines start from the counting pattern over all
-2^n assignments (`counting_lanes`), 2^14 vectors per `run_state` call so
-memory stays small.  Unpacking goes through byte planes (`byte_plane`)
-rather than one int per vector.
+while the gates run.  The scalar case is mask 1.  `truth_table` and
+`check_permutation` share one sweep: the varied lines start from the
+counting pattern over all 2^n assignments (`counting_lanes`), 2^14 vectors
+per `run_state` call so memory stays small.  Unpacking goes through byte
+planes (`byte_plane`) rather than one int per vector.
 
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
 operations (truth_table, check_permutation) are bounded at
-EXHAUSTIVE_WIDTH_LIMIT lines; beyond that callers should fall back to
-seeded sampling (see sample_injectivity).
+EXHAUSTIVE_WIDTH_LIMIT lines.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
 from .gates import block
@@ -145,20 +143,6 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> SimulationResult:
     return compile_netlist(netlist).run_labels(inputs)
 
 
-def run_batch(
-    netlist: Netlist, inputs: Iterable[Mapping[str, int]]
-) -> list[SimulationResult]:
-    """Element-wise run(); order preserved, per-element errors indexed."""
-    compiled = compile_netlist(netlist)
-    results = []
-    for pos, assignment in enumerate(inputs):
-        try:
-            results.append(compiled.run_labels(assignment))
-        except AssignmentError as exc:
-            raise AssignmentError(f"batch item {pos}: {exc}") from exc
-    return results
-
-
 def counting_lanes(count: int) -> list[int]:
     """Lanes of `count` lines that hold all 2^count assignments.
 
@@ -239,11 +223,11 @@ def _sweep(compiled: CompiledNetlist, lines: Sequence[int]):
         yield initial, state, count
 
 
-def _check_exhaustive(netlist: Netlist, fallback: str) -> None:
+def _check_exhaustive(netlist: Netlist) -> None:
     if netlist.width > EXHAUSTIVE_WIDTH_LIMIT:
         raise CapacityError(
             f"width {netlist.width} exceeds the exhaustive bound "
-            f"{EXHAUSTIVE_WIDTH_LIMIT}; use {fallback}"
+            f"of {EXHAUSTIVE_WIDTH_LIMIT} lines"
         )
 
 
@@ -255,7 +239,7 @@ def truth_table(
     Constants stay at their declared values; 2^(input count) rows, inputs
     enumerated little-endian in line order.
     """
-    _check_exhaustive(netlist, "sampled verification")
+    _check_exhaustive(netlist)
     compiled = compile_netlist(netlist)
     rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for initial, terminal, count in _sweep(compiled, compiled.inputs):
@@ -273,72 +257,9 @@ def check_permutation(netlist: Netlist) -> bool:
     Constants are varied too: this checks the circuit as a function of
     every line, not just the used inputs.
     """
-    _check_exhaustive(netlist, "sample_injectivity")
+    _check_exhaustive(netlist)
     seen = bytearray(1 << netlist.width)
     for _, terminal, count in _sweep(compile_netlist(netlist), range(netlist.width)):
         for word in _vector_words(terminal, count):
             seen[word] = 1
     return 0 not in seen
-
-
-def sample_injectivity(netlist: Netlist, samples: int = 4096, seed: int = 0) -> bool:
-    """Seeded spot check that distinct states map to distinct states.
-
-    For netlists past the exhaustive bound; composition of bijective gates
-    is a bijection by construction, so this is a regression tripwire.
-    """
-    import random
-
-    rng = random.Random(seed)
-    compiled = compile_netlist(netlist)
-    width = netlist.width
-    seen_in = set()
-    seen_out = {}
-    for _ in range(samples):
-        value = rng.getrandbits(width)
-        if value in seen_in:
-            continue
-        seen_in.add(value)
-        state = [(value >> i) & 1 for i in range(width)]
-        compiled.run_state(state)
-        packed = 0
-        for i, bit in enumerate(state):
-            packed |= bit << i
-        if packed in seen_out and seen_out[packed] != value:
-            return False
-        seen_out[packed] = value
-    return True
-
-
-def verify_restored(
-    netlist: Netlist, samples: int = 2048, seed: int = 0
-) -> bool:
-    """Check the restored-input designation over the input domain.
-
-    Exhaustive over the primary inputs when the netlist fits the
-    exhaustive bound, seeded random sampling otherwise.
-    """
-    compiled = compile_netlist(netlist)
-    inputs = compiled.inputs
-    if not compiled.restored:
-        return True
-    if len(inputs) <= EXHAUSTIVE_WIDTH_LIMIT:
-        return all(
-            terminal[l] == initial[l]
-            for initial, terminal, _ in _sweep(compiled, inputs)
-            for l in compiled.restored
-        )
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        value = rng.getrandbits(len(inputs))
-        state = compiled.fresh_state()
-        for pos, line in enumerate(inputs):
-            state[line] = (value >> pos) & 1
-        initial = state.copy()
-        compiled.run_state(state)
-        if any(state[l] != initial[l] for l in compiled.restored):
-            return False
-    return True
-

@@ -1,5 +1,6 @@
 """Command line surface: subcommands, output, exit-code contract."""
 
+import gc
 import json
 import random
 
@@ -138,6 +139,21 @@ class TestSimulate:
         assert int(fields["  carry"]) == (a + b) // 10**n
         assert decode(from_digit_text(fields["  full "])) == a + b
 
+    def test_wide_operand_with_underscores_and_unicode_digit(self, capsys):
+        """1,024 digits in groups of 8, one of them a Devanagari seven."""
+        rng = random.Random(1024)
+        groups = [
+            "".join(rng.choice("0123456789") for _ in range(8)) for _ in range(128)
+        ]
+        text = "9" + "_".join(groups)[1:]
+        text = text[:500] + "\u096d" + text[501:]
+        a, b = int(text), rng.randrange(10**1024)
+        code, out, _ = run_cli("simulate", "--a", text, "--b", str(b), capsys=capsys)
+        assert code == 0
+        fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+        assert int(fields["  a    "]) == a
+        assert int(fields["  full "]) == a + b
+
 
 class TestVerify:
     @pytest.mark.parametrize("scope", ("gates", "pdfa", "propagate", "metrics"))
@@ -195,6 +211,15 @@ class TestMetrics:
         )
         assert code == 0
         assert "| addition | 4 | 4 | 0 | 24 | 20 |" in out
+
+    def test_netlist_not_utf8_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        content = b'{"width": 1, "lines": [{"role": "\xff"}]}'
+        path.write_bytes(content)
+        code, out, err = run_cli("metrics", "--netlist", str(path), capsys=capsys)
+        assert code == 2 and out == ""
+        at = content.index(b"\xff")
+        assert err == f"error: not valid UTF-8 text (byte {at}): invalid start byte\n"
 
     def test_netlist_file(self, tmp_path, capsys):
         path = tmp_path / "n.json"
@@ -446,3 +471,63 @@ class TestLedger:
             "--amount-col", "amount", capsys=capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize("delimiter", ("", ";;"))
+    def test_delimiter_not_one_character_usage_error(self, tmp_path, capsys, delimiter):
+        path = tmp_path / "tx.csv"
+        path.write_text("user,amount\nu1,1.00\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "user",
+            "--amount-col", "amount", "--delimiter", delimiter, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: delimiter must be one character, got {delimiter!r}\n"
+
+    @pytest.mark.parametrize("lenient", ((), ("--lenient",)), ids=("strict", "lenient"))
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"user,amount\nu1,1.00\nu\xff,2.00\n", "not valid UTF-8 text"),
+            (
+                b"user,amount\nu1,1.00\nu2," + b"1" * 131_073 + b"\n",
+                "unreadable CSV: field larger than field limit (131072)",
+            ),
+        ],
+        ids=("not-utf8", "field-past-csv-limit"),
+    )
+    def test_unreadable_file_exit_three(self, tmp_path, capsys, content, message, lenient):
+        path = tmp_path / "tx.csv"
+        path.write_bytes(content)
+        code, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "user",
+            "--amount-col", "amount", *lenient, capsys=capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {message}")
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("command", ("simulate", "verify", "metrics", "ledger"))
+    def test_repeated_calls_leave_no_reference_cycles(self, command, tmp_path, capsys):
+        """The parser is built once per process, so a warm call leaves no
+        garbage for the cycle collector."""
+        path = generate_synthetic_csv(tmp_path / "tx.csv", rows=40, groups=5, seed=2)
+        argv = {
+            "simulate": ["simulate", "--design", "dec-csk", "--a", "123", "--b", "989"],
+            "verify": ["verify", "--samples", "100"],
+            "metrics": ["metrics", "--design", "dec-rca", "--digits", "3", "--stages"],
+            "ledger": [
+                "ledger", "--csv", str(path),
+                "--group-col", "client_id", "--amount-col", "amount",
+            ],
+        }[command]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            codes = [main(argv) for _ in range(3)]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert codes == [0, 0, 0]
+        assert garbage == 0

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from revbcd.costs import (
+    METRICS,
     MODELS,
     TABLE_NS,
     CostPoint,
     cost_table,
-    evaluate_model,
     improvement,
     metric_value,
     pareto_front,
@@ -30,22 +30,22 @@ from published_data import DELAY_TABLE, QC_TABLE
 
 class TestModels:
     def test_ripple_at_eight(self):
-        ci, go, qc, delay = evaluate_model("Dec-RCA", 8)
+        ci, go, qc, delay = (metric_value("Dec-RCA", m, 8) for m in METRICS)
         assert (qc, delay) == (360, 210)
         assert (ci, go) == (64, 32)
 
     def test_reference_13_at_256(self):
-        assert evaluate_model("[13]", 256)[2] == 22528
+        assert metric_value("[13]", "qc", 256) == 22528
 
     def test_carry_skip_delay_at_one(self):
-        assert evaluate_model("Dec-CSK", 1)[3] == 45
+        assert metric_value("Dec-CSK", "delay", 1) == 45
 
     def test_negative_intercepts(self):
-        assert evaluate_model("[11]-design2", 1)[1] == 0  # go = N-1
+        assert metric_value("[11]-design2", "go", 1) == 0  # go = N-1
 
     def test_bad_digit_count(self):
         with pytest.raises(InvalidArgumentError):
-            evaluate_model("Dec-RCA", 0)
+            metric_value("Dec-RCA", "qc", 0)
 
     def test_unknown_design(self):
         with pytest.raises(InvalidArgumentError):

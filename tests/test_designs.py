@@ -14,7 +14,6 @@ from revbcd.designs import (
     build_scl,
     build_skip_block,
     build_skip_generator,
-    decimal_generate,
     decimal_propagate,
     scl_function,
     skip_carry,
@@ -112,7 +111,7 @@ class TestGenerateAndSkip:
         "c4,s3,s2,s1,want", [(1, 0, 0, 0, 1), (0, 1, 1, 0, 1), (0, 1, 0, 0, 0)]
     )
     def test_generate_examples(self, c4, s3, s2, s1, want):
-        assert decimal_generate(c4, s3, s2, s1) == want
+        assert scl_function(s1, s2, s3, c4) == want
 
     def test_skip_carry_rows(self):
         assert skip_carry(1, 1, 0) == 1
@@ -228,8 +227,12 @@ class TestCarrySkip:
         rng = random.Random(23)
         rca = compile_netlist(dec_rca8)
         csk = compile_netlist(dec_csk8)
-        rca_lines = [dec_rca8.line_by_const_label(f"k3.{j}") for j in range(8)]
-        csk_lines = [dec_csk8.line_by_const_label(f"dCnext.{j}") for j in range(8)]
+        rca_consts, csk_consts = (
+            {r.label: i for i, r in enumerate(nl.roles) if not r.is_input}
+            for nl in (dec_rca8, dec_csk8)
+        )
+        rca_lines = [rca_consts[f"k3.{j}"] for j in range(8)]
+        csk_lines = [csk_consts[f"dCnext.{j}"] for j in range(8)]
         for _ in range(150):
             a = rng.randrange(10**8)
             b = rng.randrange(10**8)

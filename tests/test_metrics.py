@@ -8,14 +8,12 @@ import pytest
 from revbcd.designs import build_dec_csk, build_dec_rca
 from revbcd.errors import (
     DecompositionError,
-    LineIndexError,
     MetricsUndefinedError,
     RevbcdError,
 )
 from revbcd.gates import ALL_KINDS, GateKind, arity, gate_cost
 from revbcd.metrics import (
     MetricReport,
-    arrival_of,
     arrival_profile,
     critical_path,
     metric_decomposition,
@@ -80,8 +78,9 @@ class TestStructural:
 
 class TestArrivals:
     def test_pdfa_carry_and_sum(self, pdfa):
-        assert arrival_of(pdfa, "dC") == 25
-        assert arrival_of(pdfa, "S3") == 35
+        final = arrival_profile(pdfa).final
+        assert final[pdfa.output_map["dC"]] == 25
+        assert final[pdfa.output_map["S3"]] == 35
 
     def test_untouched_input_is_zero(self):
         nl = Netlist(
@@ -90,11 +89,7 @@ class TestArrivals:
             gates=(GateInstance(GateKind.NOT, (0,)),),
             outputs=(("na", 0),),
         )
-        assert arrival_of(nl, 1) == 0
-
-    def test_unknown_name(self, pdfa):
-        with pytest.raises(LineIndexError):
-            arrival_of(pdfa, "nope")
+        assert arrival_profile(nl).final[1] == 0
 
     def test_monotone_under_append(self, pdfa):
         before = arrival_profile(pdfa).final

@@ -1,6 +1,8 @@
 """Package-wide guards."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -30,3 +32,26 @@ def test_package_imports_only_the_standard_library():
         if module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign, foreign
+
+
+def _load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_targets_resolve():
+    """Every function the benchmark's traced run wraps still exists, so a
+    deletion cannot break `bench/run.py --trace 1` unnoticed."""
+    missing = []
+    for module_name, attr, _ in _load_bench_tracer().TARGETS:
+        owner = importlib.import_module(f"revbcd.{module_name}")
+        for part in attr.split("."):
+            owner = vars(owner).get(part)
+            if owner is None:
+                break
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
