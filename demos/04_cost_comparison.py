@@ -5,17 +5,17 @@ from pathlib import Path
 
 from revbcd import cost_table, improvement, pareto_front, pareto_points
 from revbcd.costs import (
-    render_markdown,
     render_svg,
+    render_table,
     round_half_up,
     structural_discrepancy_report,
 )
 
 print("quantum-cost comparison across digit sizes:\n")
-print(render_markdown(cost_table("qc")))
+print(render_table(cost_table("qc"), "md"), end="")
 
 print("\ndelay comparison:\n")
-print(render_markdown(cost_table("delay")))
+print(render_table(cost_table("delay"), "md"), end="")
 
 print("\nheadline averages:")
 for proposed, metric in (("Dec-RCA", "qc"), ("Dec-CSK", "delay")):

@@ -7,8 +7,6 @@ analysis, and an exact-arithmetic transaction-ledger demonstration.
 """
 
 from .costs import (
-    Affine,
-    BaselineModel,
     CostPoint,
     CostTable,
     ImprovementReport,

@@ -256,32 +256,24 @@ def cmd_metrics(args) -> int:
         netlist = deserialize(text)
         label = str(args.netlist)
     profile = arrival_profile(netlist)
-    rows = [("total", structural_metrics(netlist, profile=profile))]
+    reports = [("total", structural_metrics(netlist, profile=profile))]
     if args.stages:
-        rows += list(metric_decomposition(netlist, profile=profile).items())
-    if args.format == "csv":
-        print("scope,gc,ci,go,qc,delay")
-        for scope, rep in rows:
-            print(f"{scope},{rep.gc},{rep.ci},{rep.go},{rep.qc},{rep.delay}")
-    else:
+        reports += metric_decomposition(netlist, profile=profile).items()
+    rows = [["scope", "gc", "ci", "go", "qc", "delay"]] + [
+        [scope, rep.gc, rep.ci, rep.go, rep.qc, rep.delay] for scope, rep in reports
+    ]
+    if args.format == "md":
         print(f"## {label}")
-        print("| scope | gc | ci | go | qc | delay |")
-        print("|---|---|---|---|---|---|")
-        for scope, rep in rows:
-            print(
-                f"| {scope} | {rep.gc} | {rep.ci} | {rep.go} | {rep.qc} "
-                f"| {rep.delay} |"
-            )
+    print(costs.render_rows(rows, args.format), end="")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     table = costs.cost_table(args.metric, tuple(args.digits))
-    if args.format == "csv":
-        print(costs.render_csv(table), end="")
-    else:
+    if args.format == "md":
         print(f"## {args.metric} comparison")
-        print(costs.render_markdown(table))
+    print(costs.render_table(table, args.format), end="")
+    if args.format == "md":
         for proposed, rep in table.improvements.items():
             published = costs.PUBLISHED_TOTALS.get((proposed, args.metric))
             note = f" (published {published})" if published is not None else ""
@@ -300,21 +292,19 @@ def cmd_pareto(args) -> int:
         points = costs.pareto_points(n)
         front = costs.pareto_front(points)
         if args.format == "tsv":
-            print(costs.render_points_tsv(points, front), end="")
+            rows = [["qc", "delay", "name", "on_front"]] + [
+                [p.qc, p.delay, costs.display_name(p.name), int(p in front)]
+                for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name))
+            ]
+            print(costs.render_rows(rows, "tsv"), end="")
         else:
+            rows = [["design", "qc", "delay", "on front"]] + [
+                [costs.display_name(p.name), p.qc, p.delay, "yes" if p in front else ""]
+                for p in sorted(points, key=lambda p: (p.qc, p.delay))
+            ]
             print(f"## N={n}")
-            print("| design | qc | delay | on front |")
-            print("|---|---|---|---|")
-            for p in sorted(points, key=lambda p: (p.qc, p.delay)):
-                mark = "yes" if p in front else ""
-                print(
-                    f"| {costs.display_name(p.name)} | {p.qc} | {p.delay} "
-                    f"| {mark} |"
-                )
-            print(
-                "front: "
-                + ", ".join(costs.display_name(p.name) for p in front)
-            )
+            print(costs.render_rows(rows, "md"), end="")
+            print("front: " + ", ".join(costs.display_name(p.name) for p in front))
         if args.svg_dir:
             args.svg_dir.mkdir(parents=True, exist_ok=True)
             out = args.svg_dir / f"pareto-N{n}.svg"
@@ -332,15 +322,11 @@ def cmd_ledger(args) -> int:
     )
     records, diags = ingest_csv(args.csv, config)
     report = sum_ledger(records, design=args.design, width=args.width)
-    if args.format == "csv":
-        print("group,total_cents")
-        for group, total in report.totals.items():
-            print(f"{group},{decimal_text(total)}")
-    else:
-        print("| group | total (cents) |")
-        print("|---|---|")
-        for group, total in report.totals.items():
-            print(f"| {group} | {decimal_text(total)} |")
+    header = ["group", "total_cents" if args.format == "csv" else "total (cents)"]
+    rows = [header] + [
+        [group, decimal_text(total)] for group, total in report.totals.items()
+    ]
+    print(costs.render_rows(rows, args.format), end="")
     summary = dict(report.summary())
     summary["rows_read"] = diags.rows_read
     summary["rows_skipped"] = len(diags.skipped)

@@ -7,7 +7,8 @@ ten columns, the two proposed designs included, so every integer cell of
 the reference comparison is reproduced exactly.  The structurally
 analyzed figures of the carry-skip build differ from its published
 formulas; structural_discrepancy_report() lays the two side by side
-rather than hiding the gap.
+rather than hiding the gap.  MODELS is the one place where a published
+formula is written: the report and the metric-fidelity check read it.
 
 Percentages are computed in exact rational arithmetic and rounded half-up
 to two decimals only for display and comparison.
@@ -24,51 +25,22 @@ from .metrics import structural_metrics
 
 METRICS = ("ci", "go", "qc", "delay")
 
-
-@dataclass(frozen=True)
-class Affine:
-    """slope*N + intercept with integer coefficients."""
-
-    slope: int
-    intercept: int = 0
-
-    def __call__(self, n: int) -> int:
-        return self.slope * n + self.intercept
-
-
-@dataclass(frozen=True)
-class BaselineModel:
-    """Affine-in-N cost model (ci, go, qc, delay) for one named design."""
-
-    name: str
-    ci: Affine
-    go: Affine
-    qc: Affine
-    delay: Affine
-
-    def metric(self, metric: str) -> Affine:
-        if metric not in METRICS:
-            raise InvalidArgumentError(f"unknown metric {metric!r}")
-        return getattr(self, metric)
-
-
-def _m(name, ci, go, qc, delay):
-    return BaselineModel(name, Affine(*ci), Affine(*go), Affine(*qc), Affine(*delay))
-
-
-MODELS: dict[str, BaselineModel] = {
-    m.name: m
-    for m in (
-        _m("[10]-design1", (11,), (16,), (58,), (40,)),
-        _m("[10]-design2", (12,), (17,), (75,), (40,)),
-        _m("[11]-design1", (2,), (2, -1), (88,), (73,)),
-        _m("[11]-design2", (1,), (1, -1), (70,), (57,)),
-        _m("[12]", (17,), (22,), (81,), (54,)),
-        _m("[13]", (19,), (24,), (88,), (62,)),
-        _m("[14]", (7,), (7,), (56,), (40,)),
-        _m("[15]", (10,), (14,), (52,), (31,)),
-        _m("Dec-RCA", (8,), (4,), (45,), (25, 10)),
-        _m("Dec-CSK", (10,), (12,), (65,), (5, 40)),
+# Published cost models, one row per design: each metric is the affine
+# function slope*N + intercept of the digit count N.
+MODELS: dict[str, dict[str, tuple[int, int]]] = {
+    name: dict(zip(METRICS, coefficients))
+    for name, *coefficients in (
+        # name            ci        go         qc        delay
+        ("[10]-design1", (11, 0), (16, 0), (58, 0), (40, 0)),
+        ("[10]-design2", (12, 0), (17, 0), (75, 0), (40, 0)),
+        ("[11]-design1", (2, 0), (2, -1), (88, 0), (73, 0)),
+        ("[11]-design2", (1, 0), (1, -1), (70, 0), (57, 0)),
+        ("[12]", (17, 0), (22, 0), (81, 0), (54, 0)),
+        ("[13]", (19, 0), (24, 0), (88, 0), (62, 0)),
+        ("[14]", (7, 0), (7, 0), (56, 0), (40, 0)),
+        ("[15]", (10, 0), (14, 0), (52, 0), (31, 0)),
+        ("Dec-RCA", (8, 0), (4, 0), (45, 0), (25, 10)),
+        ("Dec-CSK", (10, 0), (12, 0), (65, 0), (5, 40)),
     )
 }
 
@@ -102,17 +74,22 @@ def metric_value(name: str, metric: str, n: int) -> int:
         raise InvalidArgumentError(f"unknown design {name!r}")
     if n < 1:
         raise InvalidArgumentError("digit count must be at least 1")
-    return MODELS[name].metric(metric)(n)
+    if metric not in METRICS:
+        raise InvalidArgumentError(f"unknown metric {metric!r}")
+    slope, intercept = MODELS[name][metric]
+    return slope * n + intercept
 
 
-def round_half_up(value: Fraction | float, places: int = 2) -> Decimal:
-    """Decimal rounding, ties away from zero, for display/comparison."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(value))
-    quantum = Decimal(1).scaleb(-places)
-    return dec.quantize(quantum, rounding=ROUND_HALF_UP)
+def _formula(name: str, metric: str) -> str:
+    """A model's metric as the paper writes it: "45N", "25N+10"."""
+    slope, intercept = MODELS[name][metric]
+    return f"{slope}N" + (f"{intercept:+d}" if intercept else "")
+
+
+def round_half_up(value: Fraction) -> Decimal:
+    """Two decimals, ties away from zero, for display/comparison."""
+    dec = Decimal(value.numerator) / Decimal(value.denominator)
+    return dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
 # -- improvement percentages -------------------------------------------------
@@ -120,112 +97,93 @@ def round_half_up(value: Fraction | float, places: int = 2) -> Decimal:
 
 @dataclass(frozen=True)
 class ImprovementReport:
-    """Exact per-pair, per-N, and overall average improvement fractions.
+    """Exact per-N and overall average improvement percentages.
 
-    Values are percentages as Fractions: 100*(baseline - proposed)/baseline,
-    averaged over baselines per N, then over N for the total.
+    Values are Fractions: 100*(baseline - proposed)/baseline, averaged
+    over the comparison baselines per N, then over N for the total.
     """
 
-    proposed: str
-    metric: str
-    per_pair: dict[tuple[str, int], Fraction]
     per_n: dict[int, Fraction]
     average: Fraction
 
 
 def improvement(
-    proposed: str,
-    baselines: tuple[str, ...] = COMPARISON_BASELINES,
-    ns: tuple[int, ...] = TABLE_NS,
-    metric: str = "qc",
+    proposed: str, ns: tuple[int, ...] = TABLE_NS, metric: str = "qc"
 ) -> ImprovementReport:
     if not ns:
         raise InvalidArgumentError("need at least one digit count")
-    per_pair: dict[tuple[str, int], Fraction] = {}
     per_n: dict[int, Fraction] = {}
     for n in ns:
         ours = metric_value(proposed, metric, n)
-        values = []
-        for base in baselines:
+        total = Fraction(0)
+        for base in COMPARISON_BASELINES:
             theirs = metric_value(base, metric, n)
             if theirs == 0:
                 raise ZeroDivisionError(f"{base} {metric} is 0 at N={n}")
-            frac = Fraction(100) * Fraction(theirs - ours, theirs)
-            per_pair[(base, n)] = frac
-            values.append(frac)
-        per_n[n] = sum(values, Fraction(0)) / len(values)
+            total += Fraction(100) * Fraction(theirs - ours, theirs)
+        per_n[n] = total / len(COMPARISON_BASELINES)
     average = sum(per_n.values(), Fraction(0)) / len(per_n)
-    return ImprovementReport(proposed, metric, per_pair, per_n, average)
+    return ImprovementReport(per_n, average)
 
 
 # -- tables -------------------------------------------------------------------
+
+
+def render_rows(rows: list[list], fmt: str) -> str:
+    """A header row and body rows, each cell written with str(): a markdown
+    table for "md", comma ("csv") or tab ("tsv") separated lines."""
+    if fmt == "md":
+        lines = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+        lines.insert(1, "|" + "---|" * len(rows[0]))
+    else:
+        sep = {"csv": ",", "tsv": "\t"}[fmt]
+        lines = [sep.join(map(str, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 @dataclass(frozen=True)
 class CostTable:
     """One reproduced comparison table plus its improvement columns."""
 
-    metric: str
     ns: tuple[int, ...]
-    columns: tuple[str, ...]
     cells: dict[tuple[str, int], int]
     improvements: dict[str, ImprovementReport]
 
     def row(self, n: int) -> list[int]:
-        return [self.cells[(c, n)] for c in self.columns]
+        return [self.cells[(c, n)] for c in TABLE_COLUMNS]
 
 
-def cost_table(
-    metric: str,
-    ns: tuple[int, ...] = TABLE_NS,
-    columns: tuple[str, ...] = TABLE_COLUMNS,
-) -> CostTable:
+def cost_table(metric: str, ns: tuple[int, ...] = TABLE_NS) -> CostTable:
     if not ns:
         raise InvalidArgumentError("need at least one digit count")
-    cells = {(c, n): metric_value(c, metric, n) for c in columns for n in ns}
-    baselines = tuple(c for c in columns if c not in PROPOSED)
-    improvements = {}
-    if baselines:
-        improvements = {
-            p: improvement(p, baselines, tuple(ns), metric)
-            for p in PROPOSED
-            if p in columns
-        }
-    return CostTable(metric, tuple(ns), tuple(columns), cells, improvements)
+    ns = tuple(ns)
+    cells = {(c, n): metric_value(c, metric, n) for c in TABLE_COLUMNS for n in ns}
+    improvements = {p: improvement(p, ns, metric) for p in PROPOSED}
+    return CostTable(ns, cells, improvements)
 
 
-def _table_rows(
-    table: CostTable, impr_prefix: str, totals_label: str
-) -> list[list[str]]:
-    """Header, one row per digit count, then the average-improvement row."""
+# The improvement-column prefix and the totals-row label of each format.
+_TABLE_LABELS = {"md": ("% Impr ", "Total average"), "csv": ("impr_", "total_average")}
+
+
+def render_table(table: CostTable, fmt: str) -> str:
+    """Header, one row per digit count, then the average-improvement row,
+    as a markdown table ("md") or CSV ("csv")."""
+    impr, totals = _TABLE_LABELS[fmt]
     reports = table.improvements.values()
-    header = ["digit"] + [display_name(c) for c in table.columns]
-    rows = [header + [f"{impr_prefix}{p}" for p in table.improvements]]
-    for n in table.ns:
-        rows.append(
-            [str(n)]
-            + [str(v) for v in table.row(n)]
-            + [str(round_half_up(r.per_n[n])) for r in reports]
-        )
+    rows = [
+        ["digit", *map(display_name, TABLE_COLUMNS)]
+        + [impr + p for p in table.improvements]
+    ]
+    rows += [
+        [n, *table.row(n), *(round_half_up(r.per_n[n]) for r in reports)]
+        for n in table.ns
+    ]
     rows.append(
-        [totals_label]
-        + [""] * len(table.columns)
-        + [str(round_half_up(r.average)) for r in reports]
+        [totals, *[""] * len(TABLE_COLUMNS)]
+        + [round_half_up(r.average) for r in reports]
     )
-    return rows
-
-
-def render_markdown(table: CostTable) -> str:
-    header, *body = _table_rows(table, "% Impr ", "Total average")
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(["---"] * len(header)) + "|")
-    lines += ["| " + " | ".join(row) + " |" for row in body]
-    return "\n".join(lines)
-
-
-def render_csv(table: CostTable) -> str:
-    rows = _table_rows(table, "impr_", "total_average")
-    return "".join(",".join(row) + "\n" for row in rows)
+    return render_rows(rows, fmt)
 
 
 # -- Pareto analysis ----------------------------------------------------------
@@ -239,13 +197,11 @@ class CostPoint:
     delay: int
 
 
-def pareto_points(
-    n: int, columns: tuple[str, ...] = TABLE_COLUMNS
-) -> list[CostPoint]:
+def pareto_points(n: int) -> list[CostPoint]:
     """(qc, delay) points of the comparison set at one digit count."""
     return [
         CostPoint(c, n, metric_value(c, "qc", n), metric_value(c, "delay", n))
-        for c in columns
+        for c in TABLE_COLUMNS
     ]
 
 
@@ -276,26 +232,12 @@ def pareto_front(points: list[CostPoint]) -> list[CostPoint]:
     return sorted(front, key=lambda p: (p.qc, p.delay, p.name))
 
 
-def render_points_tsv(points: list[CostPoint], front: list[CostPoint]) -> str:
-    """Plot-ready rows: qc, delay, name, on_front (membership of `front`)."""
-    lines = ["qc\tdelay\tname\ton_front"]
-    for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name)):
-        flag = "1" if p in front else "0"
-        lines.append(f"{p.qc}\t{p.delay}\t{display_name(p.name)}\t{flag}")
-    return "\n".join(lines) + "\n"
-
-
-def render_svg(
-    points: list[CostPoint],
-    front: list[CostPoint],
-    width: int = 640,
-    height: int = 440,
-) -> str:
+def render_svg(points: list[CostPoint], front: list[CostPoint]) -> str:
     """Minimal static scatter with the `front` polyline; no dependencies."""
     if not points:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
     n = points[0].n
-    margin = 60
+    width, height, margin = 640, 440, 60
     qc_max = max(p.qc for p in points)
     d_max = max(p.delay for p in points)
 
@@ -385,15 +327,15 @@ PUBLISHED_PER_N = {
 }
 
 
-def per_n_deltas(tolerance: Decimal = Decimal("0.01")) -> list[dict]:
+def per_n_deltas() -> list[dict]:
     """Compare recomputed per-N improvement percentages with the published
-    columns; returns one record per cell outside the tolerance."""
+    columns; returns one record per cell more than 0.01 apart."""
     out = []
     for (proposed, metric), published in PUBLISHED_PER_N.items():
         report = improvement(proposed, metric=metric)
         for n, printed in published.items():
             computed = round_half_up(report.per_n[n])
-            if abs(computed - printed) > tolerance:
+            if abs(computed - printed) > Decimal("0.01"):
                 out.append(
                     {
                         "design": proposed,
@@ -424,29 +366,34 @@ def structural_discrepancy_report() -> str:
     lines = ["## Structural analysis vs published formulas", ""]
 
     rca = structural_metrics(build_dec_rca(4))
+    ripple = "/".join(_formula("Dec-RCA", m) for m in METRICS)
     lines.append(
         f"- Ripple design, structural (N=4): ci={rca.ci} go={rca.go} "
-        f"qc={rca.qc} delay={rca.delay}; published formulas 8N/4N/45N/25N+10 "
+        f"qc={rca.qc} delay={rca.delay}; published formulas {ripple} "
         "agree exactly at every size."
     )
 
+    csk = MODELS["Dec-CSK"]
+    ci, go, qc = (csk[m][0] for m in ("ci", "go", "qc"))
+    slope, intercept = csk["delay"]
     sizes = (2, 3, 4, 5, 6)
     delays = {n: structural_metrics(build_dec_csk(n)).delay for n in sizes}
     slopes = {n: delays[n + 1] - delays[n] for n in sizes[:-1]}
-    intercept = delays[2] - 10
+    measured = slopes[2] if len(set(slopes.values())) == 1 else slopes
+    achieved = delays[2] - 2 * slopes[2]  # the N=2..3 line's intercept
     csk1 = build_dec_csk(1)
     profile = arrival_profile(csk1)
     m1 = structural_metrics(csk1, profile=profile)
     lines.append(
         f"- Carry-skip design, structural per digit: gc={m1.gc} ci={m1.ci} "
-        f"go={m1.go} qc={m1.qc}; published per-digit totals are gc=18 ci=10 "
-        f"go=12 qc=65.  Structural total qc is {m1.qc}N vs the published 65N "
-        f"(delta {m1.qc - 65:+d} per digit)."
+        f"go={m1.go} qc={m1.qc}; published per-digit totals are gc=18 ci={ci} "
+        f"go={go} qc={qc}.  Structural total qc is {m1.qc}N vs the published "
+        f"{qc}N (delta {m1.qc - qc:+d} per digit)."
     )
     lines.append(
-        f"- Carry-skip structural delay: slope {set(slopes.values()).pop() if len(set(slopes.values())) == 1 else slopes}"
-        f" delta/digit for N >= 2 (published slope 5), intercept {intercept} "
-        f"vs published 40 (delta {intercept - 40:+d}); single digit: "
+        f"- Carry-skip structural delay: slope {measured} delta/digit for "
+        f"N >= 2 (published slope {slope}), intercept {achieved} vs published "
+        f"{intercept} (delta {achieved - intercept:+d}); single digit: "
         f"{m1.delay}."
     )
     dec = metric_decomposition(csk1, profile=profile)

@@ -369,7 +369,15 @@ def ingest_csv(
                         raise
                     diags.skipped.append((row_no, str(exc)))
     except UnicodeDecodeError as exc:
-        raise LedgerFormatError(f"not valid UTF-8 text: {exc.reason}") from exc
+        # The reader decodes in chunks, so exc.start counts from the start
+        # of one; decoding the whole file again names the absolute byte.
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise LedgerFormatError(
+            f"not valid UTF-8 text (byte {exc.start}): {exc.reason}"
+        ) from exc
     except csv.Error as exc:
         raise LedgerFormatError(f"unreadable CSV: {exc}") from exc
     return records, diags
@@ -415,6 +423,8 @@ def sum_ledger(
     Raises CapacityError naming the group if a fold overflows the digit
     width; group order in the report is sorted by key.
     """
+    if width < 1:
+        raise InvalidArgumentError("width must be at least 1")
     limit = 10**width
     grouped: dict[str, list[int]] = {}
     for rec in records:

@@ -315,6 +315,8 @@ def deserialize(text: str) -> Netlist:
         raise NetlistFormatError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise NetlistFormatError("JSON nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise NetlistFormatError("document root must be an object")
 

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .costs import METRICS, MODELS, metric_value
 from .designs import (
     ADDER_DESIGNS,
     build_pdfa,
@@ -194,23 +195,27 @@ def verify_adders(
 
 
 def verify_metric_fidelity() -> VerifyResult:
+    """The structural metrics against the published formulas in
+    costs.MODELS: every ripple metric at N=1..8 (and gc=10N, which the
+    comparison does not publish), and the carry-skip delay slope."""
     problems = []
     for n in range(1, 9):
         m = structural_metrics(cached_adder("dec-rca", n).compiled.netlist)
-        want = (10 * n, 8 * n, 4 * n, 45 * n, 25 * n + 10)
+        want = (10 * n, *(metric_value("Dec-RCA", k, n) for k in METRICS))
         if (m.gc, m.ci, m.go, m.qc, m.delay) != want:
             problems.append(f"ripple N={n}: {m}")
+    slope = MODELS["Dec-CSK"]["delay"][0]
     delays = {
         n: structural_metrics(cached_adder("dec-csk", n).compiled.netlist).delay
         for n in range(2, 7)
     }
     slopes = {delays[n + 1] - delays[n] for n in range(2, 6)}
-    if slopes != {5}:
-        problems.append(f"carry-skip delay slopes {sorted(slopes)} != 5")
+    if slopes != {slope}:
+        problems.append(f"carry-skip delay slopes {sorted(slopes)} != {slope}")
     return VerifyResult(
         "metrics",
         not problems,
-        "ripple formulas 1..8 exact; carry-skip slope 5/digit"
+        f"ripple formulas 1..8 exact; carry-skip slope {slope}/digit"
         if not problems
         else "; ".join(problems),
     )

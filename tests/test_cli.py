@@ -1,6 +1,7 @@
 """Command line surface: subcommands, output, exit-code contract."""
 
 import gc
+import hashlib
 import json
 import random
 
@@ -221,6 +222,15 @@ class TestMetrics:
         at = content.index(b"\xff")
         assert err == f"error: not valid UTF-8 text (byte {at}): invalid start byte\n"
 
+    def test_deeply_nested_netlist_usage_error(self, tmp_path, capsys):
+        """JSON nested past the parser's recursion limit is a format error,
+        not a traceback."""
+        path = tmp_path / "n.json"
+        path.write_text("[" * 1000)
+        code, out, err = run_cli("metrics", "--netlist", str(path), capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: JSON nested too deeply to parse\n"
+
     def test_netlist_file(self, tmp_path, capsys):
         path = tmp_path / "n.json"
         run_cli("build", "--design", "scl", "--out", str(path), capsys=capsys)
@@ -413,6 +423,14 @@ class TestPareto:
         assert (tmp_path / "pareto-N32.svg").exists()
 
 
+_PAST_FIRST_CHUNK = (
+    b"user,amount\n"
+    + b"".join(b"u%d,1.00\n" % k for k in range(1500))
+    + b"u\xff,2.00\n"
+)
+_BAD_BYTE = _PAST_FIRST_CHUNK.index(b"\xff")  # 15,403, past 8,192
+
+
 class TestLedger:
     def test_synthetic_round_trip(self, tmp_path, capsys):
         path = generate_synthetic_csv(tmp_path / "tx.csv", rows=120, groups=12, seed=4)
@@ -445,6 +463,18 @@ class TestLedger:
         )
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["groups"] == 0
+
+    @pytest.mark.parametrize("rows", ("u1,123.00\n", ""), ids=("data", "empty"))
+    @pytest.mark.parametrize("width", ("0", "-2"))
+    def test_width_below_one_usage_error(self, tmp_path, capsys, width, rows):
+        path = tmp_path / "tx.csv"
+        path.write_text("user,amount\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "user",
+            "--amount-col", "amount", "--width", width, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: width must be at least 1\n"
 
     @pytest.mark.parametrize("width,code", [(16, 4), (4403, 0)])
     def test_amount_past_int_str_digit_limit(self, tmp_path, capsys, width, code):
@@ -488,12 +518,15 @@ class TestLedger:
         "content,message",
         [
             (b"user,amount\nu1,1.00\nu\xff,2.00\n", "not valid UTF-8 text"),
+            # The offset counts from the start of the file, not from the
+            # 8 kB chunk the reader was decoding.
+            (_PAST_FIRST_CHUNK, f"not valid UTF-8 text (byte {_BAD_BYTE}): invalid start"),
             (
                 b"user,amount\nu1,1.00\nu2," + b"1" * 131_073 + b"\n",
                 "unreadable CSV: field larger than field limit (131072)",
             ),
         ],
-        ids=("not-utf8", "field-past-csv-limit"),
+        ids=("not-utf8", "not-utf8-past-first-chunk", "field-past-csv-limit"),
     )
     def test_unreadable_file_exit_three(self, tmp_path, capsys, content, message, lenient):
         path = tmp_path / "tx.csv"
@@ -531,3 +564,74 @@ class TestParserReuse:
             gc.enable()
         assert codes == [0, 0, 0]
         assert garbage == 0
+
+
+class TestGoldenBytes:
+    """SHA-256 of the table commands' stdout and of the SVG files, so any
+    change to a rendered byte shows."""
+
+    LEDGER = ("--csv", "tx.csv", "--group-col", "client_id", "--amount-col", "amount")
+    STAGES = ("--design", "dec-csk", "--digits", "4", "--stages")
+    CASES = {
+        "compare-qc-md": (
+            ("compare", "--metric", "qc"),
+            "db559e8a1530176cdcea66118d097dfd7bbcc2bd649ac83b103df97412c5ded5",
+        ),
+        "compare-qc-csv": (
+            ("compare", "--metric", "qc", "--format", "csv"),
+            "db70ebc0fea5ef2b16652d0b6d925168e749fefd0e1a4982eb943d4b3ad22a7f",
+        ),
+        "compare-delay-md": (
+            ("compare", "--metric", "delay"),
+            "99079aabee6909361ec0fa46f581b2ba6eb697b20964522490c9eefd6461a8f6",
+        ),
+        "compare-delay-csv": (
+            ("compare", "--metric", "delay", "--format", "csv"),
+            "813ea44d87a07e102549a254209e5b809f02bdd76cffdbf45824b6dacda99463",
+        ),
+        "pareto-md": (
+            ("pareto", "--svg-dir", "svg"),
+            "16bb3ab38cbc5aa579ba07dc633c8d470e81233065268cb320e00e4d7561634d",
+        ),
+        "pareto-tsv": (
+            ("pareto", "--format", "tsv"),
+            "18ee74d72eefc32f8e0eb98177908a23666f6194d5fd9071133c10d62d6d2d7f",
+        ),
+        "metrics-md": (
+            ("metrics", *STAGES),
+            "aa61e254462351e4eb71883eb57cbc66e8274224d2e6f8c9c26a5d2645a8cbc8",
+        ),
+        "metrics-csv": (
+            ("metrics", *STAGES, "--format", "csv"),
+            "9240911238fd78d1ceb46ae2259618381ea4c383506c2a592d9aefbea50be19f",
+        ),
+        "ledger-md": (
+            ("ledger", *LEDGER),
+            "a70eaa111aafa7fa8a0610080c9bb92f73d760d6a5d132e75a96b75f70ef4bad",
+        ),
+        "ledger-csv": (
+            ("ledger", *LEDGER, "--format", "csv"),
+            "92f75e562e03694e1dfa2ce0c927d082047520a89235bdabb88c3a58fac56b1a",
+        ),
+    }
+    SVG = {
+        "pareto-N16.svg": "00e6246008d36ce44e005425fbd02ac6673de101b68c2918dff3bc3beb809627",
+        "pareto-N32.svg": "4739aa96ae6066fc7226f5c188e05499174312069999d24430a75a55a0a01bbf",
+        "pareto-N64.svg": "03c2940e5c90578dae6e00543ad4bfa186c9bc0433b197a2d5cc33d7e049a086",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stdout_bytes(self, case, tmp_path, monkeypatch, capsys):
+        argv, digest = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "ledger":
+            generate_synthetic_csv("tx.csv", seed=0)
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if case == "pareto-md":
+            written = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (tmp_path / "svg").iterdir()
+            }
+            assert written == self.SVG

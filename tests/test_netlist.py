@@ -185,6 +185,11 @@ class TestDeserializeBoundary:
         nl = deserialize(_doc())
         assert nl.width == 2 and nl.outputs == (("out", 1),)
 
+    @pytest.mark.parametrize("opener", ("[", '{"a": '))
+    def test_nesting_past_the_recursion_limit(self, opener):
+        with pytest.raises(NetlistFormatError, match="nested too deeply"):
+            deserialize(opener * 100_000)
+
     @pytest.mark.parametrize(
         "fields",
         [
