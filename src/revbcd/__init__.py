@@ -34,7 +34,6 @@ from .errors import RevbcdError
 from .gates import GateKind, gate_cost, gate_semantics, gate_truth_table
 from .ledger import (
     CsvConfig,
-    DigitVector,
     LedgerRecord,
     LedgerReport,
     bcd_add,

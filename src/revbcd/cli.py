@@ -33,8 +33,6 @@ from .ledger import (
     CsvConfig,
     bcd_add,
     decimal_text,
-    digit_text,
-    from_digit_text,
     ingest_csv,
     sum_ledger,
 )
@@ -188,8 +186,8 @@ def _parse_operands(args) -> tuple[str, str, int]:
     if args.raw_bits:
         if len(args.a) != len(args.b):
             raise InvalidArgumentError("bit strings need equal 4-per-digit length")
-        va, vb = AdderPort.from_bits(args.a), AdderPort.from_bits(args.b)
-        return _stripped(digit_text(va)), _stripped(digit_text(vb)), va.width
+        a, b = AdderPort.from_bits(args.a), AdderPort.from_bits(args.b)
+        return _stripped(a), _stripped(b), len(a)
     ma, mb = _DECIMAL_RE.fullmatch(args.a), _DECIMAL_RE.fullmatch(args.b)
     if ma is None or mb is None:
         raise InvalidArgumentError("operands must be decimal integers")
@@ -217,16 +215,14 @@ def cmd_simulate(args) -> int:
         )
     if max(len(a), len(b)) > n:
         raise CapacityError(f"operands do not fit in {n} digits")
-    va, vb = from_digit_text(a.zfill(n)), from_digit_text(b.zfill(n))
-    total, carry = bcd_add(va, vb, args.design, cin=args.cin)
-    sum_text = digit_text(total)
+    total, carry = bcd_add(a.zfill(n), b.zfill(n), args.design, cin=args.cin)
     print(f"design={args.design} digits={n}")
     print(f"  a     = {a}")
     print(f"  b     = {b}")
     print(f"  cin   = {args.cin}")
-    print(f"  sum   = {_stripped(sum_text)}")
+    print(f"  sum   = {_stripped(total)}")
     print(f"  carry = {carry}")
-    print(f"  full  = {_stripped(str(carry) + sum_text)}")
+    print(f"  full  = {_stripped(str(carry) + total)}")
     print(f"  sum bits (little-endian) = {AdderPort.to_bits(total)}")
     return EXIT_OK
 

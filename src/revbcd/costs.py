@@ -16,6 +16,8 @@ to two decimals only for display and comparison.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -112,6 +114,10 @@ def improvement(
 ) -> ImprovementReport:
     if not ns:
         raise InvalidArgumentError("need at least one digit count")
+    if len(set(ns)) != len(ns):
+        raise InvalidArgumentError(
+            f"each digit count must appear once, got {list(ns)}"
+        )
     per_n: dict[int, Fraction] = {}
     for n in ns:
         ours = metric_value(proposed, metric, n)
@@ -131,14 +137,19 @@ def improvement(
 
 def render_rows(rows: list[list], fmt: str) -> str:
     """A header row and body rows, each cell written with str(): a markdown
-    table for "md", comma ("csv") or tab ("tsv") separated lines."""
+    table for "md", with "|" in a cell escaped, or comma ("csv") or tab
+    ("tsv") separated lines, quoted as the csv module does."""
     if fmt == "md":
-        lines = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+        lines = [
+            "| " + " | ".join(str(cell).replace("|", r"\|") for cell in row) + " |"
+            for row in rows
+        ]
         lines.insert(1, "|" + "---|" * len(rows[0]))
-    else:
-        sep = {"csv": ",", "tsv": "\t"}[fmt]
-        lines = [sep.join(map(str, row)) for row in rows]
-    return "".join(line + "\n" for line in lines)
+        return "".join(line + "\n" for line in lines)
+    out = io.StringIO()
+    sep = {"csv": ",", "tsv": "\t"}[fmt]
+    csv.writer(out, delimiter=sep, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)

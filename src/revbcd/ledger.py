@@ -25,23 +25,6 @@ from .simulator import CompiledNetlist, compile_netlist
 DEFAULT_WIDTH = 16  # digits; headroom for folded sums of thousands of rows
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Little-endian BCD digits with a fixed digit capacity."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= d <= 9:
-                raise InvalidBCDError(f"digit {d!r} outside 0..9")
-
-    @property
-    def width(self) -> int:
-        return len(self.digits)
-
-
 # Widths up to this convert in one str()/int() call; wider values are split
 # in halves first, so no str()/int() call sees more than this many digits
 # (under CPython's 4300-digit int<->str limit).  The halving replaces the
@@ -76,29 +59,21 @@ def decimal_text(amount: int) -> str:
     return _padded_text(amount, width).lstrip("0") or "0"
 
 
-def digit_text(vector: DigitVector) -> str:
-    """The digits as a decimal string, most significant first, zero padded."""
-    return "".join(map(str, reversed(vector.digits)))
-
-
-def from_digit_text(text: str) -> DigitVector:
-    """Inverse of digit_text, for a string of decimal digits."""
-    return DigitVector(tuple(map(int, reversed(text))))
-
-
-def encode(amount: int, width: int) -> DigitVector:
-    """Decimal digits of `amount`, least significant first, zero padded."""
+def encode(amount: int, width: int) -> str:
+    """`amount` as `width` decimal digits, most significant first, zero
+    padded: the scalar operand of AdderPort and bcd_add."""
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
     if amount < 0 or amount >= 10**width:
         raise CapacityError(
             f"{decimal_text(amount)} does not fit in {width} BCD digits"
         )
-    return from_digit_text(_padded_text(amount, width))
+    return _padded_text(amount, width)
 
 
-def decode(vector: DigitVector) -> int:
-    return _text_value(digit_text(vector))
+def decode(text: str) -> int:
+    """The value of a digit string such as encode returns."""
+    return _text_value(text)
 
 
 # Lanes: bit k of a lane is vector k's value on one line (see simulator).
@@ -129,8 +104,9 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
     ]
 
 
-_NIBBLES = tuple(tuple((d >> i) & 1 for i in range(4)) for d in range(10))
-_NIBBLE_TEXT = tuple("".join(map(str, bits)) for bits in _NIBBLES)
+# An ASCII digit's byte is 0x30 | its BCD nibble, so bits 0..3 of the byte
+# are the digit's four bits.  Indexed by byte value.
+_NIBBLES = tuple(tuple(byte >> i & 1 for i in range(4)) for byte in range(58))
 
 
 class AdderPort:
@@ -140,6 +116,7 @@ class AdderPort:
     sum bit i the output ``S{i}.{j}`` (no ``.{j}`` on the single-digit
     pdfa and skip generator); ``cin`` and ``dC`` are the carries.  The
     skip generator has neither carry nor sums, so only ``pack`` fits it.
+    Scalar operands and sums are digit strings as encode returns them.
     """
 
     def __init__(self, compiled: CompiledNetlist):
@@ -157,13 +134,16 @@ class AdderPort:
         self._sum_lines = quads(named, "S") if self._carry_line is not None else []
         self._restored = compiled.restored
 
-    def pack(self, a: DigitVector, b: DigitVector, cin: int = 0) -> list[int]:
+    def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
         """A fresh line state holding the operands and the carry-in."""
-        if a.width != self.width or b.width != self.width:
-            raise InvalidArgumentError(f"widths {a.width}, {b.width} != {self.width}")
+        for text in (a, b):
+            if len(text) != self.width or not (text.isascii() and text.isdecimal()):
+                raise InvalidArgumentError(
+                    f"operands must be strings of {self.width} ASCII digits"
+                )
         state = self.compiled.fresh_state()
         for (a0, a1, a2, a3), (b0, b1, b2, b3), da, db in zip(
-            self._a_lines, self._b_lines, a.digits, b.digits
+            self._a_lines, self._b_lines, a.encode()[::-1], b.encode()[::-1]
         ):
             state[a0], state[a1], state[a2], state[a3] = _NIBBLES[da]
             state[b0], state[b1], state[b2], state[b3] = _NIBBLES[db]
@@ -205,33 +185,44 @@ class AdderPort:
         sums = [state[line] for line in chain.from_iterable(self._sum_lines)]
         return sums, state[self._carry_line], moved
 
-    def add(
-        self, a: DigitVector, b: DigitVector, cin: int = 0
-    ) -> tuple[DigitVector, int, bool]:
-        """Simulate one addition; returns (sum, carry, restored_ok)."""
+    def add(self, a: str, b: str, cin: int = 0) -> tuple[str, int, bool]:
+        """Simulate one addition; returns (sum, carry, restored_ok).
+
+        Raises InvalidBCDError, naming the lowest such digit, when a sum
+        nibble is above 9.
+        """
         state = self.pack(a, b, cin)
         initial = [state[line] for line in self._restored]
         self.compiled.run_state(state)
-        total = DigitVector(tuple(
-            state[s0] | state[s1] << 1 | state[s2] << 2 | state[s3] << 3
+        total = bytes([  # least significant digit first
+            0x30 | state[s0] | state[s1] << 1 | state[s2] << 2 | state[s3] << 3
             for s0, s1, s2, s3 in self._sum_lines
-        ))
+        ])
+        if max(total) > 0x39:
+            bad = next(byte for byte in total if byte > 0x39)
+            raise InvalidBCDError(f"digit {bad & 15} outside 0..9")
         ok = [state[line] for line in self._restored] == initial
-        return total, state[self._carry_line], ok
+        return total[::-1].decode(), state[self._carry_line], ok
+
+    # Reversed, a 4-per-digit bit string is one binary number whose hex
+    # digits are the decimal digits, most significant first.
 
     @staticmethod
-    def from_bits(text: str) -> DigitVector:
-        """Digits of a bit string, four little-endian bits per digit."""
+    def from_bits(text: str) -> str:
+        """The digit string of a bit string, four little-endian bits per
+        digit, least significant digit first."""
         if not text or len(text) % 4 or set(text) - {"0", "1"}:
             raise InvalidArgumentError(f"not a 4-per-digit bit string: {text!r}")
-        return DigitVector(tuple(
-            int(text[k : k + 4][::-1], 2) for k in range(0, len(text), 4)
-        ))
+        digits = format(int(text[::-1], 2), "x").zfill(len(text) // 4)
+        if not digits.isdigit():
+            bad = next(c for c in reversed(digits) if c > "9")
+            raise InvalidBCDError(f"digit {int(bad, 16)} outside 0..9")
+        return digits
 
     @staticmethod
-    def to_bits(vector: DigitVector) -> str:
+    def to_bits(text: str) -> str:
         """Inverse of from_bits."""
-        return "".join([_NIBBLE_TEXT[d] for d in vector.digits])
+        return format(int(text, 16), "b").zfill(4 * len(text))[::-1]
 
 
 adder_port = lru_cache(maxsize=256)(AdderPort)  # one port per compiled adder
@@ -247,15 +238,15 @@ def cached_adder(design: str, width: int) -> AdderPort:
     return adder_port(compile_netlist(build_design(design, width)))
 
 
-def bcd_add(
-    a: DigitVector, b: DigitVector, design: str = "dec-rca", cin: int = 0
-) -> tuple[DigitVector, int]:
-    """Add two digit vectors by simulating the chosen adder netlist.
+def bcd_add(a: str, b: str, design: str = "dec-rca", cin: int = 0) -> tuple[str, int]:
+    """Add two digit strings of one width by simulating the chosen adder
+    netlist.
 
-    Returns (sum mod 10^width, carry bit).  The arithmetic is done by the
-    gate-level circuit; nothing here computes the sum natively.
+    Returns (sum mod 10^width as a digit string, carry bit).  The
+    arithmetic is done by the gate-level circuit; nothing here computes
+    the sum natively.
     """
-    total, carry, _ = cached_adder(design, a.width).add(a, b, cin)
+    total, carry, _ = cached_adder(design, len(a)).add(a, b, cin)
     return total, carry
 
 
@@ -272,20 +263,15 @@ class LedgerRecord:
 class CsvConfig:
     """Schema for the configurable transaction CSV.
 
-    negative_mode selects what happens to rows with negative amounts:
-    "magnitude" keeps the absolute value (the withdrawals use case),
-    "skip" drops the row, "error" rejects it.
+    A negative amount (a withdrawal) is kept as its magnitude.
     """
 
     group_column: str
     amount_column: str
     delimiter: str = ","
     strict: bool = True
-    negative_mode: str = "magnitude"
 
     def __post_init__(self):
-        if self.negative_mode not in ("magnitude", "skip", "error"):
-            raise InvalidArgumentError(f"unknown negative_mode {self.negative_mode!r}")
         if len(self.delimiter) != 1:
             raise InvalidArgumentError(
                 f"delimiter must be one character, got {self.delimiter!r}"
@@ -351,16 +337,7 @@ def ingest_csv(
                     raw = row[config.amount_column]
                     if raw is None:
                         raise LedgerFormatError("missing amount field", row_no)
-                    cents = parse_amount(raw)
-                    if cents < 0:
-                        if config.negative_mode == "magnitude":
-                            cents = -cents
-                        elif config.negative_mode == "skip":
-                            diags.skipped.append((row_no, "negative amount"))
-                            continue
-                        else:
-                            raise LedgerFormatError("negative amount", row_no)
-                    records.append(LedgerRecord(group, cents))
+                    records.append(LedgerRecord(group, abs(parse_amount(raw))))
                     diags.rows_kept += 1
                 except LedgerFormatError as exc:
                     if config.strict:

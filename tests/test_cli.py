@@ -1,14 +1,17 @@
 """Command line surface: subcommands, output, exit-code contract."""
 
+import csv
 import gc
 import hashlib
+import io
 import json
 import random
+import re
 
 import pytest
 
 from revbcd.cli import main
-from revbcd.ledger import decode, from_digit_text, generate_synthetic_csv
+from revbcd.ledger import decode, generate_synthetic_csv
 from revbcd.netlist import deserialize
 
 
@@ -124,7 +127,7 @@ class TestSimulate:
         n = 4301
         rng = random.Random(n)
         texts = ["".join(rng.choice("123456789") for _ in range(n)) for _ in "ab"]
-        a, b = (decode(from_digit_text(t)) for t in texts)
+        a, b = (decode(t) for t in texts)
         if raw_bits:
             texts = [
                 "".join(format(int(d), "04b")[::-1] for d in reversed(t))
@@ -136,9 +139,9 @@ class TestSimulate:
         code, out, _ = run_cli("simulate", *args, capsys=capsys)
         assert code == 0
         fields = dict(line.split(" = ") for line in out.splitlines()[1:])
-        assert decode(from_digit_text(fields["  sum  "])) == (a + b) % 10**n
+        assert decode(fields["  sum  "]) == (a + b) % 10**n
         assert int(fields["  carry"]) == (a + b) // 10**n
-        assert decode(from_digit_text(fields["  full "])) == a + b
+        assert decode(fields["  full "]) == a + b
 
     def test_wide_operand_with_underscores_and_unicode_digit(self, capsys):
         """1,024 digits in groups of 8, one of them a Devanagari seven."""
@@ -392,6 +395,10 @@ class TestCompare:
         )
         assert code == 0 and "| 8 |" in out
 
+    def test_repeated_digit_count_usage_error(self, capsys):
+        code, out, err = run_cli("compare", "--digits", "8,8", capsys=capsys)
+        assert code == 2 and "each digit count must appear once" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command", ("compare", "pareto"))
     @pytest.mark.parametrize("digits", ("", ","))
@@ -444,6 +451,26 @@ class TestLedger:
         assert summary["groups"] == 12
         assert summary["mismatches"] == 0
         assert summary["additions"] == 120 - 12
+
+    @pytest.mark.parametrize("fmt", ("csv", "md"))
+    def test_group_keys_with_separators(self, tmp_path, capsys, fmt):
+        """Groups holding "," and "|" stay one cell in either format."""
+        path = tmp_path / "tx.csv"
+        path.write_text('user,amount\n"a,b",1.00\nc|d,2.00\n', encoding="utf-8")
+        code, out, _ = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "user",
+            "--amount-col", "amount", "--format", fmt, capsys=capsys,
+        )
+        assert code == 0
+        table = out.splitlines(keepends=True)[:-1]  # the summary JSON is last
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO("".join(table))))
+            assert rows == [["group", "total_cents"], ["a,b", "100"], ["c|d", "200"]]
+        else:
+            body = table[2:]
+            assert len(body) == 2
+            assert all(len(re.findall(r"(?<!\\)\|", row)) == 3 for row in body)
+            assert body[1] == "| c\\|d | 200 |\n"
 
     def test_overflow_exit_four(self, tmp_path, capsys):
         path = tmp_path / "tx.csv"

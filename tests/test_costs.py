@@ -95,6 +95,11 @@ class TestImprovements:
         rep = improvement("Dec-RCA", metric="delay")
         assert round_half_up(rep.per_n[8]) == Decimal("41.18")
 
+    def test_repeated_digit_count_rejected(self):
+        """A repeated N would count once in the average but show twice."""
+        with pytest.raises(InvalidArgumentError, match=r"once, got \[8, 16, 8\]"):
+            improvement("Dec-RCA", ns=(8, 16, 8))
+
     def test_exact_fractions(self):
         rep = improvement("Dec-RCA", metric="qc")
         # constant ratio across sizes: every per-N value equals the average

@@ -13,7 +13,6 @@ from revbcd.errors import (
 from revbcd.ledger import (
     AdderPort,
     CsvConfig,
-    DigitVector,
     LedgerRecord,
     adder_port,
     bcd_add,
@@ -32,13 +31,13 @@ from revbcd.simulator import bit_lane, compile_netlist
 
 class TestCodec:
     def test_nineteen(self):
-        assert encode(19, 2).digits == (9, 1)
+        assert encode(19, 2) == "19"
 
     def test_zero_padding(self):
-        assert encode(0, 8).digits == (0,) * 8
+        assert encode(0, 8) == "0" * 8
 
     def test_waveform_operand(self):
-        assert encode(88888889, 8).digits == (9, 8, 8, 8, 8, 8, 8, 8)
+        assert encode(88888889, 8) == "88888889"
 
     def test_round_trip_exhaustive_small(self):
         for width in (1, 2, 3, 4):
@@ -60,7 +59,9 @@ class TestCodec:
             v = encode(x, width)
             assert decode(v) == x
             if width <= 2048:
-                assert v.digits == tuple((x // 10**j) % 10 for j in range(width))
+                assert v == "".join(
+                    str((x // 10**j) % 10) for j in reversed(range(width))
+                )
 
     def test_overflow(self):
         with pytest.raises(CapacityError):
@@ -70,16 +71,12 @@ class TestCodec:
         with pytest.raises(CapacityError):
             encode(-1, 4)
 
-    def test_invalid_digit(self):
-        with pytest.raises(InvalidBCDError):
-            DigitVector((10, 1))
-
     def test_round_trip_past_int_str_digit_limit(self):
         """Widths above sys.get_int_max_str_digits() (4300 by default),
         where str(int) raises, still round-trip."""
         x = 7 * 10**4400 + 123
         v = encode(x, 4401)
-        assert v.digits[:3] == (3, 2, 1) and v.digits[-1] == 7
+        assert v[-3:] == "123" and v[0] == "7"
         assert decode(v) == x
 
     def test_overflow_message_past_int_str_digit_limit(self):
@@ -103,11 +100,11 @@ class TestLanes:
         assert len(lanes) == 4 * width
         assert all(lane < 1 << len(values) for lane in lanes)
         for k, value in enumerate(values):
-            digits = tuple(
-                sum((lanes[4 * j + i] >> k & 1) << i for i in range(4))
-                for j in range(width)
+            digits = "".join(
+                str(sum((lanes[4 * j + i] >> k & 1) << i for i in range(4)))
+                for j in reversed(range(width))
             )
-            assert digits == encode(value, width).digits
+            assert digits == encode(value, width)
 
     def test_empty_batch(self):
         assert to_lanes([], 3) == [0] * 12
@@ -155,13 +152,37 @@ class TestAdderPort:
 
     def test_pdfa_names(self, pdfa):
         port = adder_port(compile_netlist(pdfa))
-        total, carry, ok = port.add(DigitVector((9,)), DigitVector((9,)), 1)
-        assert total.digits == (9,) and carry == 1 and ok
+        total, carry, ok = port.add("9", "9", 1)
+        assert total == "9" and carry == 1 and ok
 
     def test_width_mismatch(self, dec_csk8):
         port = adder_port(compile_netlist(dec_csk8))
         with pytest.raises(InvalidArgumentError):
             port.add(encode(1, 8), encode(1, 7))
+
+    @pytest.mark.parametrize("text", ["0000000a", "0000 001", "\u0663" * 8, "+0000001"])
+    def test_pack_rejects_non_digits(self, dec_rca8, text):
+        port = adder_port(compile_netlist(dec_rca8))
+        for a, b in ((text, "0" * 8), ("0" * 8, text)):
+            with pytest.raises(InvalidArgumentError, match="8 ASCII digits"):
+                port.pack(a, b)
+
+    def test_sum_digit_above_nine(self, dec_rca8, monkeypatch):
+        """A sum nibble of 12 on digit 2 (and 10 on digit 5) raises, naming
+        the lower digit's value."""
+        compiled = compile_netlist(dec_rca8)
+        port = AdderPort(compiled)
+        run_state = compiled.run_state
+
+        def broken(state, mask=1):
+            run_state(state, mask)
+            for j, value in ((2, 12), (5, 10)):
+                for i, line in enumerate(port._sum_lines[j]):
+                    state[line] = value >> i & 1
+
+        monkeypatch.setattr(compiled, "run_state", broken)
+        with pytest.raises(InvalidBCDError, match="^digit 12 outside 0..9$"):
+            port.add(encode(1, 8), encode(2, 8))
 
     @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
     def test_lanes_equal_scalar_adds(self, design):
@@ -187,9 +208,11 @@ class TestAdderPort:
             port.add_lanes(to_lanes([1], 2), to_lanes([1], 3), 0, 1)
 
     def test_bits_round_trip(self):
-        v = AdderPort.from_bits("10010001")
-        assert v.digits == (9, 8)
-        assert AdderPort.to_bits(v) == "10010001"
+        assert AdderPort.from_bits("10010001") == "89"
+        assert AdderPort.to_bits("89") == "10010001"
+        assert AdderPort.from_bits("0000" * 5) == "00000"
+        digits = "".join(random.Random(3).choice("0123456789") for _ in range(4401))
+        assert AdderPort.from_bits(AdderPort.to_bits(digits)) == digits
 
     @pytest.mark.parametrize("text", ["", "100", "1002", "1 01"])
     def test_bad_bit_string(self, text):
@@ -197,8 +220,9 @@ class TestAdderPort:
             AdderPort.from_bits(text)
 
     def test_bit_digit_above_nine(self):
-        with pytest.raises(InvalidBCDError):
-            AdderPort.from_bits("01011000")
+        """The lowest non-BCD nibble is named: 10 here, not 14 above it."""
+        with pytest.raises(InvalidBCDError, match="^digit 10 outside 0..9$"):
+            AdderPort.from_bits("1000" "0101" "0111")
 
 
 class TestParseAmount:
@@ -249,16 +273,6 @@ class TestIngest:
         path = self.write(tmp_path, "user,amount\nu1,-5.00\n")
         records, _ = ingest_csv(path, self.config())
         assert records == [LedgerRecord("u1", 500)]
-
-    def test_unknown_negative_mode_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="negative_mode"):
-            self.config(negative_mode="skp")
-
-    def test_negative_skip_mode(self, tmp_path):
-        path = self.write(tmp_path, "user,amount\nu1,-5.00\nu1,2.00\n")
-        records, diags = ingest_csv(path, self.config(negative_mode="skip"))
-        assert records == [LedgerRecord("u1", 200)]
-        assert diags.skipped == [(1, "negative amount")]
 
     def test_strict_aborts_with_row_number(self, tmp_path):
         path = self.write(tmp_path, "user,amount\nu1,1.00\nu1,bogus\n")

@@ -36,7 +36,10 @@ def scalar_failures(seed, samples, sizes):
         for _ in range(samples):
             a, b, cin = rng.randrange(10**n), rng.randrange(10**n), rng.randrange(2)
             total = a + b + cin
-            want = (encode(total % 10**n, n).digits, int(total >= 10**n))
+            want = (
+                tuple(map(int, reversed(encode(total % 10**n, n)))),
+                int(total >= 10**n),
+            )
             failing = []
             for design in ADDER_DESIGNS:
                 port = cached_adder(design, n)
