@@ -284,12 +284,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    if args.format == "tsv":  # one table over every N, so one header
+        header = ["n", "qc", "delay", "name", "on_front"]
+        print(costs.render_rows([header], "tsv"), end="")
     for n in args.digits:
         points = costs.pareto_points(n)
         front = costs.pareto_front(points)
         if args.format == "tsv":
-            rows = [["qc", "delay", "name", "on_front"]] + [
-                [p.qc, p.delay, costs.display_name(p.name), int(p in front)]
+            rows = [
+                [n, p.qc, p.delay, costs.display_name(p.name), int(p in front)]
                 for p in sorted(points, key=lambda p: (p.qc, p.delay, p.name))
             ]
             print(costs.render_rows(rows, "tsv"), end="")

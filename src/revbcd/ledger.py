@@ -114,24 +114,28 @@ class AdderPort:
 
     Bit i of operand digit j is the input ``a{i}.{j}`` / ``b{i}.{j}`` and
     sum bit i the output ``S{i}.{j}`` (no ``.{j}`` on the single-digit
-    pdfa and skip generator); ``cin`` and ``dC`` are the carries.  The
-    skip generator has neither carry nor sums, so only ``pack`` fits it.
-    Scalar operands and sums are digit strings as encode returns them.
+    pdfa); ``cin`` and ``dC`` are the carries.  A netlist that lacks one
+    of these lines is not an adder, and InvalidArgumentError names the
+    first one missing.  Scalar operands and sums are digit strings as
+    encode returns them.
     """
 
     def __init__(self, compiled: CompiledNetlist):
         self.compiled = compiled
         labels, named = compiled.label_to_line, dict(compiled.named)
-        self.width = len(labels) // 8  # eight operand bits a digit, plus cin
+        self.width = max(1, len(labels) // 8)  # eight operand bits a digit, plus cin
         digits = [""] if "a0" in labels else [f".{j}" for j in range(self.width)]
 
         def quads(lines, stem):
             return [[lines[f"{stem}{i}{d}"] for i in range(4)] for d in digits]
 
-        self._a_lines, self._b_lines = quads(labels, "a"), quads(labels, "b")
-        self._cin_line = labels.get("cin")
-        self._carry_line = named.get("dC")
-        self._sum_lines = quads(named, "S") if self._carry_line is not None else []
+        try:  # in this order, so the first missing line is named
+            self._a_lines, self._b_lines = quads(labels, "a"), quads(labels, "b")
+            self._cin_line = labels["cin"]
+            self._sum_lines = quads(named, "S")
+            self._carry_line = named["dC"]
+        except KeyError as exc:
+            raise InvalidArgumentError(f"not a BCD adder: no line {exc}") from None
         self._restored = compiled.restored
 
     def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
@@ -147,25 +151,7 @@ class AdderPort:
         ):
             state[a0], state[a1], state[a2], state[a3] = _NIBBLES[da]
             state[b0], state[b1], state[b2], state[b3] = _NIBBLES[db]
-        if self._cin_line is not None:
-            state[self._cin_line] = cin
-        return state
-
-    def pack_lanes(
-        self, a: Sequence[int], b: Sequence[int], cin: int, mask: int
-    ) -> list[int]:
-        """A fresh lane state under `mask` holding to_lanes operands and a
-        carry-in lane."""
-        if len(a) != 4 * self.width or len(b) != 4 * self.width:
-            raise InvalidArgumentError(
-                f"lane counts {len(a)}, {len(b)} != {4 * self.width}"
-            )
-        state = self.compiled.fresh_state(mask)
-        for quads, lanes in ((self._a_lines, a), (self._b_lines, b)):
-            for line, lane in zip(chain.from_iterable(quads), lanes):
-                state[line] = lane
-        if self._cin_line is not None:
-            state[self._cin_line] = cin
+        state[self._cin_line] = cin
         return state
 
     def add_lanes(
@@ -176,7 +162,15 @@ class AdderPort:
         Returns (sum lanes, carry lane, moved) in the layout of to_lanes;
         bit k of `moved` is set when vector k changed a restored line.
         """
-        state = self.pack_lanes(a, b, cin, mask)
+        if len(a) != 4 * self.width or len(b) != 4 * self.width:
+            raise InvalidArgumentError(
+                f"lane counts {len(a)}, {len(b)} != {4 * self.width}"
+            )
+        state = self.compiled.fresh_state(mask)
+        for quads, lanes in ((self._a_lines, a), (self._b_lines, b)):
+            for line, lane in zip(chain.from_iterable(quads), lanes):
+                state[line] = lane
+        state[self._cin_line] = cin
         initial = [state[line] for line in self._restored]
         self.compiled.run_state(state, mask)
         moved = 0
@@ -225,9 +219,6 @@ class AdderPort:
         return format(int(text, 16), "b").zfill(4 * len(text))[::-1]
 
 
-adder_port = lru_cache(maxsize=256)(AdderPort)  # one port per compiled adder
-
-
 @lru_cache(maxsize=256)
 def cached_adder(design: str, width: int) -> AdderPort:
     """The port of the compiled `design` adder at `width` digits, built once."""
@@ -235,7 +226,7 @@ def cached_adder(design: str, width: int) -> AdderPort:
         raise InvalidArgumentError(
             f"unknown adder design {design!r}; known: {', '.join(ADDER_DESIGNS)}"
         )
-    return adder_port(compile_netlist(build_design(design, width)))
+    return AdderPort(compile_netlist(build_design(design, width)))
 
 
 def bcd_add(a: str, b: str, design: str = "dec-rca", cin: int = 0) -> tuple[str, int]:
@@ -371,7 +362,6 @@ class LedgerReport:
     native: dict[str, int]
     additions: int
     mismatches: list[str]
-    design: str
     width: int
 
     @property
@@ -431,7 +421,7 @@ def sum_ledger(
         native[group] = sum(amounts)
         if totals[group] != native[group]:
             mismatches.append(group)
-    return LedgerReport(totals, native, additions, mismatches, design, width)
+    return LedgerReport(totals, native, additions, mismatches, width)
 
 
 # -- synthetic data -------------------------------------------------------------

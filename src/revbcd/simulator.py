@@ -46,9 +46,8 @@ BLOCK_MAX = 64
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Terminal line values plus the designated-output view of them."""
+    """The designated outputs of one run, and whether restored lines held."""
 
-    terminal: tuple[int, ...]
     named: dict[str, int]
     restored_ok: bool
 
@@ -111,11 +110,6 @@ class CompiledNetlist:
             return self.base_state.copy()
         return [mask * bit for bit in self.base_state]
 
-    def result(self, initial: list[int], terminal: list[int]) -> SimulationResult:
-        named = {name: terminal[line] for name, line in self.named}
-        ok = all(terminal[l] == initial[l] for l in self.restored)
-        return SimulationResult(tuple(terminal), named, ok)
-
     def run_labels(self, inputs: Mapping[str, int]) -> SimulationResult:
         state = self.fresh_state()
         unknown = set(inputs) - set(self.label_to_line)
@@ -130,7 +124,9 @@ class CompiledNetlist:
             state[self.label_to_line[label]] = bit
         initial = state.copy()
         self.run_state(state)
-        return self.result(initial, state)
+        named = {name: state[line] for name, line in self.named}
+        ok = all(state[l] == initial[l] for l in self.restored)
+        return SimulationResult(named, ok)
 
 
 @lru_cache(maxsize=256)

@@ -24,7 +24,7 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import AdderPort, adder_port, cached_adder, decode, encode, to_lanes
+from .ledger import AdderPort, cached_adder, decode, encode, to_lanes
 from .metrics import structural_metrics
 from .simulator import (
     BATCH_BITS,
@@ -42,9 +42,9 @@ class VerifyResult:
     detail: str
 
 
-def adder_sum(compiled: CompiledNetlist, n: int, a: int, b: int, cin: int = 0):
-    """Simulate one addition; returns (sum, carry, restored_ok)."""
-    total, carry, ok = adder_port(compiled).add(encode(a, n), encode(b, n), cin)
+def adder_sum(design: str, n: int, a: int, b: int, cin: int = 0):
+    """Simulate one addition at `n` digits; returns (sum, carry, restored_ok)."""
+    total, carry, ok = cached_adder(design, n).add(encode(a, n), encode(b, n), cin)
     return decode(total), carry, ok
 
 
@@ -123,7 +123,7 @@ def verify_gates() -> VerifyResult:
 def verify_pdfa() -> VerifyResult:
     vectors = [(a, b, c) for a in range(10) for b in range(10) for c in range(2)]
     adds = _Additions(1, *(list(column) for column in zip(*vectors)))
-    failures, first = adds.run({"pdfa": adder_port(_compiled_block("build_pdfa"))})
+    failures, first = adds.run({"pdfa": AdderPort(_compiled_block("build_pdfa"))})
     detail = f"{len(vectors) - failures}/{len(vectors)} oracle matches"
     if first:
         detail += f"; {first}"
@@ -133,15 +133,17 @@ def verify_pdfa() -> VerifyResult:
 def verify_propagate() -> VerifyResult:
     """The skip generator's P on every digit pair, and the skip block's
     selected carry dC on every (P, dC_in, G) row, against the models."""
-    port = adder_port(_compiled_block("build_skip_generator"))
-    compiled = port.compiled
+    compiled = _compiled_block("build_skip_generator")
     p_line = compiled.netlist.output_map["P"]
     da = [x for x in range(10) for _ in range(10)]
     db = [y for _ in range(10) for y in range(10)]
     want = bit_lane([x + y == 9 for x, y in zip(da, db)])
     model = bit_lane([decimal_propagate(x, y) for x, y in zip(da, db)])
     mask = (1 << len(da)) - 1
-    state = port.pack_lanes(to_lanes(da, 1), to_lanes(db, 1), 0, mask)
+    state = compiled.fresh_state(mask)
+    for stem, digits in (("a", da), ("b", db)):
+        for i, lane in enumerate(to_lanes(digits, 1)):
+            state[compiled.label_to_line[f"{stem}{i}"]] = lane
     compiled.run_state(state, mask)
     failures = (state[p_line] ^ want | model ^ want).bit_count()
     block = _compiled_block("build_skip_block").netlist
@@ -161,19 +163,20 @@ def verify_propagate() -> VerifyResult:
     )
 
 
-def verify_adders(
-    seed: int = 0, samples: int = 1000, sizes: tuple[int, ...] = (2, 4, 8, 16)
-) -> VerifyResult:
-    """Add `samples` seeded vectors per size on both designs, in lane batches
-    of at most 2^BATCH_BITS vectors; a failure names the first failing
-    vector."""
+ADDER_SIZES = (2, 4, 8, 16)  # digit counts verify_adders samples
+
+
+def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
+    """Add `samples` seeded vectors per size of ADDER_SIZES on both designs,
+    in lane batches of at most 2^BATCH_BITS vectors; a failure names the
+    first failing vector."""
     if samples < 1:
         raise InvalidArgumentError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     failures = 0
     checked = 0
     first = ""
-    for n in sizes:
+    for n in ADDER_SIZES:
         ports = {design: cached_adder(design, n) for design in ADDER_DESIGNS}
         for start in range(0, samples, 1 << BATCH_BITS):
             a, b, cin = [], [], []

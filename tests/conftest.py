@@ -32,7 +32,6 @@ def mutate_gate(monkeypatch):
         for cached in (
             gates.block,
             simulator.compile_netlist,
-            ledger.adder_port,
             ledger.cached_adder,
             verify._compiled_block,
         ):

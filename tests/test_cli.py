@@ -415,10 +415,15 @@ class TestPareto:
         assert "front: Dec-RCA, Dec-CSK" in out
 
     def test_tsv(self, capsys):
+        """Several N make one table: one header, and N in the first column."""
         code, out, _ = run_cli(
-            "pareto", "--digits", "32", "--format", "tsv", capsys=capsys
+            "pareto", "--digits", "16,32", "--format", "tsv", capsys=capsys
         )
-        assert code == 0 and out.startswith("qc\tdelay\tname\ton_front")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out), delimiter="\t")
+        assert header == ["n", "qc", "delay", "name", "on_front"]
+        assert rows and all(len(row) == 5 for row in rows)
+        assert {row[0] for row in rows} == {"16", "32"}
 
     def test_svg_files(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -622,7 +627,7 @@ class TestGoldenBytes:
         ),
         "pareto-tsv": (
             ("pareto", "--format", "tsv"),
-            "18ee74d72eefc32f8e0eb98177908a23666f6194d5fd9071133c10d62d6d2d7f",
+            "8e6d5ab1b824566df936b5530a668470943484118af4a42b6abc82b8e868aec2",
         ),
         "metrics-md": (
             ("metrics", *STAGES),

@@ -173,8 +173,10 @@ class TestPareto:
     def test_tsv_flags(self, capsys):
         assert main(["pareto", "--digits", "16", "--format", "tsv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "qc\tdelay\tname\ton_front"
-        flags = {row.split("\t")[2]: row.split("\t")[3] for row in lines[1:]}
+        assert lines[0] == "n\tqc\tdelay\tname\ton_front"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert {row[0] for row in rows} == {"16"}
+        flags = {row[3]: row[4] for row in rows}
         assert flags["Dec-RCA"] == "1" and flags["Dec-CSK"] == "1"
         assert flags["[13]"] == "0"
 
@@ -196,6 +198,24 @@ class TestDiscrepancyReport:
         assert "42.55" in text and "42.58" in text
         assert "2% enhancement" in text
         assert "qc=30" in text  # published detection budget
+
+    def test_published_figures_are_data(self, monkeypatch):
+        """The published digit gc and stage qc come from costs' data, and
+        the stage line says "exactly" only while the built cell matches."""
+        from revbcd import costs
+
+        text = structural_discrepancy_report()
+        assert "published per-digit totals are gc=18 " in text
+        assert "match the published 24 and 11 exactly" in text
+        monkeypatch.setattr(costs, "CSK_PUBLISHED_DIGIT_GC", 17)
+        monkeypatch.setattr(
+            costs, "CSK_PUBLISHED_STAGE_QC", {"addition": 20, "correction": 13}
+        )
+        text = structural_discrepancy_report()
+        assert "published per-digit totals are gc=17 " in text
+        assert "match the published" not in text
+        assert "addition stage qc=24 vs published 20 (delta +4)" in text
+        assert "correction stage qc=11 vs published 13 (delta -2)" in text
 
     def test_builds_and_measures_each_netlist_once(self, monkeypatch):
         from revbcd import designs, metrics

@@ -19,7 +19,7 @@ from revbcd.designs import (
     skip_carry,
 )
 from revbcd.errors import InvalidArgumentError, InvalidBCDError
-from revbcd.ledger import adder_port, cached_adder, encode, to_lanes
+from revbcd.ledger import AdderPort, cached_adder, encode, to_lanes
 from revbcd.metrics import structural_metrics
 from revbcd.netlist import serialize
 from revbcd.simulator import bit_lane, check_permutation, compile_netlist, run
@@ -161,12 +161,11 @@ class TestRipple:
 
     def test_sixteen_digit_random_oracle(self):
         rng = random.Random(21)
-        compiled = compile_netlist(build_dec_rca(16))
         for _ in range(300):
             a = rng.randrange(10**16)
             b = rng.randrange(10**16)
             c = rng.randrange(2)
-            total, carry, ok = adder_sum(compiled, 16, a, b, c)
+            total, carry, ok = adder_sum("dec-rca", 16, a, b, c)
             assert total == (a + b + c) % 10**16
             assert carry == int(a + b + c >= 10**16)
             assert ok
@@ -178,29 +177,26 @@ class TestCarrySkip:
             build_dec_csk(0)
 
     def test_single_digit_exhaustive(self):
-        compiled = compile_netlist(build_dec_csk(1))
         for a in range(10):
             for b in range(10):
                 for c in range(2):
-                    total, carry, ok = adder_sum(compiled, 1, a, b, c)
+                    total, carry, ok = adder_sum("dec-csk", 1, a, b, c)
                     assert total == (a + b + c) % 10
                     assert carry == int(a + b + c >= 10)
                     assert ok
 
-    def test_waveform_vectors(self, dec_csk8):
-        compiled = compile_netlist(dec_csk8)
-        assert adder_sum(compiled, 8, 88888889, 88888889)[:2] == (77777778, 1)
-        assert adder_sum(compiled, 8, 88888889, 11111111)[:2] == (0, 1)
+    def test_waveform_vectors(self):
+        assert adder_sum("dec-csk", 8, 88888889, 88888889)[:2] == (77777778, 1)
+        assert adder_sum("dec-csk", 8, 88888889, 11111111)[:2] == (0, 1)
 
-    def test_matches_ripple_bitwise(self, dec_rca8, dec_csk8):
+    def test_matches_ripple_bitwise(self):
         rng = random.Random(17)
-        rca = compile_netlist(dec_rca8)
-        csk = compile_netlist(dec_csk8)
         for _ in range(400):
             a = rng.randrange(10**8)
             b = rng.randrange(10**8)
             c = rng.randrange(2)
-            assert adder_sum(rca, 8, a, b, c)[:2] == adder_sum(csk, 8, a, b, c)[:2]
+            rca, csk = (adder_sum(d, 8, a, b, c)[:2] for d in ("dec-rca", "dec-csk"))
+            assert rca == csk
 
     def test_exhaustive_equivalence_two_digits(self):
         """All 100*100*2 vectors at N=2, one lane batch per design: both
@@ -238,7 +234,7 @@ class TestCarrySkip:
             b = rng.randrange(10**8)
             states = []
             for compiled in (rca, csk):
-                st = adder_port(compiled).pack(encode(a, 8), encode(b, 8))
+                st = AdderPort(compiled).pack(encode(a, 8), encode(b, 8))
                 compiled.run_state(st)
                 states.append(st)
             for j in range(8):

@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+from revbcd.designs import (
+    build_correction,
+    build_scl,
+    build_skip_block,
+    build_skip_generator,
+)
 from revbcd.errors import (
     CapacityError,
     InvalidArgumentError,
@@ -14,7 +20,6 @@ from revbcd.ledger import (
     AdderPort,
     CsvConfig,
     LedgerRecord,
-    adder_port,
     bcd_add,
     cached_adder,
     decimal_text,
@@ -146,23 +151,34 @@ class TestBcdAdd:
 
 
 class TestAdderPort:
-    def test_resolved_once_per_compiled_adder(self, dec_rca8):
-        compiled = compile_netlist(dec_rca8)
-        assert adder_port(compiled) is adder_port(compiled)
-
     def test_pdfa_names(self, pdfa):
-        port = adder_port(compile_netlist(pdfa))
+        port = AdderPort(compile_netlist(pdfa))
         total, carry, ok = port.add("9", "9", 1)
         assert total == "9" and carry == 1 and ok
 
+    @pytest.mark.parametrize(
+        "build,missing",
+        (
+            (build_scl, "a0.0"),
+            (build_correction, "a0.0"),
+            (build_skip_generator, "cin"),
+            (build_skip_block, "a0.0"),
+        ),
+    )
+    def test_rejects_non_adders(self, build, missing):
+        """A block without the adder's lines is refused at construction,
+        naming the first line it lacks."""
+        with pytest.raises(InvalidArgumentError, match=f"no line '{missing}'$"):
+            AdderPort(compile_netlist(build()))
+
     def test_width_mismatch(self, dec_csk8):
-        port = adder_port(compile_netlist(dec_csk8))
+        port = AdderPort(compile_netlist(dec_csk8))
         with pytest.raises(InvalidArgumentError):
             port.add(encode(1, 8), encode(1, 7))
 
     @pytest.mark.parametrize("text", ["0000000a", "0000 001", "\u0663" * 8, "+0000001"])
     def test_pack_rejects_non_digits(self, dec_rca8, text):
-        port = adder_port(compile_netlist(dec_rca8))
+        port = AdderPort(compile_netlist(dec_rca8))
         for a, b in ((text, "0" * 8), ("0" * 8, text)):
             with pytest.raises(InvalidArgumentError, match="8 ASCII digits"):
                 port.pack(a, b)

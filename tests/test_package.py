@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,16 @@ def test_package_imports_only_the_standard_library():
         if module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign, foreign
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs as written, each in a fresh
+    namespace, so the documented examples cannot drift from the API."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    for number, source in enumerate(blocks, 1):
+        exec(compile(source, f"README.md python block {number}", "exec"), {})
 
 
 def _load_bench(name):

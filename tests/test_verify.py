@@ -24,7 +24,7 @@ mf_outputs_swapped = (
 )
 
 
-def scalar_failures(seed, samples, sizes):
+def scalar_failures(seed, samples):
     """Failing vectors of verify_adders, one scalar run per vector and design.
 
     Reads the raw sum nibbles, so a non-BCD digit counts as a failure
@@ -32,7 +32,7 @@ def scalar_failures(seed, samples, sizes):
     """
     rng = random.Random(seed)
     count, first = 0, None
-    for n in sizes:
+    for n in verify.ADDER_SIZES:
         for _ in range(samples):
             a, b, cin = rng.randrange(10**n), rng.randrange(10**n), rng.randrange(2)
             total = a + b + cin
@@ -77,12 +77,11 @@ class TestAdders:
 
     def test_failure_count_equals_scalar_loop(self, mutate_gate):
         mutate_gate(GateKind.DFG, dfg_first_only)
-        sizes = (2, 4, 8)
-        result = verify.verify_adders(seed=3, samples=120, sizes=sizes)
-        count, first = scalar_failures(3, 120, sizes)
+        result = verify.verify_adders(seed=3, samples=120)
+        count, first = scalar_failures(3, 120)
         good, total = matched(result.detail)
         assert not result.passed
-        assert total == 360 and 0 < count < total
+        assert total == 480 and 0 < count < total
         assert total - good == count
         design, n, a, b, cin = first
         want = f"; first failure: {design} N={n} a={a} b={b} cin={cin}: "
@@ -90,7 +89,7 @@ class TestAdders:
 
     def test_first_failure_shows_expected_and_actual(self, mutate_gate):
         mutate_gate(GateKind.DFG, dfg_first_only)
-        result = verify.verify_adders(seed=3, samples=120, sizes=(2,))
+        result = verify.verify_adders(seed=3, samples=120)
         m = re.search(
             r"first failure: (\S+) N=2 a=(\d+) b=(\d+) cin=(\d): "
             r"expected sum=(\d\d) carry=(\d), got sum=(\w\w) carry=(\d)",
@@ -106,9 +105,9 @@ class TestAdders:
     def test_batches_keep_the_vectors_and_the_report(self, mutate_gate, monkeypatch):
         """Batches of 8 vectors draw, count and name exactly what one batch does."""
         mutate_gate(GateKind.DFG, dfg_first_only)
-        whole = verify.verify_adders(seed=3, samples=60, sizes=(2, 4))
+        whole = verify.verify_adders(seed=3, samples=60)
         monkeypatch.setattr(verify, "BATCH_BITS", 3)
-        assert verify.verify_adders(seed=3, samples=60, sizes=(2, 4)) == whole
+        assert verify.verify_adders(seed=3, samples=60) == whole
         assert not whole.passed and "first failure" in whole.detail
 
     def test_carry_and_restored_mismatches_count(self, monkeypatch):
@@ -120,8 +119,8 @@ class TestAdders:
             return sums, carry ^ 0b1, moved | 0b1000
 
         monkeypatch.setattr(AdderPort, "add_lanes", tampered)
-        result = verify.verify_adders(seed=0, samples=10, sizes=(2,))
-        assert matched(result.detail) == (8, 10)
+        result = verify.verify_adders(seed=0, samples=10)
+        assert matched(result.detail) == (32, 40)
         first = result.detail.split("; first failure: ")[1]
         assert first.startswith("dec-rca N=2 ")
         assert "restored" not in first
