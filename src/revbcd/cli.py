@@ -36,7 +36,7 @@ from .ledger import (
     ingest_csv,
     sum_ledger,
 )
-from .metrics import arrival_profile, metric_decomposition, structural_metrics
+from .metrics import metric_decomposition, structural_metrics, total
 from .netlist import deserialize, serialize
 
 EXIT_OK = 0
@@ -60,14 +60,23 @@ def _default_seed() -> int:
         raise InvalidArgumentError(f"REVBCD_SEED must be an integer, got {raw!r}")
 
 
+def _bounded(value: int) -> int:
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{value} digits exceeds the limit of {MAX_DIGITS}"
+        )
+    return value
+
+
 def _int_list(text: str) -> list[int]:
+    """A compare/pareto --digits list: ints of at most MAX_DIGITS each."""
     try:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
-    return values
+    return [_bounded(value) for value in values]
 
 
 def _digit_count(text: str) -> int:
@@ -76,11 +85,7 @@ def _digit_count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"{value} digits exceeds the limit of {MAX_DIGITS}"
-        )
-    return value
+    return _bounded(value)
 
 
 # Built on the first main() call and reused: a parser costs about 1.5 ms
@@ -251,10 +256,11 @@ def cmd_metrics(args) -> int:
             ) from exc
         netlist = deserialize(text)
         label = str(args.netlist)
-    profile = arrival_profile(netlist)
-    reports = [("total", structural_metrics(netlist, profile=profile))]
     if args.stages:
-        reports += metric_decomposition(netlist, profile=profile).items()
+        stages = metric_decomposition(netlist)
+        reports = [("total", total(stages.values())), *stages.items()]
+    else:
+        reports = [("total", structural_metrics(netlist))]
     rows = [["scope", "gc", "ci", "go", "qc", "delay"]] + [
         [scope, rep.gc, rep.ci, rep.go, rep.qc, rep.delay] for scope, rep in reports
     ]
@@ -308,7 +314,9 @@ def cmd_pareto(args) -> int:
             args.svg_dir.mkdir(parents=True, exist_ok=True)
             out = args.svg_dir / f"pareto-N{n}.svg"
             out.write_text(costs.render_svg(points, front), encoding="utf-8")
-            print(f"wrote {out}")
+            # In TSV, stdout is exactly one table.
+            stream = sys.stderr if args.format == "tsv" else sys.stdout
+            print(f"wrote {out}", file=stream)
     return EXIT_OK
 
 

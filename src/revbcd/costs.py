@@ -376,7 +376,7 @@ def structural_discrepancy_report() -> str:
     always use the published formulas.
     """
     from .designs import build_dec_csk, build_dec_rca
-    from .metrics import arrival_profile, metric_decomposition
+    from .metrics import metric_decomposition, total
 
     lines = ["## Structural analysis vs published formulas", ""]
 
@@ -396,9 +396,8 @@ def structural_discrepancy_report() -> str:
     slopes = {n: delays[n + 1] - delays[n] for n in sizes[:-1]}
     measured = slopes[2] if len(set(slopes.values())) == 1 else slopes
     achieved = delays[2] - 2 * slopes[2]  # the N=2..3 line's intercept
-    csk1 = build_dec_csk(1)
-    profile = arrival_profile(csk1)
-    m1 = structural_metrics(csk1, profile=profile)
+    dec = metric_decomposition(build_dec_csk(1))
+    m1 = total(dec.values())
     lines.append(
         f"- Carry-skip design, structural per digit: gc={m1.gc} ci={m1.ci} "
         f"go={m1.go} qc={m1.qc}; published per-digit totals are "
@@ -412,7 +411,6 @@ def structural_discrepancy_report() -> str:
         f"{intercept} (delta {achieved - intercept:+d}); single digit: "
         f"{m1.delay}."
     )
-    dec = metric_decomposition(csk1, profile=profile)
     budget = CSK_PUBLISHED_DETECTION_BUDGET
     det = dec["detection"]
     lines.append(

@@ -15,6 +15,7 @@ and the stage split reads each line's first and last gate from it too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DecompositionError, MetricsUndefinedError
@@ -52,9 +53,6 @@ class ArrivalProfile:
     pin position on a tie), or -1 when that arrival is 0.  Per line:
     ``final``, its arrival after the last gate, and ``first`` / ``last``,
     the first and last gate touching it (-1 when none does).
-
-    Callers that need several figures of one netlist compute it once and
-    pass it to each as ``profile=``.
     """
 
     final: tuple[int, ...]
@@ -89,31 +87,23 @@ def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     )
 
 
-def structural_metrics(
-    netlist: Netlist, *, profile: ArrivalProfile | None = None
-) -> MetricReport:
-    """Compute the full metric bundle for a netlist with named outputs.
-
-    `profile`, when given, must be `arrival_profile(netlist)`.
-    """
+def structural_metrics(netlist: Netlist) -> MetricReport:
+    """Compute the full metric bundle for a netlist with named outputs."""
     if not netlist.outputs:
         raise MetricsUndefinedError(
             "structural metrics need designated outputs"
         )
-    if profile is None:
-        profile = arrival_profile(netlist)
+    final = arrival_profile(netlist).final
     return MetricReport(
         gc=len(netlist.gates),
         ci=len(netlist.const_lines()),
         go=len(netlist.garbage_lines()),
         qc=sum(_QC[kind] for kind, _, _ in netlist.gates),
-        delay=max(profile.final[line] for _, line in netlist.outputs),
+        delay=max(final[line] for _, line in netlist.outputs),
     )
 
 
-def critical_path(
-    netlist: Netlist, *, profile: ArrivalProfile | None = None
-) -> list[int]:
+def critical_path(netlist: Netlist) -> list[int]:
     """Gate indices along the longest path to the slowest named output.
 
     Starts at the last gate on the named output with the greatest arrival
@@ -123,8 +113,11 @@ def critical_path(
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("critical path needs designated outputs")
-    if profile is None:
-        profile = arrival_profile(netlist)
+    return _walk(netlist, arrival_profile(netlist))
+
+
+def _walk(netlist: Netlist, profile: ArrivalProfile) -> list[int]:
+    """`critical_path` of a netlist with outputs, read from its profile."""
     final, via = profile.final, profile.via
     _, line = max(netlist.outputs, key=lambda output: final[output[1]])
     path: list[int] = []
@@ -136,9 +129,7 @@ def critical_path(
     return path
 
 
-def metric_decomposition(
-    netlist: Netlist, *, profile: ArrivalProfile | None = None
-) -> dict[str, MetricReport]:
+def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
     """Per-stage metric bundles for a fully stage-tagged netlist.
 
     gc/qc sum per stage over that stage's gates.  A constant line counts
@@ -147,8 +138,7 @@ def metric_decomposition(
     the stage's contribution to the circuit critical path (the sum of
     critical-path gate delays tagged with that stage), matching the
     additive per-stage delay arithmetic of the designs.  Stages come in
-    the order their first gate does.  `profile`, when given, must be
-    `arrival_profile(netlist)`.
+    the order their first gate does.
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("decomposition needs designated outputs")
@@ -163,8 +153,7 @@ def metric_decomposition(
         row[0] += 1
         row[3] += _QC[kind]
 
-    if profile is None:
-        profile = arrival_profile(netlist)
+    profile = arrival_profile(netlist)
     for line in netlist.const_lines():
         if profile.first[line] < 0:
             raise DecompositionError(
@@ -177,8 +166,17 @@ def metric_decomposition(
                 f"garbage line {line} is touched by no gate"
             )
         rows[gates[profile.last[line]].stage][2] += 1
-    for idx in critical_path(netlist, profile=profile):
+    for idx in _walk(netlist, profile):
         kind, _, stage = gates[idx]
         rows[stage][4] += _DELAY[kind]
 
     return {stage: MetricReport(*row) for stage, row in rows.items()}
+
+
+def total(reports: Iterable[MetricReport]) -> MetricReport:
+    """The column sums of metric bundles.  Every figure of a stage split
+    adds up to the netlist's, so for every netlist `metric_decomposition`
+    accepts, ``total(metric_decomposition(nl).values())`` equals
+    ``structural_metrics(nl)``."""
+    rows = [(r.gc, r.ci, r.go, r.qc, r.delay) for r in reports]
+    return MetricReport(*map(sum, zip((0, 0, 0, 0, 0), *rows)))

@@ -21,6 +21,7 @@ netlist is made.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -314,6 +315,10 @@ def deserialize(text: str) -> Netlist:
     except json.JSONDecodeError as exc:
         raise NetlistFormatError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # CPython's int<->str digit limit
+        raise NetlistFormatError(
+            f"JSON integer longer than {sys.get_int_max_str_digits()} digits"
         ) from exc
     except RecursionError as exc:
         raise NetlistFormatError("JSON nested too deeply to parse") from exc

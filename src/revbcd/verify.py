@@ -57,57 +57,51 @@ def _compiled_block(builder: str) -> CompiledNetlist:
     return compile_netlist(globals()[builder]())
 
 
-class _Additions:
-    """A batch of additions a[k] + b[k] + cin[k] at n digits, held as lanes
-    together with the lanes of their native sums and carries."""
+def _check_additions(
+    ports: dict[str, AdderPort], n: int, a: list[int], b: list[int], cin: list[int]
+) -> tuple[int, str]:
+    """Run the additions a[k] + b[k] + cin[k] at n digits as one lane batch
+    through each port; returns (failures, text).
 
-    def __init__(self, n: int, a: list[int], b: list[int], cin: list[int]):
-        self.n, self.a, self.b, self.cin = n, a, b, cin
-        limit = 10**n
-        totals = [x + y + c for x, y, c in zip(a, b, cin)]
-        self.mask = (1 << len(totals)) - 1
-        self.operands = (to_lanes(a, n), to_lanes(b, n), bit_lane(cin))
-        self.want_sums = to_lanes([t % limit for t in totals], n)
-        self.want_carry = bit_lane([t >= limit for t in totals])
-
-    def run(self, ports: dict[str, AdderPort]) -> tuple[int, str]:
-        """Run the batch once through each port; returns (failures, text).
-
-        A vector fails when a port's sum or carry differs from native
-        addition or it changed a restored line.  `text` names the lowest
-        failing vector, with what native addition gives and what the first
-        port failing it gave (a non-BCD sum digit shows in hex); it is
-        empty when nothing fails.
-        """
-        outcomes = {}
-        bad = 0
-        for name, port in ports.items():
-            sums, carry, moved = port.add_lanes(*self.operands, self.mask)
-            lane = moved | carry ^ self.want_carry
-            for got, want in zip(sums, self.want_sums):
-                lane |= got ^ want
-            outcomes[name] = (lane, sums, carry, moved)
-            bad |= lane
-        if not bad:
-            return 0, ""
-        k = (bad & -bad).bit_length() - 1
-        design = next(name for name, out in outcomes.items() if out[0] >> k & 1)
-        _, sums, carry, moved = outcomes[design]
-        n, a, b, cin = self.n, self.a[k], self.b[k], self.cin[k]
-        nibbles = (
-            sum((sums[4 * j + i] >> k & 1) << i for i in range(4))
-            for j in reversed(range(n))
-        )
-        total = a + b + cin
-        text = (
-            f"first failure: {design} N={n} a={a} b={b} cin={cin}: "
-            f"expected sum={str(total % 10**n).zfill(n)} carry={int(total >= 10**n)}, "
-            f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
-            f"carry={carry >> k & 1}"
-        )
-        if moved >> k & 1:
-            text += ", restored line changed"
-        return bad.bit_count(), text
+    A vector fails when a port's sum or carry differs from native addition
+    or it changed a restored line.  `text` names the lowest failing vector,
+    with what native addition gives and what the first port failing it
+    gave (a non-BCD sum digit shows in hex); it is empty when nothing fails.
+    """
+    limit = 10**n
+    totals = [x + y + c for x, y, c in zip(a, b, cin)]
+    mask = (1 << len(totals)) - 1
+    operands = (to_lanes(a, n), to_lanes(b, n), bit_lane(cin))
+    want_sums = to_lanes([t % limit for t in totals], n)
+    want_carry = bit_lane([t >= limit for t in totals])
+    outcomes = {}
+    bad = 0
+    for name, port in ports.items():
+        sums, carry, moved = port.add_lanes(*operands, mask)
+        lane = moved | carry ^ want_carry
+        for got, want in zip(sums, want_sums):
+            lane |= got ^ want
+        outcomes[name] = (lane, sums, carry, moved)
+        bad |= lane
+    if not bad:
+        return 0, ""
+    k = (bad & -bad).bit_length() - 1
+    design = next(name for name, out in outcomes.items() if out[0] >> k & 1)
+    _, sums, carry, moved = outcomes[design]
+    nibbles = (
+        sum((sums[4 * j + i] >> k & 1) << i for i in range(4))
+        for j in reversed(range(n))
+    )
+    t = totals[k]
+    text = (
+        f"first failure: {design} N={n} a={a[k]} b={b[k]} cin={cin[k]}: "
+        f"expected sum={str(t % limit).zfill(n)} carry={int(t >= limit)}, "
+        f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
+        f"carry={carry >> k & 1}"
+    )
+    if moved >> k & 1:
+        text += ", restored line changed"
+    return bad.bit_count(), text
 
 
 def verify_gates() -> VerifyResult:
@@ -122,8 +116,9 @@ def verify_gates() -> VerifyResult:
 
 def verify_pdfa() -> VerifyResult:
     vectors = [(a, b, c) for a in range(10) for b in range(10) for c in range(2)]
-    adds = _Additions(1, *(list(column) for column in zip(*vectors)))
-    failures, first = adds.run({"pdfa": AdderPort(_compiled_block("build_pdfa"))})
+    a, b, cin = (list(column) for column in zip(*vectors))
+    port = AdderPort(_compiled_block("build_pdfa"))
+    failures, first = _check_additions({"pdfa": port}, 1, a, b, cin)
     detail = f"{len(vectors) - failures}/{len(vectors)} oracle matches"
     if first:
         detail += f"; {first}"
@@ -184,7 +179,7 @@ def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
                 a.append(rng.randrange(10**n))
                 b.append(rng.randrange(10**n))
                 cin.append(rng.randrange(2))
-            bad, text = _Additions(n, a, b, cin).run(ports)
+            bad, text = _check_additions(ports, n, a, b, cin)
             checked += len(a)
             failures += bad
             first = first or text

@@ -350,12 +350,73 @@ class TestDigitLimit:
             main([*argv, flag, str(MAX_DIGITS)])
 
 
+class TestHostileArguments:
+    """Each row is an argument list that once escaped as a traceback or
+    sits at a documented bound: main, called in-process, raises nothing,
+    prints nothing to stdout, returns the documented code and ends stderr
+    with one error line."""
+
+    NINES = "9" * 4299  # int() reads it, but 45 times it has 4,301 digits
+    LIMIT = "exceeds the limit of 10000"
+    LEDGER = ("ledger", "--csv", "{csv}", "--group-col", "g", "--amount-col", "a")
+    ROWS = {
+        "compare": (("compare", "--digits", NINES), 2, LIMIT),
+        "compare-csv": (("compare", "--digits", NINES, "--format", "csv"), 2, LIMIT),
+        "pareto": (("pareto", "--digits", NINES), 2, LIMIT),
+        "pareto-tsv": (("pareto", "--digits", NINES, "--format", "tsv"), 2, LIMIT),
+        "netlist-width": (("metrics", "--netlist", "{width}"), 2, "JSON integer"),
+        "netlist-pin": (("metrics", "--netlist", "{pin}"), 2, "JSON integer"),
+        "no-outputs-stages": (
+            ("metrics", "--netlist", "{no_outputs}", "--stages"),
+            2,
+            "decomposition needs designated outputs",
+        ),
+        "simulate-digits": (
+            ("simulate", "--a", "1", "--b", "2", "--digits", "10001"), 2, LIMIT
+        ),
+        "ledger-width": ((*LEDGER, "--width", "0"), 2, "width must be at least 1"),
+        "verify-samples": (("verify", "--samples", "0"), 2, "samples must be"),
+        "long-seed": (("verify", "--scope", "gates"), 2, "REVBCD_SEED"),
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from revbcd.gates import GateKind
+        from revbcd.netlist import GateInstance, Netlist, const_role, input_role, serialize
+
+        big = "1" + "0" * 5000
+        texts = {
+            "csv": "g,a\nx,1.00\n",
+            "width": f'{{"width": {big}}}',
+            "pin": f'{{"width": 2, "gates": [{{"kind": "FG", "pins": [0, {big}]}}]}}',
+            "no_outputs": serialize(
+                Netlist(
+                    width=2,
+                    roles=(input_role("a"), const_role(0)),
+                    gates=(GateInstance(GateKind.FG, (0, 1), "s"),),
+                )
+            ),
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        return {name: str(tmp_path / name) for name in texts}
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_documented_exit(self, row, files, monkeypatch, capsys):
+        argv, want, message = self.ROWS[row]
+        monkeypatch.setenv("REVBCD_SEED", "1" * 5000 if row == "long-seed" else "0")
+        code, out, err = run_cli(*(arg.format(**files) for arg in argv), capsys=capsys)
+        assert code == want and out == ""
+        assert "error: " in err.splitlines()[-1]
+        assert message in err and "set_int_max_str_digits" not in err
+
+
 class TestArrivalProfileSharing:
     """`metrics` computes one arrival profile per call and shares it."""
 
     @pytest.mark.parametrize("flags", [(), ("--stages",)], ids=["total", "stages"])
     def test_one_profile_per_call(self, monkeypatch, capsys, flags):
-        from revbcd import cli, metrics
+        from revbcd import metrics
 
         calls = []
         original = metrics.arrival_profile
@@ -365,7 +426,6 @@ class TestArrivalProfileSharing:
             return original(netlist)
 
         monkeypatch.setattr(metrics, "arrival_profile", counting)
-        monkeypatch.setattr(cli, "arrival_profile", counting)
         argv = ("metrics", "--design", "dec-csk", "--digits", "3", *flags)
         code, out, _ = run_cli(*argv, capsys=capsys)
         assert code == 0 and len(calls) == 1
@@ -424,6 +484,21 @@ class TestPareto:
         assert header == ["n", "qc", "delay", "name", "on_front"]
         assert rows and all(len(row) == 5 for row in rows)
         assert {row[0] for row in rows} == {"16", "32"}
+
+    def test_tsv_with_svg_dir_is_one_table(self, tmp_path, capsys):
+        """The `wrote` lines go to stderr, so stdout stays one table."""
+        code, out, err = run_cli(
+            "pareto", "--digits", "16,32", "--format", "tsv",
+            "--svg-dir", str(tmp_path), capsys=capsys,
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out), delimiter="\t"))
+        assert rows and all(len(row) == 5 for row in rows)
+        assert err == "".join(
+            f"wrote {tmp_path / f'pareto-N{n}.svg'}\n" for n in (16, 32)
+        )
+        assert (tmp_path / "pareto-N16.svg").exists()
+        assert (tmp_path / "pareto-N32.svg").exists()
 
     def test_svg_files(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,15 @@ from dataclasses import replace
 
 import pytest
 
-from revbcd.designs import build_dec_csk, build_dec_rca
+from revbcd.designs import (
+    build_correction,
+    build_dec_csk,
+    build_dec_rca,
+    build_pdfa,
+    build_scl,
+    build_skip_block,
+    build_skip_generator,
+)
 from revbcd.errors import (
     DecompositionError,
     MetricsUndefinedError,
@@ -18,6 +26,7 @@ from revbcd.metrics import (
     critical_path,
     metric_decomposition,
     structural_metrics,
+    total,
 )
 from revbcd.netlist import GateInstance, Netlist, const_role, input_role
 
@@ -375,3 +384,34 @@ class TestSweepAgreement:
             ("metric_decomposition", MetricsUndefinedError),
             ("metric_decomposition", DecompositionError),
         }
+
+    def test_stage_split_sums_to_total_on_random_netlists(self):
+        """Whenever the stage split is defined, its column sums are the
+        netlist's figures: each gate has one stage, each constant and
+        garbage line one counting gate, and the stage delays telescope
+        along the critical path."""
+        rng = random.Random(2024)
+        accepted = 0
+        for _ in range(2000):
+            nl = random_tagged_netlist(rng)
+            try:
+                stages = metric_decomposition(nl)
+            except RevbcdError:
+                continue
+            accepted += 1
+            assert total(stages.values()) == structural_metrics(nl), nl
+        assert accepted > 100
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 64])
+    @pytest.mark.parametrize("build", [build_dec_rca, build_dec_csk])
+    def test_stage_split_sums_to_total_on_adders(self, build, n):
+        nl = build(n)
+        assert total(metric_decomposition(nl).values()) == structural_metrics(nl)
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_pdfa, build_scl, build_correction, build_skip_block, build_skip_generator],
+    )
+    def test_stage_split_sums_to_total_on_blocks(self, build):
+        nl = build()
+        assert total(metric_decomposition(nl).values()) == structural_metrics(nl)

@@ -191,6 +191,21 @@ class TestDeserializeBoundary:
             deserialize(opener * 100_000)
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"width": 1' + "0" * 5000 + "}",
+            '{"width": 2, "gates": [{"kind": "FG", "pins": [0, 1' + "0" * 5000 + "]}]}",
+        ],
+        ids=["width", "pin"],
+    )
+    def test_integer_past_the_int_str_limit(self, text):
+        """A 5,001-digit JSON integer is a format error that does not
+        suggest raising the interpreter's digit limit."""
+        with pytest.raises(NetlistFormatError, match="JSON integer longer than") as exc:
+            deserialize(text)
+        assert "set_int_max_str_digits" not in str(exc.value)
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"lines": [1]},
