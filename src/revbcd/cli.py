@@ -52,18 +52,25 @@ EXIT_LEDGER = 5
 MAX_DIGITS = 10_000
 
 
+def _shown(text: str) -> str:
+    """`text` as an error names it: quoted, or past 40 characters by its
+    length, so a huge value cannot flood stderr."""
+    return repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
+
+
 def _default_seed() -> int:
     raw = os.environ.get("REVBCD_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        raise InvalidArgumentError(f"REVBCD_SEED must be an integer, got {raw!r}")
+        raise InvalidArgumentError(f"REVBCD_SEED must be an integer, got {_shown(raw)}")
 
 
 def _bounded(value: int) -> int:
     if value > MAX_DIGITS:
+        count = value if value < 10**40 else f"a {len(str(value))}-digit count of"
         raise argparse.ArgumentTypeError(
-            f"{value} digits exceeds the limit of {MAX_DIGITS}"
+            f"{count} digits exceeds the limit of {MAX_DIGITS}"
         )
     return value
 
@@ -75,7 +82,9 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {_shown(text)}"
+        )
     return [_bounded(value) for value in values]
 
 
@@ -84,7 +93,7 @@ def _digit_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
     return _bounded(value)
 
 

@@ -4,11 +4,11 @@ The published reference dataset covers eight prior reversible BCD adders
 plus the two designs built by this package, each as affine functions of
 the digit count N.  Comparison tables use the published formulas for all
 ten columns, the two proposed designs included, so every integer cell of
-the reference comparison is reproduced exactly.  The structurally
-analyzed figures of the carry-skip build differ from its published
-formulas; structural_discrepancy_report() lays the two side by side
-rather than hiding the gap.  MODELS is the one place where a published
-formula is written: the report and the metric-fidelity check read it.
+the reference comparison is reproduced exactly.  MODELS is the one place
+where a published formula is written.  The built adders' own figures come
+from one cached fit per design, structural_figures(), which the
+metric-fidelity check reads too; structural_rows() sets them beside the
+published ones, so the discrepancy report shows every gap as a row.
 
 Percentages are computed in exact rational arithmetic and rounded half-up
 to two decimals only for display and comparison.
@@ -21,9 +21,12 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
+from . import designs
 from .errors import InvalidArgumentError
-from .metrics import structural_metrics
+from .metrics import MetricReport, metric_decomposition, total
 
 METRICS = ("ci", "go", "qc", "delay")
 
@@ -82,9 +85,8 @@ def metric_value(name: str, metric: str, n: int) -> int:
     return slope * n + intercept
 
 
-def _formula(name: str, metric: str) -> str:
-    """A model's metric as the paper writes it: "45N", "25N+10"."""
-    slope, intercept = MODELS[name][metric]
+def _formula(slope: int, intercept: int) -> str:
+    """slope*N + intercept as the paper writes it: "45N", "25N+10"."""
     return f"{slope}N" + (f"{intercept:+d}" if intercept else "")
 
 
@@ -359,88 +361,77 @@ def per_n_deltas() -> list[dict]:
     return out
 
 
-# Published figures for the carry-skip digit: its gate count (its other
-# per-digit figures are the slopes in MODELS), the quantum cost of its
-# addition and correction stages, and its detection stage's budget.
-CSK_PUBLISHED_DIGIT_GC = 18
-CSK_PUBLISHED_STAGE_QC = {"addition": 24, "correction": 11}
-CSK_PUBLISHED_DETECTION_BUDGET = {"gc": 11, "qc": 30, "ci": 4, "go": 9}
+# -- structural comparison ------------------------------------------------------
+
+FIT_NS = range(1, 9)  # the digit counts every built adder is measured at
+
+# Published figures of the proposed designs beyond MODELS, as
+# {model: {scope: {figure: value}}}: scope "N=1" is the single-digit
+# adder, any other scope one stage of it.
+PUBLISHED_CELL = {
+    "Dec-CSK": {
+        "N=1": {"gc": 18},
+        "addition": {"qc": 24},
+        "correction": {"qc": 11},
+        "detection": {"gc": 11, "qc": 30, "ci": 4, "go": 9},
+    },
+}
+
+
+@lru_cache(maxsize=None)
+def structural_figures(design: str) -> MappingProxyType[str, MetricReport]:
+    """A registered adder's structural figures by scope: "N=n" for its
+    n-digit build at each n of FIT_NS, and each stage of its single-digit
+    build.  One arrival sweep per netlist; no netlist is kept."""
+    splits = {n: metric_decomposition(designs.build_design(design, n)) for n in FIT_NS}
+    fit = {f"N={n}": total(split.values()) for n, split in splits.items()}
+    return MappingProxyType({**fit, **splits[1]})
+
+
+def _line(values: dict[int, int]) -> str:
+    """The line through a figure's values at N=2 and N=3, naming each N
+    whose value is off it: "5N+49", "98N (off at N=5: 480)"."""
+    slope = values[3] - values[2]
+    intercept = values[2] - 2 * slope
+    off = [f"N={n}: {v}" for n, v in values.items() if v != slope * n + intercept]
+    return _formula(slope, intercept) + (f" (off at {', '.join(off)})" if off else "")
+
+
+def structural_rows() -> list[list]:
+    """The structural comparison table, header first.  Per adder of
+    designs.ADDER_DESIGNS: each figure's line over N=2..8 against the
+    published formula, the single-digit delay, and each PUBLISHED_CELL
+    figure; "-" where nothing is published."""
+    rows = [["design", "scope", "figure", "structural", "published"]]
+    for design in designs.ADDER_DESIGNS:
+        fit = structural_figures(design)
+        model = next((name for name in PROPOSED if name.lower() == design), None)
+        published = MODELS.get(model, {})
+        for figure in ("gc", *METRICS):
+            line = _line({n: getattr(fit[f"N={n}"], figure) for n in FIT_NS[1:]})
+            formula = _formula(*published[figure]) if figure in published else "-"
+            rows.append([design, f"N=2..{FIT_NS[-1]}", figure, line, formula])
+        single = metric_value(model, "delay", 1) if model else "-"
+        rows.append([design, "N=1", "delay", fit["N=1"].delay, single])
+        for scope, cells in PUBLISHED_CELL.get(model, {}).items():
+            for figure, value in cells.items():
+                rows.append([design, scope, figure, getattr(fit[scope], figure), value])
+    return rows
 
 
 def structural_discrepancy_report() -> str:
-    """Markdown report pinning the structural analyzer against the
-    published per-digit formulas, plus the known published-value deltas.
-
-    This is the first-class artifact for every figure the build achieves
-    differently from the reference dataset; comparison tables themselves
-    always use the published formulas.
-    """
-    from .designs import build_dec_csk, build_dec_rca
-    from .metrics import metric_decomposition, total
-
-    lines = ["## Structural analysis vs published formulas", ""]
-
-    rca = structural_metrics(build_dec_rca(4))
-    ripple = "/".join(_formula("Dec-RCA", m) for m in METRICS)
-    lines.append(
-        f"- Ripple design, structural (N=4): ci={rca.ci} go={rca.go} "
-        f"qc={rca.qc} delay={rca.delay}; published formulas {ripple} "
-        "agree exactly at every size."
-    )
-
-    csk = MODELS["Dec-CSK"]
-    ci, go, qc = (csk[m][0] for m in ("ci", "go", "qc"))
-    slope, intercept = csk["delay"]
-    sizes = (2, 3, 4, 5, 6)
-    delays = {n: structural_metrics(build_dec_csk(n)).delay for n in sizes}
-    slopes = {n: delays[n + 1] - delays[n] for n in sizes[:-1]}
-    measured = slopes[2] if len(set(slopes.values())) == 1 else slopes
-    achieved = delays[2] - 2 * slopes[2]  # the N=2..3 line's intercept
-    dec = metric_decomposition(build_dec_csk(1))
-    m1 = total(dec.values())
-    lines.append(
-        f"- Carry-skip design, structural per digit: gc={m1.gc} ci={m1.ci} "
-        f"go={m1.go} qc={m1.qc}; published per-digit totals are "
-        f"gc={CSK_PUBLISHED_DIGIT_GC} ci={ci} "
-        f"go={go} qc={qc}.  Structural total qc is {m1.qc}N vs the published "
-        f"{qc}N (delta {m1.qc - qc:+d} per digit)."
-    )
-    lines.append(
-        f"- Carry-skip structural delay: slope {measured} delta/digit for "
-        f"N >= 2 (published slope {slope}), intercept {achieved} vs published "
-        f"{intercept} (delta {achieved - intercept:+d}); single digit: "
-        f"{m1.delay}."
-    )
-    budget = CSK_PUBLISHED_DETECTION_BUDGET
-    det = dec["detection"]
-    lines.append(
-        f"- Carry-skip detection stage, structural: gc={det.gc} qc={det.qc} "
-        f"ci={det.ci} go={det.go}; published budget gc={budget['gc']} "
-        f"qc={budget['qc']} ci={budget['ci']} go={budget['go']}.  The "
-        "published budget does not accommodate a propagate network that "
-        "restores both operands and a carry select fed entirely from "
-        "carry-independent signals, so the achieved figures are published "
-        "here instead of being forced."
-    )
-    added, corrected = (dec[stage].qc for stage in CSK_PUBLISHED_STAGE_QC)
-    pub_added, pub_corrected = CSK_PUBLISHED_STAGE_QC.values()
-    if (added, corrected) == (pub_added, pub_corrected):
-        lines.append(
-            f"- Carry-skip addition stage qc={added} and correction stage "
-            f"qc={corrected} match the published {pub_added} and "
-            f"{pub_corrected} exactly (the correction realizes its copy with "
-            "a Feynman gate, which is what makes the published stage total "
-            f"{pub_corrected} add up)."
-        )
-    else:
-        lines.append(
-            f"- Carry-skip addition stage qc={added} vs published {pub_added} "
-            f"(delta {added - pub_added:+d}); correction stage qc={corrected} "
-            f"vs published {pub_corrected} (delta {corrected - pub_corrected:+d})."
-        )
-    lines.append("")
-    lines.append("## Published-value notes")
-    lines.append("")
+    """Markdown report: the built adders' structural figures against the
+    published ones (structural_rows), then the known published-value
+    deltas.  Comparison tables themselves always use the published
+    formulas."""
+    lines = [
+        "## Structural analysis vs published formulas",
+        "",
+        *render_rows(structural_rows(), "md").splitlines(),
+        "",
+        "## Published-value notes",
+        "",
+    ]
     lines.append(
         "- The published prose calls the carry-skip total quantum-cost "
         "change a 2% enhancement; the reproduced table value is -0.02 "

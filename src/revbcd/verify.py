@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .costs import METRICS, MODELS, metric_value
+from .costs import METRICS, MODELS, metric_value, structural_figures
 from .designs import (
     ADDER_DESIGNS,
     build_pdfa,
@@ -25,7 +25,6 @@ from .designs import (
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
 from .ledger import AdderPort, cached_adder, decode, encode, to_lanes
-from .metrics import structural_metrics
 from .simulator import (
     BATCH_BITS,
     CompiledNetlist,
@@ -193,21 +192,20 @@ def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
 
 
 def verify_metric_fidelity() -> VerifyResult:
-    """The structural metrics against the published formulas in
-    costs.MODELS: every ripple metric at N=1..8 (and gc=10N, which the
-    comparison does not publish), and the carry-skip delay slope."""
+    """The structural figures (costs.structural_figures) against the
+    published formulas in costs.MODELS: every ripple metric at N=1..8 (and
+    gc=10N, which the comparison does not publish), and the carry-skip
+    delay slope over N=2..8."""
     problems = []
+    fit = structural_figures("dec-rca")
     for n in range(1, 9):
-        m = structural_metrics(cached_adder("dec-rca", n).compiled.netlist)
+        m = fit[f"N={n}"]
         want = (10 * n, *(metric_value("Dec-RCA", k, n) for k in METRICS))
         if (m.gc, m.ci, m.go, m.qc, m.delay) != want:
             problems.append(f"ripple N={n}: {m}")
     slope = MODELS["Dec-CSK"]["delay"][0]
-    delays = {
-        n: structural_metrics(cached_adder("dec-csk", n).compiled.netlist).delay
-        for n in range(2, 7)
-    }
-    slopes = {delays[n + 1] - delays[n] for n in range(2, 6)}
+    fit = structural_figures("dec-csk")
+    slopes = {fit[f"N={n + 1}"].delay - fit[f"N={n}"].delay for n in range(2, 8)}
     if slopes != {slope}:
         problems.append(f"carry-skip delay slopes {sorted(slopes)} != {slope}")
     return VerifyResult(

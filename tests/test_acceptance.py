@@ -247,15 +247,25 @@ def test_c08_pareto_claim():
     report("C08 pareto", "both designs on the front at N=16/32/64; front sound and complete")
 
 
+def structural_row(design, scope, figure):
+    """The (structural, published) cells of one structural_rows() row."""
+    key = [design, scope, figure]
+    rows = [row[3:] for row in costs.structural_rows() if row[:3] == key]
+    assert len(rows) == 1, (design, scope, figure)
+    return tuple(rows[0])
+
+
 def test_c09_carry_skip_delay_slope():
     delays = {n: structural_metrics(build_dec_csk(n)).delay for n in range(2, 9)}
     for n in range(2, 8):
         assert delays[n + 1] - delays[n] == 5, n
     intercept = delays[2] - 10
     assert all(delays[n] == 5 * n + intercept for n in delays)
+    assert intercept - 40 == 9
+    row = structural_row("dec-csk", "N=2..8", "delay")
+    assert row == (f"5N+{intercept}", "5N+40")
     text = costs.structural_discrepancy_report()
-    assert f"intercept {intercept}" in text and "published 40" in text
-    assert f"delta {intercept - 40:+d}" in text
+    assert f"| dec-csk | N=2..8 | delay | 5N+{intercept} | 5N+40 |" in text
     report(
         "C09 carry-skip-delay",
         f"slope exactly 5 per digit for N=2..8; intercept {intercept} "
@@ -265,20 +275,22 @@ def test_c09_carry_skip_delay_slope():
 
 def test_c10_carry_skip_structural_qc():
     stages = metric_decomposition(build_dec_csk(1))
-    budget = costs.CSK_PUBLISHED_DETECTION_BUDGET
+    budget = costs.PUBLISHED_CELL["Dec-CSK"]["detection"]["qc"]
     detection_qc = stages["detection"].qc
-    text = costs.structural_discrepancy_report()
-    if detection_qc > budget["qc"]:
-        assert f"qc={detection_qc}" in text and f"qc={budget['qc']}" in text
+    assert (detection_qc, budget) == (63, 30)
+    assert structural_row("dec-csk", "detection", "qc") == (detection_qc, budget)
     total = structural_metrics(build_dec_csk(1)).qc
     for n in (2, 4):
         assert structural_metrics(build_dec_csk(n)).qc == total * n
-    assert f"{total}N" in text and "65N" in text
-    assert f"delta {total - 65:+d}" in text
+    assert total - 65 == 33
+    assert structural_row("dec-csk", "N=2..8", "qc") == (f"{total}N", "65N")
+    text = costs.structural_discrepancy_report()
+    assert f"| dec-csk | N=2..8 | qc | {total}N | 65N |" in text
+    assert f"| dec-csk | detection | qc | {detection_qc} | {budget} |" in text
     report(
         "C10 carry-skip-qc",
         f"detection stage qc {detection_qc} vs published budget "
-        f"{budget['qc']}; total {total}N vs 65N, delta published in report",
+        f"{budget}; total {total}N vs 65N, delta {total - 65:+d} per digit in report",
     )
 
 

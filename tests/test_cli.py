@@ -354,7 +354,8 @@ class TestHostileArguments:
     """Each row is an argument list that once escaped as a traceback or
     sits at a documented bound: main, called in-process, raises nothing,
     prints nothing to stdout, returns the documented code and ends stderr
-    with one error line."""
+    with one error line.  An oversized value is named by its length, so
+    stderr stays short."""
 
     NINES = "9" * 4299  # int() reads it, but 45 times it has 4,301 digits
     LIMIT = "exceeds the limit of 10000"
@@ -371,8 +372,16 @@ class TestHostileArguments:
             2,
             "decomposition needs designated outputs",
         ),
+        "compare-unparsed": (
+            ("compare", "--digits", "9" * 5000), 2, "not a comma list of integers"
+        ),
         "simulate-digits": (
             ("simulate", "--a", "1", "--b", "2", "--digits", "10001"), 2, LIMIT
+        ),
+        "simulate-unparsed": (
+            ("simulate", "--a", "1", "--b", "2", "--digits", "9" * 5000),
+            2,
+            "invalid int value",
         ),
         "ledger-width": ((*LEDGER, "--width", "0"), 2, "width must be at least 1"),
         "verify-samples": (("verify", "--samples", "0"), 2, "samples must be"),
@@ -409,6 +418,7 @@ class TestHostileArguments:
         assert code == want and out == ""
         assert "error: " in err.splitlines()[-1]
         assert message in err and "set_int_max_str_digits" not in err
+        assert len(err) < 1000
 
 
 class TestArrivalProfileSharing:
@@ -440,6 +450,23 @@ class TestCompare:
         assert "43.07" in out  # published total, shown next to computed
         assert "85.12" in out
         assert "Structural analysis" in out
+
+    @pytest.mark.parametrize("metric", ("qc", "delay"))
+    def test_report_rows_leave_table_cells_alone(self, metric, capsys):
+        """A "| " line whose first cell is all digits reads as a row of the
+        comparison table (bench/workloads.py parses the output that way), so
+        no line of the structural report after the table may be one."""
+        code, out, _ = run_cli("compare", "--metric", metric, capsys=capsys)
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| digit |"))
+        end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+        later = [
+            line.strip("|").split("|")[0].strip()
+            for line in lines[end:]
+            if line.startswith("| ")
+        ]
+        assert code == 0 and len(later) > 1  # the report's header and rows
+        assert not any(cell.isdigit() or cell == "digit" for cell in later)
 
     def test_qc_csv(self, capsys):
         code, out, _ = run_cli(
@@ -682,19 +709,19 @@ class TestGoldenBytes:
     CASES = {
         "compare-qc-md": (
             ("compare", "--metric", "qc"),
-            "db559e8a1530176cdcea66118d097dfd7bbcc2bd649ac83b103df97412c5ded5",
+            "c92352ba51ae36a7fdfcf12852043f6940e4c881efc4ac24489103df551b1f95",
         ),
         "compare-qc-csv": (
             ("compare", "--metric", "qc", "--format", "csv"),
-            "db70ebc0fea5ef2b16652d0b6d925168e749fefd0e1a4982eb943d4b3ad22a7f",
+            "8d48237d1767c956bd8f55cbb90cfd9ff7487bd3c0db13439f00afaaa0b7c2bd",
         ),
         "compare-delay-md": (
             ("compare", "--metric", "delay"),
-            "99079aabee6909361ec0fa46f581b2ba6eb697b20964522490c9eefd6461a8f6",
+            "da14c0cd97feddc8f853ba193a2b228c1f06cbda58fbe401fea3e49c44af1a64",
         ),
         "compare-delay-csv": (
             ("compare", "--metric", "delay", "--format", "csv"),
-            "813ea44d87a07e102549a254209e5b809f02bdd76cffdbf45824b6dacda99463",
+            "84e80ae20f5ed44c7df810f79d0507a0512944a2f8f873b58a5146d5d0b14596",
         ),
         "pareto-md": (
             ("pareto", "--svg-dir", "svg"),

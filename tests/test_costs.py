@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from revbcd.costs import (
+    FIT_NS,
     METRICS,
     MODELS,
     TABLE_NS,
@@ -18,9 +19,14 @@ from revbcd.costs import (
     per_n_deltas,
     render_svg,
     render_table,
+    _line,
     round_half_up,
     structural_discrepancy_report,
+    structural_figures,
+    structural_rows,
 )
+from revbcd.designs import ADDER_DESIGNS, build_design
+from revbcd.metrics import metric_decomposition, structural_metrics
 from revbcd.cli import main
 from revbcd.errors import InvalidArgumentError
 
@@ -190,53 +196,102 @@ class TestPareto:
         assert len(svg) > 500
 
 
+def cells_by_key(rows):
+    """structural_rows() body as {(design, scope, figure): (structural, published)}."""
+    return {tuple(row[:3]): tuple(row[3:]) for row in rows[1:]}
+
+
 class TestDiscrepancyReport:
+    ROWS = [
+        ["design", "scope", "figure", "structural", "published"],
+        ["dec-rca", "N=2..8", "gc", "10N", "-"],
+        ["dec-rca", "N=2..8", "ci", "8N", "8N"],
+        ["dec-rca", "N=2..8", "go", "4N", "4N"],
+        ["dec-rca", "N=2..8", "qc", "45N", "45N"],
+        ["dec-rca", "N=2..8", "delay", "25N+10", "25N+10"],
+        ["dec-rca", "N=1", "delay", 35, 35],
+        ["dec-csk", "N=2..8", "gc", "32N", "-"],
+        ["dec-csk", "N=2..8", "ci", "19N", "10N"],
+        ["dec-csk", "N=2..8", "go", "15N", "12N"],
+        ["dec-csk", "N=2..8", "qc", "98N", "65N"],
+        ["dec-csk", "N=2..8", "delay", "5N+49", "5N+40"],
+        ["dec-csk", "N=1", "delay", 51, 45],
+        ["dec-csk", "N=1", "gc", 32, 18],
+        ["dec-csk", "addition", "qc", 24, 24],
+        ["dec-csk", "correction", "qc", 11, 11],
+        ["dec-csk", "detection", "gc", 25, 11],
+        ["dec-csk", "detection", "qc", 63, 30],
+        ["dec-csk", "detection", "ci", 12, 4],
+        ["dec-csk", "detection", "go", 12, 9],
+    ]
+
     def test_report_contents(self):
+        assert structural_rows() == self.ROWS
         text = structural_discrepancy_report()
-        assert "98N" in text and "65N" in text
-        assert "intercept 49" in text and "published 40" in text
+        assert "| dec-csk | N=2..8 | delay | 5N+49 | 5N+40 |" in text
         assert "42.55" in text and "42.58" in text
         assert "2% enhancement" in text
-        assert "qc=30" in text  # published detection budget
+
+    def test_fit_matches_structural_metrics(self):
+        """Every figure of the cached fit is what the netlist's own
+        structural_metrics and stage split give."""
+        for design in ADDER_DESIGNS:
+            fit = structural_figures(design)
+            for n in FIT_NS:
+                assert fit[f"N={n}"] == structural_metrics(build_design(design, n))
+            for stage, split in metric_decomposition(build_design(design, 1)).items():
+                assert fit[stage] == split
+
+    def test_line_names_each_n_off_it(self):
+        assert _line({2: 10, 3: 15, 4: 20}) == "5N"
+        assert _line({2: 59, 3: 64, 4: 70, 5: 74}) == "5N+49 (off at N=4: 70)"
+        assert _line({2: 1, 3: 1, 4: 0}) == "0N+1 (off at N=4: 0)"
 
     def test_published_figures_are_data(self, monkeypatch):
-        """The published digit gc and stage qc come from costs' data, and
-        the stage line says "exactly" only while the built cell matches."""
+        """The published cells come from costs.PUBLISHED_CELL when the rows
+        are made, for any registered adder, not from the cached fit."""
         from revbcd import costs
 
-        text = structural_discrepancy_report()
-        assert "published per-digit totals are gc=18 " in text
-        assert "match the published 24 and 11 exactly" in text
-        monkeypatch.setattr(costs, "CSK_PUBLISHED_DIGIT_GC", 17)
         monkeypatch.setattr(
-            costs, "CSK_PUBLISHED_STAGE_QC", {"addition": 20, "correction": 13}
+            costs,
+            "PUBLISHED_CELL",
+            {
+                "Dec-CSK": {"N=1": {"gc": 17}, "addition": {"qc": 20}},
+                "Dec-RCA": {"correction": {"go": 2}},
+            },
         )
+        costs.structural_figures.cache_clear()
+        cells = cells_by_key(structural_rows())
+        assert cells[("dec-csk", "N=1", "gc")] == (32, 17)
+        assert cells[("dec-csk", "addition", "qc")] == (24, 20)
+        assert cells[("dec-rca", "correction", "go")] == (3, 2)
+        assert ("dec-csk", "detection", "qc") not in cells
         text = structural_discrepancy_report()
-        assert "published per-digit totals are gc=17 " in text
-        assert "match the published" not in text
-        assert "addition stage qc=24 vs published 20 (delta +4)" in text
-        assert "correction stage qc=11 vs published 13 (delta -2)" in text
+        assert "| dec-rca | correction | go | 3 | 2 |" in text
 
     def test_builds_and_measures_each_netlist_once(self, monkeypatch):
-        from revbcd import designs, metrics
+        """The fit builds each (design, N) once per process, with one
+        arrival profile per netlist; a second report builds nothing."""
+        from revbcd import costs, designs, metrics
 
         calls = []
 
         def count(module, name):
             original = getattr(module, name)
 
-            def wrapper(arg):
-                calls.append((name, arg))
-                return original(arg)
+            def wrapper(*args):
+                calls.append((name, args))
+                return original(*args)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        count(designs, "build_dec_rca")
-        count(designs, "build_dec_csk")
+        count(designs, "build_design")
         count(metrics, "arrival_profile")
+        costs.structural_figures.cache_clear()
         structural_discrepancy_report()
-        builds = sorted(call for call in calls if call[0] != "arrival_profile")
-        assert builds == [("build_dec_csk", n) for n in range(1, 7)] + [
-            ("build_dec_rca", 4)
-        ]
+        builds = sorted(args for name, args in calls if name == "build_design")
+        assert builds == [(d, n) for d in sorted(ADDER_DESIGNS) for n in FIT_NS]
         assert len(calls) == 2 * len(builds)  # one profile per built netlist
+        calls.clear()
+        structural_discrepancy_report()
+        assert calls == []

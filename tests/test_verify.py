@@ -3,7 +3,7 @@
 import random
 import re
 
-from revbcd import ledger, verify
+from revbcd import costs, designs, ledger, simulator, verify
 from revbcd.designs import ADDER_DESIGNS
 from revbcd.gates import GateKind
 from revbcd.ledger import AdderPort, cached_adder, encode
@@ -148,6 +148,18 @@ class TestCells:
         assert "carry-select rows 8/8" not in result.detail
         assert re.search(r"carry-select rows [0-7]/8$", result.detail)
 
+    def test_metrics_scope_compiles_nothing(self):
+        """The metrics scope reads the structural fit, which measures the
+        built netlists without compiling any."""
+        for cached in (
+            simulator.compile_netlist,
+            ledger.cached_adder,
+            costs.structural_figures,
+        ):
+            cached.cache_clear()
+        assert all(r.passed for r in verify.run_scope("metrics"))
+        assert simulator.compile_netlist.cache_info().misses == 0
+
     def test_scopes_rebuild_nothing_once_warm(self, monkeypatch):
         assert all(r.passed for r in verify.run_scope("all", seed=1, samples=10))
 
@@ -155,6 +167,7 @@ class TestCells:
             raise AssertionError("netlist rebuilt")
 
         for module, name in (
+            (designs, "build_design"),
             (ledger, "build_design"),
             (verify, "build_pdfa"),
             (verify, "build_skip_generator"),
