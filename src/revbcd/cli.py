@@ -151,7 +151,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--no-structural",
         action="store_true",
-        help="omit the structural-deltas report section",
+        help="omit the structural-deltas report section (md output only; "
+        "csv output is the comparison table alone)",
     )
 
     p_par = sub.add_parser("pareto", help="cost/delay trade-off points and front")
@@ -284,14 +285,15 @@ def cmd_compare(args) -> int:
     if args.format == "md":
         print(f"## {args.metric} comparison")
     print(costs.render_table(table, args.format), end="")
-    if args.format == "md":
-        for proposed, rep in table.improvements.items():
-            published = costs.PUBLISHED_TOTALS.get((proposed, args.metric))
-            note = f" (published {published})" if published is not None else ""
-            print(
-                f"Total average improvement {proposed}: "
-                f"{costs.round_half_up(rep.average)}{note}"
-            )
+    if args.format != "md":  # csv: the table alone, one CSV stream
+        return EXIT_OK
+    for proposed, rep in table.improvements.items():
+        published = costs.PUBLISHED_TOTALS.get((proposed, args.metric))
+        note = f" (published {published})" if published is not None else ""
+        print(
+            f"Total average improvement {proposed}: "
+            f"{costs.round_half_up(rep.average)}{note}"
+        )
     if not args.no_structural:
         print()
         print(costs.structural_discrepancy_report(), end="")

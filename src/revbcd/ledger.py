@@ -140,6 +140,8 @@ class AdderPort:
 
     def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
         """A fresh line state holding the operands and the carry-in."""
+        if type(cin) not in (int, bool) or cin not in (0, 1):
+            raise InvalidArgumentError(f"carry-in must be 0 or 1, got {cin!r}")
         for text in (a, b):
             if len(text) != self.width or not (text.isascii() and text.isdecimal()):
                 raise InvalidArgumentError(

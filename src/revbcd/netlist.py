@@ -13,9 +13,10 @@ Terminal lines fall into three classes:
     equals their initial value (pass-through), and
   * garbage, everything else.
 
-Netlists are immutable.  Lines and gates are plain records; every
-structural rule is checked once, in one pass of `Netlist.validate`, when a
-netlist is made.
+Netlists are immutable.  Lines and gates are plain records; every rule of
+a netlist, value types included, is written once, in `Netlist.validate`,
+which runs when a netlist is made.  So every netlist serializes to a
+document that `deserialize` reads back equal.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -34,6 +36,7 @@ from .errors import (
     InvalidArgumentError,
     LineIndexError,
     NetlistFormatError,
+    RevbcdError,
 )
 from .gates import ALL_KINDS, GateKind, arity
 
@@ -42,6 +45,10 @@ ROLE_CONST0 = "const0"
 ROLE_CONST1 = "const1"
 _ROLES = (ROLE_INPUT, ROLE_CONST0, ROLE_CONST1)
 _ARITY = {kind: arity(kind) for kind in ALL_KINDS}
+# `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
+_INT = frozenset((int,))
+_STR_OR_NONE = frozenset((str, type(None)))
+_PINS, _STAGE = itemgetter(1), itemgetter(2)
 
 
 class LineRole(NamedTuple):
@@ -102,79 +109,102 @@ class Netlist:
         object.__setattr__(self, "roles", tuple(self.roles))
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "outputs", tuple(tuple(o) for o in self.outputs))
-        object.__setattr__(self, "restored", frozenset(self.restored))
+        object.__setattr__(self, "restored", tuple(self.restored))
         self.validate()
+        object.__setattr__(self, "restored", frozenset(self.restored))
 
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Check every structural rule once; raises on the first violation.
+        """Check every netlist rule, value types included; raises a
+        RevbcdError subclass naming the first violation.
 
-        Lines: a known role, a non-empty unique label on every input, unique
-        constant labels.  Gates: a known kind whose pins are a tuple of as
-        many distinct existing lines as its arity.  Outputs and restored
-        lines: on existing lines, each line designated once, restored
-        lines primary inputs that are not also named outputs.
+        Width: an int (not a bool) of at least 1, with one role per line.
+        Lines: a known role and a label that is a str or None; a non-empty
+        unique label on every input, unique constant labels.  Gates: a
+        known kind whose pins are a tuple of as many distinct existing
+        lines as its arity, each an int (not a bool); a stage that is a
+        str or None.  Outputs: unique str names on int lines.  Restored
+        lines: ints.  Both on existing lines, each line designated once,
+        restored lines primary inputs that are not also named outputs.
         """
         width = self.width
-        if width < 1:
-            raise InvalidArgumentError("netlist width must be positive")
+        if type(width) is not int or width < 1:
+            raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
         if len(self.roles) != width:
-            raise InvalidArgumentError(f"{len(self.roles)} roles for width {width}")
+            raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
         input_labels: set[str] = set()
         const_labels: set[str] = set()
-        for kind, label in self.roles:
+        for i, (kind, label) in enumerate(self.roles):
+            if label is not None and type(label) is not str:
+                raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
             if kind == ROLE_INPUT:
                 if not label:
-                    raise InvalidArgumentError("primary input lines need a label")
+                    raise InvalidArgumentError(f"line {i}: an input needs a label")
                 if label in input_labels:
-                    raise InvalidArgumentError("duplicate input labels")
+                    raise InvalidArgumentError(f"line {i}: duplicate input label")
                 input_labels.add(label)
             elif kind == ROLE_CONST0 or kind == ROLE_CONST1:
-                if label:
-                    if label in const_labels:
-                        raise InvalidArgumentError("duplicate constant labels")
-                    const_labels.add(label)
+                if label and label in const_labels:
+                    raise InvalidArgumentError(f"line {i}: duplicate constant label")
+                const_labels.add(label)
             else:
-                raise InvalidArgumentError(f"unknown line role {kind!r}")
+                raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
+        gates = self.gates
         lines = frozenset(range(width))
-        for i, (kind, pins, _) in enumerate(self.gates):
-            want = _ARITY.get(kind)
-            if want is None:
-                raise InvalidArgumentError(f"gates[{i}]: unknown gate kind {kind!r}")
-            if type(pins) is not tuple:
-                raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
-            if len(pins) != want:
-                raise ArityError(
-                    f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
-                )
-            used = set(pins)
-            if len(used) != want:
-                raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
-            if not used <= lines:
-                bad = next(p for p in pins if p not in lines)
-                raise LineIndexError(f"gates[{i}]: pin {bad} outside 0..{width - 1}")
-        names = [n for n, _ in self.outputs]
-        if len(names) != len(set(names)):
-            raise DesignationError("output names must be unique")
-        named_lines = set()
+        try:
+            for i, (kind, pins, _) in enumerate(gates):
+                want = _ARITY.get(kind)
+                if want is None:
+                    raise InvalidArgumentError(f"gates[{i}]: unknown kind {kind!r}")
+                if type(pins) is not tuple:
+                    raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
+                if len(pins) != want:
+                    raise ArityError(
+                        f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
+                    )
+                used = set(pins)
+                if len(used) != want:
+                    raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
+                if not used <= lines:
+                    bad = next(p for p in pins if p not in lines)
+                    raise LineIndexError(
+                        f"gates[{i}]: pin {bad} outside 0..{width - 1}"
+                    )
+        except TypeError:
+            raise InvalidArgumentError(f"gates[{i}]: unhashable kind or pin") from None
+        # The value types over all gates at once, which costs less than a
+        # check per gate; only a failed check looks for the gate at fault.
+        if not _INT.issuperset(map(type, chain.from_iterable(map(_PINS, gates)))):
+            i = next(i for i, g in enumerate(gates) if {*map(type, g[1])} - _INT)
+            raise InvalidArgumentError(f"gates[{i}]: pins {gates[i][1]} must be ints")
+        if not _STR_OR_NONE.issuperset(map(type, map(_STAGE, gates))):
+            i = next(i for i, g in enumerate(gates) if type(g[2]) not in _STR_OR_NONE)
+            raise InvalidArgumentError(f"gates[{i}]: stage {gates[i][2]!r} not a str")
+        names: set[str] = set()
+        named_lines: set[int] = set()
         for name, line in self.outputs:
+            if type(name) is not str or type(line) is not int:
+                raise InvalidArgumentError(
+                    f"output {name!r} on line {line!r}: need a str name, an int line"
+                )
+            if name in names:
+                raise DesignationError(f"output name {name!r} used twice")
             if not 0 <= line < width:
                 raise LineIndexError(f"output {name!r} on missing line {line}")
             if line in named_lines:
                 raise DesignationError(f"line {line} designated twice")
+            names.add(name)
             named_lines.add(line)
         for line in self.restored:
+            if type(line) is not int:
+                raise InvalidArgumentError(f"restored line {line!r} must be an int")
             if not 0 <= line < width:
                 raise LineIndexError(f"restored line {line} out of range")
             if not self.roles[line].is_input:
-                raise DesignationError(
-                    f"restored line {line} is not a primary input"
-                )
+                raise DesignationError(f"restored line {line} is not a primary input")
             if line in named_lines:
-                raise DesignationError(
-                    f"line {line} cannot be both a named output and restored"
-                )
+                raise DesignationError(f"restored line {line} is also a named output")
 
     # -- derived views ---------------------------------------------------
 
@@ -217,13 +247,9 @@ class Netlist:
 # json's indent mode always runs its pure-Python encoder.
 
 
-def _scalar(value) -> str:
+def _scalar(value: str | None) -> str:
     """JSON text of a label, stage or name, as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+    return "null" if value is None else encode_basestring_ascii(value)
 
 
 _KIND_TEXT = {kind: _scalar(kind.value) for kind in GateKind}
@@ -299,16 +325,16 @@ def _records(entries: list, key: str, fields: tuple[str, ...]):
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}
-# `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
-_INT = frozenset((int,))
 
 
 def deserialize(text: str) -> Netlist:
     """Parse the text format back into a netlist; inverse of serialize.
 
-    Checks the JSON types and the role and gate kind names here; every
-    structural rule is left to `Netlist.validate`, whose errors come back
-    as NetlistFormatError.
+    Maps the document to records and checks only what a record cannot
+    hold: the JSON syntax, the shape of each object, each line placed once
+    by its `index`, and gate kind names.  Every netlist rule, value types
+    included, is left to `Netlist.validate`, whose errors come back as
+    NetlistFormatError.
     """
     try:
         doc = json.loads(text)
@@ -326,70 +352,37 @@ def deserialize(text: str) -> Netlist:
         raise NetlistFormatError("document root must be an object")
 
     width = _require(doc, "width", "document")
-    if type(width) is not int or width < 1:
-        raise NetlistFormatError(f"width must be a positive integer, got {width!r}")
-
     entries = _require_list(doc, "lines")
-    # Every line needs an entry, so the document's own size bounds the
-    # allocation below.
-    if len(entries) != width:
-        raise NetlistFormatError(f"lines: {len(entries)} entries for width {width}")
-    roles: list[LineRole | None] = [None] * width
+    # Sized by the entries, so the document's own size bounds the
+    # allocation; validate compares their count with `width`.
+    count = len(entries)
+    roles: list[LineRole | None] = [None] * count
     for pos, entry, (idx, role) in _records(entries, "lines", ("index", "role")):
-        label = entry.get("label")
-        if type(idx) is not int or not 0 <= idx < width:
+        if type(idx) is not int or not 0 <= idx < count:
             raise NetlistFormatError(
-                f"lines[{pos}]: index {idx!r} outside 0..{width - 1}"
+                f"lines[{pos}]: index {idx!r} outside 0..{count - 1}"
             )
         if roles[idx] is not None:
             raise NetlistFormatError(f"lines[{pos}]: line {idx} defined twice")
-        if role not in _ROLES:
-            raise NetlistFormatError(f"lines[{pos}]: unknown role {role!r}")
-        if label is not None and type(label) is not str:
-            raise NetlistFormatError(f"lines[{pos}]: label must be a string")
-        roles[idx] = LineRole(role, label)
+        roles[idx] = LineRole(role, entry.get("label"))
 
     gates = []
     gate_entries = _require_list(doc, "gates")
     for pos, entry, (kind_name, pins) in _records(
         gate_entries, "gates", ("kind", "pins")
     ):
-        stage = entry.get("stage")
         kind = _KIND_BY_NAME.get(kind_name) if type(kind_name) is str else None
         if kind is None:
             raise NetlistFormatError(f"gates[{pos}]: unknown gate kind {kind_name!r}")
-        if type(pins) is not list or not _INT.issuperset(map(type, pins)):
-            raise NetlistFormatError(f"gates[{pos}]: pins must be a list of integers")
-        if stage is not None and type(stage) is not str:
-            raise NetlistFormatError(f"gates[{pos}]: stage must be a string")
-        gates.append(GateInstance(kind, tuple(pins), stage))
+        if type(pins) is not list:
+            raise NetlistFormatError(f"gates[{pos}]: pins must be an array")
+        gates.append(GateInstance(kind, tuple(pins), entry.get("stage")))
 
-    outputs = []
     output_entries = _require_list(doc, "outputs")
-    for pos, _, (name, line) in _records(output_entries, "outputs", ("name", "line")):
-        if type(name) is not str:
-            raise NetlistFormatError(f"outputs[{pos}]: name must be a string")
-        if type(line) is not int:
-            raise NetlistFormatError(f"outputs[{pos}]: line {line!r} is not an integer")
-        outputs.append((name, line))
-
+    outputs = [o for _, _, o in _records(output_entries, "outputs", ("name", "line"))]
     restored = _require_list(doc, "restored")
-    if not _INT.issuperset(map(type, restored)):
-        raise NetlistFormatError("restored must be a list of line indices")
 
     try:
-        return Netlist(
-            width=width,
-            roles=tuple(roles),
-            gates=tuple(gates),
-            outputs=tuple(outputs),
-            restored=frozenset(restored),
-        )
-    except (
-        ArityError,
-        DesignationError,
-        FanInError,
-        InvalidArgumentError,
-        LineIndexError,
-    ) as exc:
+        return Netlist(width, tuple(roles), tuple(gates), tuple(outputs), restored)
+    except RevbcdError as exc:
         raise NetlistFormatError(str(exc)) from exc

@@ -476,6 +476,18 @@ class TestCompare:
         assert code == 0
         assert "8,464,560,648,704,448,416,360,520" in out
 
+    @pytest.mark.parametrize("metric", ("qc", "delay"))
+    def test_csv_is_one_table(self, metric, capsys):
+        """csv output is the comparison table alone: every row has the
+        header's width, and no structural report follows it."""
+        import csv
+
+        code, out, _ = run_cli("compare", "--metric", metric, "--format", "csv",
+                               capsys=capsys)
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and rows[0][0] == "digit"
+        assert {len(row) for row in rows} == {len(rows[0])}
+
     def test_single_size(self, capsys):
         code, out, _ = run_cli(
             "compare", "--digits", "8", "--no-structural", capsys=capsys
@@ -713,7 +725,7 @@ class TestGoldenBytes:
         ),
         "compare-qc-csv": (
             ("compare", "--metric", "qc", "--format", "csv"),
-            "8d48237d1767c956bd8f55cbb90cfd9ff7487bd3c0db13439f00afaaa0b7c2bd",
+            "32c9a24aa34c6171b9dab24d3298c10a73c02d6881b8957da37ccb72c163354f",
         ),
         "compare-delay-md": (
             ("compare", "--metric", "delay"),
@@ -721,7 +733,7 @@ class TestGoldenBytes:
         ),
         "compare-delay-csv": (
             ("compare", "--metric", "delay", "--format", "csv"),
-            "84e80ae20f5ed44c7df810f79d0507a0512944a2f8f873b58a5146d5d0b14596",
+            "d958d83af8a283450f0c79cc97cf0a688d570f969d60aacab3a841526418a3b3",
         ),
         "pareto-md": (
             ("pareto", "--svg-dir", "svg"),

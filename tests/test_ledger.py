@@ -149,6 +149,17 @@ class TestBcdAdd:
         with pytest.raises(InvalidArgumentError):
             bcd_add(encode(1, 2), encode(1, 2), "fast-adder")
 
+    @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
+    @pytest.mark.parametrize("cin", (2, -1, 1.0, "1", None), ids=repr)
+    def test_carry_in_not_a_bit_rejected(self, design, cin):
+        with pytest.raises(InvalidArgumentError, match="carry-in must be 0 or 1"):
+            bcd_add("15", "27", design, cin=cin)
+
+    @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
+    def test_carry_in_bits(self, design):
+        for cin, want in ((0, "42"), (1, "43"), (False, "42"), (True, "43")):
+            assert bcd_add("15", "27", design, cin=cin) == (want, 0)
+
 
 class TestAdderPort:
     def test_pdfa_names(self, pdfa):

@@ -269,28 +269,38 @@ class TestValidateGates:
     """Netlist(...) rejects a bad gate wherever it sits in the list."""
 
     @pytest.mark.parametrize(
-        "kind,pins,error",
+        "kind,pins,stage,error",
         [
-            (GateKind.FG, (0,), ArityError),
-            (GateKind.HNG, (0, 1, 2), ArityError),
-            (GateKind.NOT, (0, 1), ArityError),
-            (GateKind.FG, (1, 1), FanInError),
-            (GateKind.PG, (0, 2, 0), FanInError),
-            (GateKind.FG, (0, 3), LineIndexError),
-            (GateKind.NOT, (-1,), LineIndexError),
+            (GateKind.FG, (0,), None, ArityError),
+            (GateKind.HNG, (0, 1, 2), None, ArityError),
+            (GateKind.NOT, (0, 1), None, ArityError),
+            (GateKind.FG, (1, 1), None, FanInError),
+            (GateKind.PG, (0, 2, 0), None, FanInError),
+            (GateKind.FG, (0, 3), None, LineIndexError),
+            (GateKind.NOT, (-1,), None, LineIndexError),
+            (GateKind.FG, (0, 1.0), None, InvalidArgumentError),
+            (GateKind.FG, (False, True), None, InvalidArgumentError),
+            (GateKind.FG, (0, 1), 3, InvalidArgumentError),
+            (GateKind.FG, (0, [1]), None, InvalidArgumentError),
+            (GateKind.FG, [0, 1], None, InvalidArgumentError),
+            (["FG"], (0, 1), None, InvalidArgumentError),
+            ("XYZ", (0, 1), None, InvalidArgumentError),
         ],
         ids=[
             "fg-one-pin", "hng-three-pins", "not-two-pins", "fg-repeat",
-            "pg-repeat", "pin-past-width", "pin-negative",
+            "pg-repeat", "pin-past-width", "pin-negative", "pin-float",
+            "pins-bool", "stage-int", "pin-unhashable", "pins-list",
+            "kind-unhashable", "kind-unknown",
         ],
     )
-    def test_bad_gate_rejected(self, kind, pins, error):
+    def test_bad_gate_rejected(self, kind, pins, stage, error):
+        """Each error names the gate's position."""
         good = GateInstance(GateKind.FG, (0, 1))
-        with pytest.raises(error):
+        with pytest.raises(error, match=r"^gates\[1\]: "):
             Netlist(
                 width=3,
                 roles=_THREE_LINES,
-                gates=(good, GateInstance(kind, pins), good),
+                gates=(good, GateInstance(kind, pins, stage), good),
             )
 
     def test_good_gates_accepted(self):
@@ -313,17 +323,62 @@ class TestValidateLines:
             [("wire", "a"), ("const0", None)],
             [("input", "a"), ("input", "a")],
             [("const0", "k"), ("const1", "k")],
+            [("input", "a"), ("input", 7)],
+            [("input", "a"), ("const0", 7)],
+            [("input", "a"), ("const1", ["k"])],
         ],
         ids=["input-label-none", "input-label-empty", "unknown-role",
-             "duplicate-input-label", "duplicate-const-label"],
+             "duplicate-input-label", "duplicate-const-label", "input-label-int",
+             "const-label-int", "const-label-unhashable"],
     )
     def test_bad_roles_rejected(self, roles):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=r"^line \d: "):
             Netlist(width=2, roles=tuple(LineRole(*r) for r in roles))
+
+    @pytest.mark.parametrize(
+        "width", (True, False, -1, 2.0, "2", None), ids=repr
+    )
+    def test_bad_width_rejected(self, width):
+        roles = (input_role("a"), const_role(0))[: 1 if width is True else 2]
+        with pytest.raises(InvalidArgumentError, match="^width must be"):
+            Netlist(width=width, roles=roles)
 
     def test_unlabelled_constants_accepted(self):
         nl = Netlist(width=3, roles=(input_role("a"), const_role(0), const_role(1)))
         assert nl.const_lines() == [1, 2]
+
+
+class TestValidateDesignations:
+    """Netlist(...) checks every output and restored entry, types included."""
+
+    @pytest.mark.parametrize(
+        "outputs,restored,error",
+        [
+            ((("q", 1), ("q", 0)), (), DesignationError),
+            ((("q", 2),), (), LineIndexError),
+            ((), (2,), LineIndexError),
+            (((7, 1),), (), InvalidArgumentError),
+            ((("q", True),), (), InvalidArgumentError),
+            ((("q", 1.0),), (), InvalidArgumentError),
+            ((([1], 1),), (), InvalidArgumentError),
+            ((("q", [1]),), (), InvalidArgumentError),
+            ((), [False], InvalidArgumentError),
+            ((), [0.0], InvalidArgumentError),
+            ((), [[0]], InvalidArgumentError),
+        ],
+        ids=[
+            "name-twice", "output-past-width", "restored-past-width", "name-int",
+            "line-bool", "line-float", "name-unhashable", "line-unhashable",
+            "restored-bool", "restored-float", "restored-unhashable",
+        ],
+    )
+    def test_bad_designation_rejected(self, outputs, restored, error):
+        with pytest.raises(error):
+            two_line(outputs=outputs, restored=restored)
+
+    def test_restored_iterable_is_frozen(self):
+        nl = two_line(outputs=(("q", 1),), restored=(line for line in [0]))
+        assert nl.restored == frozenset({0})
 
 
 def old_document(nl) -> dict:

@@ -57,8 +57,10 @@ def _load_bench(name):
 
 
 def test_bench_tracer_targets_resolve():
-    """Every function the benchmark's traced run wraps still exists, so a
-    deletion cannot break `bench/run.py --trace 1` unnoticed."""
+    """Every function the benchmark's traced run wraps still exists (a
+    method in its class's own __dict__), and so does the compile cache's
+    `cache_info` that `bench/run.py` reads, so a rename or deletion cannot
+    break `bench/run.py --trace 1` unnoticed."""
     missing = []
     for module_name, attr, _ in _load_bench("tracer").TARGETS:
         owner = importlib.import_module(f"revbcd.{module_name}")
@@ -68,6 +70,9 @@ def test_bench_tracer_targets_resolve():
                 break
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
+    simulator = importlib.import_module("revbcd.simulator")
+    if not callable(getattr(simulator.compile_netlist, "cache_info", None)):
+        missing.append("simulator.compile_netlist.cache_info")
     assert not missing, missing
 
 
