@@ -269,7 +269,9 @@ class TestRegistry:
 # SHA-256 of serialize() for each netlist, recorded before the builders
 # were rebuilt from shared fragment emitters.  Any change to a line's
 # allocation order, label or role, or to a gate's kind, pins or stage,
-# changes these bytes.
+# changes these bytes.  The N=64 and N=512 rows were recorded before the
+# adders were stamped from one recorded digit cell; the N=512 rows equal
+# the benchmark's netlist digests.
 NETLIST_DIGESTS = {
     ("scl", None): "8c4340ee51049a44456d1eadb07c8645e857420cdeb766739fc22fc6fb70779c",
     ("pdfa", None): "2761cd10aa8682e36f75643a3298718335cae39b25ef62ab7542a01e35c452bd",
@@ -280,10 +282,14 @@ NETLIST_DIGESTS = {
     ("dec-rca", 2): "1743326929cb4eb092e84a67f44f5c8486e275e1bbb772e9e3aec4af3938c3b2",
     ("dec-rca", 3): "045ea747d52bbe75a37252c4f7f825fbc8026c780232d1438065843c12e0ec32",
     ("dec-rca", 8): "53474da532c6c5bda9be4f53456e64976dbde1dadc689c5ec884b423a520c886",
+    ("dec-rca", 64): "44556bdbac13ffe8a531b850b07d2506ffe3f0a5bfe5ac5d0e3d426764325936",
+    ("dec-rca", 512): "a552fdb685ac4699a61391a48bf462a1b57b7234ed7541c3c99c0a56a5ec57cc",
     ("dec-csk", 1): "96fc4ce4a42bdda0d51db31ad5ff23e6adf610fca9e3287b953a678a3d0977e0",
     ("dec-csk", 2): "8391af6567b4401d4fd9f27856a7fbd1debe65cbe3202cfbd27dd8cfcc685fd4",
     ("dec-csk", 3): "3e099f37a278a5850efcb61aeb1e42dde53a9d40f2023bc6e537a6d58cceba17",
     ("dec-csk", 8): "ca46afa4e2d0d17ab038270caa809511cf733a3521abb865644350540546fa08",
+    ("dec-csk", 64): "0214f1591bd644f3da52ea05942edb0ab026b1bf1c329533717f325213e3ba55",
+    ("dec-csk", 512): "b19be399c98c1204449098278a7d1eb011f02f7f0dcf17ad1a984002a9f08268",
 }
 
 _BLOCKS = {
