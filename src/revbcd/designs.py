@@ -24,7 +24,10 @@ generated signal is already correct.
 
 Both adders are one frame (``_adder``): the operand lines, then N copies
 of the design's digit cell (``_ripple_digit`` or ``_csk_digit``) with the
-cell's carry lines threaded digit to digit.  Each circuit fragment (the
+cell's carry lines threaded digit to digit.  The cell is recorded once
+(``_cell``) on local lines and stamped N times: local line l lands on
+first[l] in digit 0 and on later[l] + j*stride[l] in digit j >= 1, so the
+pins of one cell gate over all digits are ranges.  Each circuit fragment (the
 HNG raw-sum chain, the BJN+PG detection, the six-correction, the MF+DFG
 carry select and the propagate network) is emitted by one function; the
 digit cells call them, and so do the fragment's standalone blocks
@@ -37,13 +40,32 @@ engine can report the three-stage split.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, repeat
+
 from .errors import InvalidArgumentError, InvalidBCDError
 from .gates import GateKind
-from .netlist import GateInstance, LineRole, Netlist, const_role, input_role
+from .netlist import (
+    ROLE_INPUT,
+    GateInstance,
+    LineRole,
+    Netlist,
+    const_role,
+    gate_record,
+    input_role,
+    role_record,
+)
 
 STAGE_ADDITION = "addition"
 STAGE_DETECTION = "detection"
 STAGE_CORRECTION = "correction"
+
+
+
+def _digit_major(columns):
+    """Interleave per-cell-record columns (each over digits 0..n-1) into
+    digit order: digit 0's records, then digit 1's, and so on."""
+    return chain.from_iterable(zip(*columns))
 
 
 # -- direct boolean evaluators ----------------------------------------------
@@ -331,31 +353,77 @@ def _csk_digit(
     return [zc, k[0], s2, k[2]], carries_out
 
 
+@lru_cache(maxsize=None)
+def _cell(digit, threads: int):
+    """The digit cell recorded once, on local lines: 0..7 are the operand
+    digit (a0..a3, b0..b3), then the `threads` carry lines threaded in,
+    then the cell's own constants.  Returns the constants' roles (their
+    labels are prefixes, to which each digit adds ``.j``), the gates on
+    local lines, and the local sum lines and carry lines threaded out."""
+    b = _Builder()
+    a = [b.input(f"a{i}") for i in range(4)]
+    bb = [b.input(f"b{i}") for i in range(4)]
+    carries = tuple(b.input(f"c{t}") for t in range(threads))
+    sums, carries_out = digit(b, a, bb, carries, "")
+    return tuple(b.roles[8 + threads :]), tuple(b.gates), tuple(sums), carries_out
+
+
 def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     """An n-digit adder: the operand lines (per digit a0..a3 then b0..b3,
     then the single carry-in line last), then n copies of `digit` with
     its `threads` carry lines threaded digit to digit from the carry-in.
+
+    The cell is recorded once (`_cell`) and stamped n times.  Local line
+    l is digit 0's line first[l] and digit j's line later[l] + j*stride[l]
+    for j >= 1: the stride is 8 for an operand line and C, the cell's
+    constant count, for a constant or a threaded carry.  A threaded carry
+    is the carry-in in digit 0 (both csk carry slots) and the previous
+    digit's carry-out constant after it.  So each gate's pins over all
+    digits are ranges, zipped; gates and roles are laid out digit-major.
 
     Input labels and output names carry the digit suffix ``.j`` unless
     `suffixed` is false (the single-digit pdfa); constant labels always do.
     """
     if n < 1:
         raise InvalidArgumentError("digit count must be at least 1")
-    b = _Builder()
-    suffixes = [f".{j}" if suffixed else "" for j in range(n)]
-    operands = [
-        tuple([b.input(f"{op}{i}{s}") for i in range(4)] for op in "ab")
-        for s in suffixes
+    consts, cell_gates, sums, carries = _cell(digit, threads)
+    c = len(consts)
+    base = 8 * n + 1  # digit 0's first constant; the carry-in is base - 1
+    lead = 8 + threads
+    first = [*range(8), *[base - 1] * threads, *range(base, base + c)]
+    later = [*range(8), *(l - lead - c + base for l in carries), *range(base, base + c)]
+    stride = [8] * 8 + [c] * (threads + c)
+    # lines[l][j]: local line l's line in digit j.
+    lines = [
+        [first[l], *range(later[l] + step, later[l] + n * step, step)]
+        for l, step in enumerate(stride)
     ]
-    carries = (b.input("cin"),) * threads
-    for j, (a, bb) in enumerate(operands):
-        sums, carries = digit(b, a, bb, carries, f".{j}")
-        for i in range(4):
-            b.name(f"S{i}{suffixes[j]}", sums[i])
-    b.name("dC", carries[0])
-    for a, bb in operands:
-        b.restore(*a, *bb)
-    return b.build()
+    tags = [f".{j}" for j in range(n)]
+    suffixes = tags if suffixed else [""] * n
+    labels = [f"{op}{i}{s}" for s in suffixes for op in "ab" for i in range(4)]
+    labels.append("cin")
+    roles = list(map(role_record, zip(repeat(ROLE_INPUT), labels)))
+    roles += _digit_major(
+        map(role_record, zip(repeat(kind), map(prefix.__add__, tags)))
+        for kind, prefix in consts
+    )
+    gates = _digit_major(
+        map(
+            gate_record,
+            zip(repeat(kind), zip(*map(lines.__getitem__, pins)), repeat(stage)),
+        )
+        for kind, pins, stage in cell_gates
+    )
+    names = [[f"S{i}{s}" for s in suffixes] for i in range(4)]
+    outputs = list(_digit_major(zip(names[i], lines[sums[i]]) for i in range(4)))
+    outputs.append(("dC", lines[carries[0]][-1]))
+    return Netlist(
+        width=base + n * c,
+        roles=tuple(roles),
+        gates=tuple(gates),
+        outputs=tuple(outputs),
+        restored=frozenset(range(8 * n)),
+    )
 
 
 def build_pdfa() -> Netlist:

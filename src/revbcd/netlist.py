@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -47,8 +48,9 @@ _ROLES = (ROLE_INPUT, ROLE_CONST0, ROLE_CONST1)
 _ARITY = {kind: arity(kind) for kind in ALL_KINDS}
 # `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
 _INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
 _STR_OR_NONE = frozenset((str, type(None)))
-_PINS, _STAGE = itemgetter(1), itemgetter(2)
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class LineRole(NamedTuple):
@@ -95,6 +97,15 @@ class GateInstance(NamedTuple):
     stage: str | None = None
 
 
+# Gates of exactly this type are checked column by column.
+_GATE = frozenset((GateInstance,))
+# A record made in C from one ready (kind, pins, stage) or (kind, label)
+# tuple, without the NamedTuple constructor's Python frame: for code that
+# makes records in bulk.
+gate_record = partial(tuple.__new__, GateInstance)
+role_record = partial(tuple.__new__, LineRole)
+
+
 @dataclass(frozen=True)
 class Netlist:
     """Immutable reversible netlist over `width` indexed lines."""
@@ -106,10 +117,11 @@ class Netlist:
     restored: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "outputs", tuple(tuple(o) for o in self.outputs))
-        object.__setattr__(self, "restored", tuple(self.restored))
+        object.__setattr__(self, "roles", _collection(self.roles, "roles"))
+        object.__setattr__(self, "gates", _collection(self.gates, "gates"))
+        outputs = tuple(map(_pair, _collection(self.outputs, "outputs")))
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "restored", _collection(self.restored, "restored"))
         self.validate()
         object.__setattr__(self, "restored", frozenset(self.restored))
 
@@ -120,13 +132,19 @@ class Netlist:
         RevbcdError subclass naming the first violation.
 
         Width: an int (not a bool) of at least 1, with one role per line.
-        Lines: a known role and a label that is a str or None; a non-empty
-        unique label on every input, unique constant labels.  Gates: a
-        known kind whose pins are a tuple of as many distinct existing
-        lines as its arity, each an int (not a bool); a stage that is a
-        str or None.  Outputs: unique str names on int lines.  Restored
-        lines: ints.  Both on existing lines, each line designated once,
-        restored lines primary inputs that are not also named outputs.
+        Lines: a (kind, label) record with a known role and a label that
+        is a str or None; a non-empty unique label on every input, unique
+        constant labels.  Gates: a (kind, pins, stage) record of a known
+        kind whose pins are a tuple of as many distinct existing lines as
+        its arity, each an int (not a bool); a stage that is a str or
+        None.  Outputs: (name, line) pairs, unique str names on int
+        lines.  Restored lines: ints.  Both on existing lines, each line
+        designated once, restored lines primary inputs that are not also
+        named outputs.
+
+        Gates are checked column by column: each rule over all gates at
+        once.  Only when a column check fails does a loop over the gates
+        run, to name the gate at fault.
         """
         width = self.width
         if type(width) is not int or width < 1:
@@ -135,7 +153,13 @@ class Netlist:
             raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
         input_labels: set[str] = set()
         const_labels: set[str] = set()
-        for i, (kind, label) in enumerate(self.roles):
+        for i, role in enumerate(self.roles):
+            try:
+                kind, label = role
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"line {i}: {role!r} is not a (kind, label) record"
+                ) from None
             if label is not None and type(label) is not str:
                 raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
             if kind == ROLE_INPUT:
@@ -150,40 +174,17 @@ class Netlist:
                 const_labels.add(label)
             else:
                 raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
-        gates = self.gates
-        lines = frozenset(range(width))
-        try:
-            for i, (kind, pins, _) in enumerate(gates):
-                want = _ARITY.get(kind)
-                if want is None:
-                    raise InvalidArgumentError(f"gates[{i}]: unknown kind {kind!r}")
-                if type(pins) is not tuple:
-                    raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
-                if len(pins) != want:
-                    raise ArityError(
-                        f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
-                    )
-                used = set(pins)
-                if len(used) != want:
-                    raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
-                if not used <= lines:
-                    bad = next(p for p in pins if p not in lines)
-                    raise LineIndexError(
-                        f"gates[{i}]: pin {bad} outside 0..{width - 1}"
-                    )
-        except TypeError:
-            raise InvalidArgumentError(f"gates[{i}]: unhashable kind or pin") from None
-        # The value types over all gates at once, which costs less than a
-        # check per gate; only a failed check looks for the gate at fault.
-        if not _INT.issuperset(map(type, chain.from_iterable(map(_PINS, gates)))):
-            i = next(i for i, g in enumerate(gates) if {*map(type, g[1])} - _INT)
-            raise InvalidArgumentError(f"gates[{i}]: pins {gates[i][1]} must be ints")
-        if not _STR_OR_NONE.issuperset(map(type, map(_STAGE, gates))):
-            i = next(i for i, g in enumerate(gates) if type(g[2]) not in _STR_OR_NONE)
-            raise InvalidArgumentError(f"gates[{i}]: stage {gates[i][2]!r} not a str")
+        if not _gates_hold(self.gates, width):
+            _name_bad_gate(self.gates, width)
         names: set[str] = set()
         named_lines: set[int] = set()
-        for name, line in self.outputs:
+        for i, output in enumerate(self.outputs):
+            try:
+                name, line = output
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"outputs[{i}]: {output!r} is not a (name, line) pair"
+                ) from None
             if type(name) is not str or type(line) is not int:
                 raise InvalidArgumentError(
                     f"output {name!r} on line {line!r}: need a str name, an int line"
@@ -201,7 +202,7 @@ class Netlist:
                 raise InvalidArgumentError(f"restored line {line!r} must be an int")
             if not 0 <= line < width:
                 raise LineIndexError(f"restored line {line} out of range")
-            if not self.roles[line].is_input:
+            if self.roles[line][0] != ROLE_INPUT:
                 raise DesignationError(f"restored line {line} is not a primary input")
             if line in named_lines:
                 raise DesignationError(f"restored line {line} is also a named output")
@@ -230,6 +231,83 @@ class Netlist:
             for i in range(self.width)
             if i not in named and i not in self.restored
         ]
+
+
+def _collection(value, what: str) -> tuple:
+    """`value` as a tuple; a value that is not iterable is a typed error."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be iterable, got {value!r}") from None
+
+
+def _pair(output):
+    """An output entry as a tuple, or as is when it is not iterable, so
+    `Netlist.validate` names it."""
+    try:
+        return tuple(output)
+    except TypeError:
+        return output
+
+
+def _gates_hold(gates: tuple, width: int) -> bool:
+    """Every gate rule of `Netlist.validate`, over whole columns: arity,
+    pin-tuple type, distinct pins, int pins, pin range and stage type."""
+    if not _GATE.issuperset(map(type, gates)):
+        return False
+    pins = list(map(_SECOND, gates))
+    try:
+        wants = list(map(_ARITY.__getitem__, map(_FIRST, gates)))
+        distinct = list(map(len, map(set, pins)))
+    except (KeyError, TypeError):
+        return False
+    if not _TUPLE.issuperset(map(type, pins)) or distinct != wants:
+        return False
+    if list(map(len, pins)) != wants:
+        return False
+    flat = list(chain.from_iterable(pins))
+    if not _INT.issuperset(map(type, flat)):
+        return False
+    if flat and (min(flat) < 0 or max(flat) >= width):
+        return False
+    return _STR_OR_NONE.issuperset(map(type, map(_THIRD, gates)))
+
+
+def _name_bad_gate(gates: tuple, width: int) -> None:
+    """Raise the error of the first gate that breaks a rule: the
+    structural rules gate by gate, then the pin types, then the stages."""
+    lines = frozenset(range(width))
+    for i, gate in enumerate(gates):
+        try:
+            kind, pins, _ = gate
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"gates[{i}]: {gate!r} is not a (kind, pins, stage) record"
+            ) from None
+        try:
+            want = _ARITY.get(kind)
+            if want is None:
+                raise InvalidArgumentError(f"gates[{i}]: unknown kind {kind!r}")
+            if type(pins) is not tuple:
+                raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
+            if len(pins) != want:
+                raise ArityError(
+                    f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
+                )
+            used = set(pins)
+            if len(used) != want:
+                raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
+            if not used <= lines:
+                bad = next(p for p in pins if p not in lines)
+                raise LineIndexError(f"gates[{i}]: pin {bad} outside 0..{width - 1}")
+        except TypeError:
+            raise InvalidArgumentError(f"gates[{i}]: unhashable kind or pin") from None
+    for i, (_, pins, _) in enumerate(gates):
+        if {*map(type, pins)} - _INT:
+            raise InvalidArgumentError(f"gates[{i}]: pins {pins} must be ints")
+    for i, (_, _, stage) in enumerate(gates):
+        if type(stage) not in _STR_OR_NONE:
+            raise InvalidArgumentError(f"gates[{i}]: stage {stage!r} not a str")
 
 
 # -- serialization ----------------------------------------------------------
@@ -325,6 +403,71 @@ def _records(entries: list, key: str, fields: tuple[str, ...]):
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}
+_INDEX, _ROLE, _KIND, _PINS = map(itemgetter, ("index", "role", "kind", "pins"))
+_NAME_LINE = itemgetter("name", "line")
+_LIST = frozenset((list,))
+
+
+def _lines(entries: list) -> list[LineRole]:
+    """Each entry's role, placed by its index.  The indices must be ints
+    equal to range(count) once sorted; a loop over the entries runs only
+    when that or a field lookup fails, to name the first bad entry."""
+    count = len(entries)
+    try:
+        indices = list(map(_INDEX, entries))
+        if _INT.issuperset(map(type, indices)):
+            order = sorted(range(count), key=indices.__getitem__)
+            if list(map(indices.__getitem__, order)) == list(range(count)):
+                placed = list(map(entries.__getitem__, order))
+                labels = map(dict.get, placed, repeat("label"))
+                return list(map(role_record, zip(map(_ROLE, placed), labels)))
+    except (KeyError, TypeError):
+        pass
+    # Sized by the entries, so the document's own size bounds the
+    # allocation; validate compares their count with `width`.
+    roles: list[LineRole | None] = [None] * count
+    for pos, entry, (idx, role) in _records(entries, "lines", ("index", "role")):
+        if type(idx) is not int or not 0 <= idx < count:
+            raise NetlistFormatError(
+                f"lines[{pos}]: index {idx!r} outside 0..{count - 1}"
+            )
+        if roles[idx] is not None:
+            raise NetlistFormatError(f"lines[{pos}]: line {idx} defined twice")
+        roles[idx] = LineRole(role, entry.get("label"))
+    return roles
+
+
+def _gates(entries: list) -> list[GateInstance]:
+    """Each entry as a gate, made column by column; a loop over the
+    entries runs only when a column fails, to name the first bad entry."""
+    try:
+        kinds = list(map(_KIND_BY_NAME.get, map(_KIND, entries)))
+        pins = list(map(_PINS, entries))
+    except (KeyError, TypeError):
+        pass
+    else:
+        if None not in kinds and _LIST.issuperset(map(type, pins)):
+            stages = map(dict.get, entries, repeat("stage"))
+            return list(map(gate_record, zip(kinds, map(tuple, pins), stages)))
+    gates = []
+    for pos, entry, (kind_name, pins) in _records(entries, "gates", ("kind", "pins")):
+        kind = _KIND_BY_NAME.get(kind_name) if type(kind_name) is str else None
+        if kind is None:
+            raise NetlistFormatError(f"gates[{pos}]: unknown gate kind {kind_name!r}")
+        if type(pins) is not list:
+            raise NetlistFormatError(f"gates[{pos}]: pins must be an array")
+        gates.append(GateInstance(kind, tuple(pins), entry.get("stage")))
+    return gates
+
+
+def _outputs(entries: list) -> list[tuple]:
+    """Each entry's (name, line); a loop over the entries runs only when
+    a lookup fails, to name the first bad entry."""
+    try:
+        return list(map(_NAME_LINE, entries))
+    except (KeyError, TypeError):
+        fields = _records(entries, "outputs", ("name", "line"))
+        return [values for _, _, values in fields]
 
 
 def deserialize(text: str) -> Netlist:
@@ -332,8 +475,10 @@ def deserialize(text: str) -> Netlist:
 
     Maps the document to records and checks only what a record cannot
     hold: the JSON syntax, the shape of each object, each line placed once
-    by its `index`, and gate kind names.  Every netlist rule, value types
-    included, is left to `Netlist.validate`, whose errors come back as
+    by its `index`, and gate kind names.  Each array is mapped column by
+    column; only when a column fails does a loop over its entries run, to
+    name the first bad entry.  Every netlist rule, value types included,
+    is left to `Netlist.validate`, whose errors come back as
     NetlistFormatError.
     """
     try:
@@ -352,34 +497,9 @@ def deserialize(text: str) -> Netlist:
         raise NetlistFormatError("document root must be an object")
 
     width = _require(doc, "width", "document")
-    entries = _require_list(doc, "lines")
-    # Sized by the entries, so the document's own size bounds the
-    # allocation; validate compares their count with `width`.
-    count = len(entries)
-    roles: list[LineRole | None] = [None] * count
-    for pos, entry, (idx, role) in _records(entries, "lines", ("index", "role")):
-        if type(idx) is not int or not 0 <= idx < count:
-            raise NetlistFormatError(
-                f"lines[{pos}]: index {idx!r} outside 0..{count - 1}"
-            )
-        if roles[idx] is not None:
-            raise NetlistFormatError(f"lines[{pos}]: line {idx} defined twice")
-        roles[idx] = LineRole(role, entry.get("label"))
-
-    gates = []
-    gate_entries = _require_list(doc, "gates")
-    for pos, entry, (kind_name, pins) in _records(
-        gate_entries, "gates", ("kind", "pins")
-    ):
-        kind = _KIND_BY_NAME.get(kind_name) if type(kind_name) is str else None
-        if kind is None:
-            raise NetlistFormatError(f"gates[{pos}]: unknown gate kind {kind_name!r}")
-        if type(pins) is not list:
-            raise NetlistFormatError(f"gates[{pos}]: pins must be an array")
-        gates.append(GateInstance(kind, tuple(pins), entry.get("stage")))
-
-    output_entries = _require_list(doc, "outputs")
-    outputs = [o for _, _, o in _records(output_entries, "outputs", ("name", "line"))]
+    roles = _lines(_require_list(doc, "lines"))
+    gates = _gates(_require_list(doc, "gates"))
+    outputs = _outputs(_require_list(doc, "outputs"))
     restored = _require_list(doc, "restored")
 
     try:

@@ -240,6 +240,46 @@ class TestDeserializeBoundary:
             deserialize(_doc(**fields))
 
     @pytest.mark.parametrize(
+        "lines",
+        [
+            [_LINE_A, dict(_LINE_K, index=0)],
+            [_LINE_A, dict(_LINE_K, index=2)],
+            [_LINE_A, dict(_LINE_K, index="1")],
+            [_LINE_A, {"index": 1, "label": None}],
+            [_LINE_A, 7],
+        ],
+        ids=["index-twice", "index-past-count", "index-str", "role-missing",
+             "entry-int"],
+    )
+    def test_bad_line_named(self, lines):
+        """The column mapping names the entry at fault, as a loop would."""
+        with pytest.raises(NetlistFormatError, match=r"^lines\[1\]: "):
+            deserialize(_doc(lines=lines))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"kind": "XYZ", "pins": [0, 1]},
+            {"kind": "FG", "pins": 5},
+            {"kind": "FG"},
+            7,
+        ],
+        ids=["unknown-kind", "pins-int", "pins-missing", "entry-int"],
+    )
+    def test_bad_gate_named(self, gate):
+        fg = {"kind": "FG", "pins": [0, 1], "stage": None}
+        with pytest.raises(NetlistFormatError, match=r"^gates\[2\]: "):
+            deserialize(_doc(gates=[fg, fg, gate]))
+
+    def test_reversed_lines_read_back_equal(self):
+        import json
+
+        nl = build_dec_csk(2)
+        doc = json.loads(serialize(nl))
+        doc["lines"].reverse()
+        assert deserialize(json.dumps(doc)) == nl
+
+    @pytest.mark.parametrize(
         "gate",
         [
             {"kind": "FG", "pins": [1, 1]},
@@ -303,6 +343,16 @@ class TestValidateGates:
                 gates=(good, GateInstance(kind, pins, stage), good),
             )
 
+    @pytest.mark.parametrize(
+        "record",
+        [(GateKind.FG, (0, 1)), 5, (GateKind.FG, (0, 1), None, "x")],
+        ids=["two-fields", "int", "four-fields"],
+    )
+    def test_malformed_record_rejected(self, record):
+        good = GateInstance(GateKind.FG, (0, 1))
+        with pytest.raises(InvalidArgumentError, match=r"^gates\[1\]: .* record$"):
+            Netlist(width=3, roles=_THREE_LINES, gates=(good, record, good))
+
     def test_good_gates_accepted(self):
         gates = (
             GateInstance(GateKind.PG, (0, 1, 2), "s"),
@@ -334,6 +384,15 @@ class TestValidateLines:
     def test_bad_roles_rejected(self, roles):
         with pytest.raises(InvalidArgumentError, match=r"^line \d: "):
             Netlist(width=2, roles=tuple(LineRole(*r) for r in roles))
+
+    @pytest.mark.parametrize(
+        "role",
+        [5, ("input",), ("const0", "k", "x")],
+        ids=["int", "one-field", "three-fields"],
+    )
+    def test_malformed_role_rejected(self, role):
+        with pytest.raises(InvalidArgumentError, match=r"^line 1: .* record$"):
+            Netlist(width=2, roles=(input_role("a"), role))
 
     @pytest.mark.parametrize(
         "width", (True, False, -1, 2.0, "2", None), ids=repr
@@ -375,6 +434,26 @@ class TestValidateDesignations:
     def test_bad_designation_rejected(self, outputs, restored, error):
         with pytest.raises(error):
             two_line(outputs=outputs, restored=restored)
+
+    @pytest.mark.parametrize(
+        "outputs,match",
+        [
+            ((("x",),), r"^outputs\[0\]: "),
+            ((5,), r"^outputs\[0\]: "),
+            ((("q", 1), ("r", 0, "x")), r"^outputs\[1\]: "),
+            (5, r"^outputs must be iterable"),
+        ],
+        ids=["one-field", "entry-int", "three-fields", "outputs-int"],
+    )
+    def test_malformed_output_rejected(self, outputs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            two_line(outputs=outputs)
+
+    @pytest.mark.parametrize("field", ["roles", "gates", "restored"])
+    def test_non_iterable_field_rejected(self, field):
+        fields = {"width": 2, "roles": _TWO_LINES, field: 5}
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be iterable"):
+            Netlist(**fields)
 
     def test_restored_iterable_is_frozen(self):
         nl = two_line(outputs=(("q", 1),), restored=(line for line in [0]))
