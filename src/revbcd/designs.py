@@ -27,10 +27,10 @@ of the design's digit cell (``_ripple_digit`` or ``_csk_digit``) with the
 cell's carry lines threaded digit to digit.  The cell is recorded once
 (``_cell``) on local lines and stamped N times: local line l lands on
 first[l] in digit 0 and on later[l] + j*stride[l] in digit j >= 1, so the
-pins of one cell gate over all digits are ranges.  Each circuit fragment (the
-HNG raw-sum chain, the BJN+PG detection, the six-correction, the MF+DFG
-carry select and the propagate network) is emitted by one function; the
-digit cells call them, and so do the fragment's standalone blocks
+pins of one cell gate over all digits are ranges.  Each circuit fragment
+(the HNG raw-sum chain, the BJN+PG detection, the six-correction, the
+MF+DFG carry select and the propagate network) is emitted by one
+function; the digit cells call them, and so do the fragment's standalone blocks
 (``build_scl``, ``build_correction``, ``build_skip_block``,
 ``build_skip_generator``), which add only their input lines and names.
 
@@ -59,13 +59,6 @@ from .netlist import (
 STAGE_ADDITION = "addition"
 STAGE_DETECTION = "detection"
 STAGE_CORRECTION = "correction"
-
-
-
-def _digit_major(columns):
-    """Interleave per-cell-record columns (each over digits 0..n-1) into
-    digit order: digit 0's records, then digit 1's, and so on."""
-    return chain.from_iterable(zip(*columns))
 
 
 # -- direct boolean evaluators ----------------------------------------------
@@ -351,6 +344,12 @@ def _csk_digit(
     carries_out = _carry_select(b, p, mux_in, k[3], (f"dCnext{tag}", f"dCskip{tag}"))
     s2 = _correction(b, k[3], k[0], k[1], k[2], tag)
     return [zc, k[0], s2, k[2]], carries_out
+
+
+def _digit_major(columns):
+    """Interleave per-cell-record columns (each over digits 0..n-1) into
+    digit order: digit 0's records, then digit 1's, and so on."""
+    return chain.from_iterable(zip(*columns))
 
 
 @lru_cache(maxsize=None)

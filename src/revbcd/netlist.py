@@ -415,12 +415,10 @@ def _lines(entries: list) -> list[LineRole]:
     count = len(entries)
     try:
         indices = list(map(_INDEX, entries))
-        if _INT.issuperset(map(type, indices)):
-            order = sorted(range(count), key=indices.__getitem__)
-            if list(map(indices.__getitem__, order)) == list(range(count)):
-                placed = list(map(entries.__getitem__, order))
-                labels = map(dict.get, placed, repeat("label"))
-                return list(map(role_record, zip(map(_ROLE, placed), labels)))
+        if _INT.issuperset(map(type, indices)) and sorted(indices) == [*range(count)]:
+            placed = sorted(entries, key=_INDEX)
+            labels = map(dict.get, placed, repeat("label"))
+            return list(map(role_record, zip(map(_ROLE, placed), labels)))
     except (KeyError, TypeError):
         pass
     # Sized by the entries, so the document's own size bounds the
