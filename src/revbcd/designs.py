@@ -392,9 +392,12 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     first = [*range(8), *[base - 1] * threads, *range(base, base + c)]
     later = [*range(8), *(l - lead - c + base for l in carries), *range(base, base + c)]
     stride = [8] * 8 + [c] * (threads + c)
-    # lines[l][j]: local line l's line in digit j.
+    # lines[l][j]: local line l's line in digit j, taken from one list of
+    # all line numbers made in line order: the compiled gates read these
+    # int objects on every run, and made in order, one digit's lie close.
+    line = list(range(base + n * c))
     lines = [
-        [first[l], *range(later[l] + step, later[l] + n * step, step)]
+        [line[first[l]], *line[later[l] + step : later[l] + n * step : step]]
         for l, step in enumerate(stride)
     ]
     tags = [f".{j}" for j in range(n)]

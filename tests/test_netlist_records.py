@@ -1,8 +1,9 @@
-"""Property test for the netlist constructor (needs hypothesis).
+"""Property tests for the netlist constructor (needs hypothesis).
 
 Any records, each field a valid value or junk, either fail with a
 RevbcdError or make a netlist whose document is the one serialize has
-always written and reloads to the same netlist.
+always written and reloads to the same netlist.  The column check of the
+gates accepts exactly what the per-gate loop accepts.
 """
 
 import json
@@ -14,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from revbcd.errors import RevbcdError
 from revbcd.gates import GateKind, arity
-from revbcd.netlist import GateInstance, LineRole, Netlist, deserialize, serialize
+from revbcd.netlist import (
+    GateInstance,
+    LineRole,
+    Netlist,
+    _gates_hold,
+    _name_bad_gate,
+    deserialize,
+    serialize,
+)
 
 from test_netlist import old_document
 
@@ -113,6 +122,21 @@ def _check_records(args) -> bool:
 @given(near_valid_netlist_args())
 def test_records_make_a_netlist_that_reloads_or_fail_typed(args):
     _check_records(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_valid_netlist_args())
+def test_gate_columns_agree_with_the_gate_loop(args):
+    """The column check accepts exactly the gates that the per-gate loop,
+    the reference, accepts."""
+    width = args["width"]
+    hypothesis.assume(type(width) is int and width >= 1)
+    try:
+        _name_bad_gate(args["gates"], width)
+    except RevbcdError:
+        assert not _gates_hold(args["gates"], width)
+    else:
+        assert _gates_hold(args["gates"], width)
 
 
 def test_record_strategy_reaches_valid_netlists():
