@@ -390,11 +390,13 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     base = 8 * n + 1  # digit 0's first constant; the carry-in is base - 1
     lead = 8 + threads
     first = [*range(8), *[base - 1] * threads, *range(base, base + c)]
-    later = [*range(8), *(l - lead - c + base for l in carries), *range(base, base + c)]
+    # A threaded carry in digit j >= 1 is digit j-1's carry-out constant.
+    carried = (base - c + l - lead for l in carries)
+    later = [*range(8), *carried, *range(base, base + c)]
     stride = [8] * 8 + [c] * (threads + c)
-    # lines[l][j]: local line l's line in digit j, taken from one list of
-    # all line numbers made in line order: the compiled gates read these
-    # int objects on every run, and made in order, one digit's lie close.
+    # lines[l][j]: local line l's line in digit j.  The ints are sliced
+    # from one list made in line order, so one digit's ints lie close
+    # together in memory: the compiled gates read them on every run.
     line = list(range(base + n * c))
     lines = [
         [line[first[l]], *line[later[l] + step : later[l] + n * step : step]]
