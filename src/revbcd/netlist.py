@@ -404,7 +404,6 @@ def _records(entries: list, key: str, fields: tuple[str, ...]):
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}
 _INDEX, _ROLE, _KIND, _PINS = map(itemgetter, ("index", "role", "kind", "pins"))
-_NAME_LINE = itemgetter("name", "line")
 _LIST = frozenset((list,))
 
 
@@ -458,24 +457,14 @@ def _gates(entries: list) -> list[GateInstance]:
     return gates
 
 
-def _outputs(entries: list) -> list[tuple]:
-    """Each entry's (name, line); a loop over the entries runs only when
-    a lookup fails, to name the first bad entry."""
-    try:
-        return list(map(_NAME_LINE, entries))
-    except (KeyError, TypeError):
-        fields = _records(entries, "outputs", ("name", "line"))
-        return [values for _, _, values in fields]
-
-
 def deserialize(text: str) -> Netlist:
     """Parse the text format back into a netlist; inverse of serialize.
 
     Maps the document to records and checks only what a record cannot
     hold: the JSON syntax, the shape of each object, each line placed once
-    by its `index`, and gate kind names.  Each array is mapped column by
-    column; only when a column fails does a loop over its entries run, to
-    name the first bad entry.  Every netlist rule, value types included,
+    by its `index`, and gate kind names.  The lines and gates are mapped
+    column by column; only when a column fails does a loop over the
+    entries run, to name the first bad entry.  Every netlist rule, value types included,
     is left to `Netlist.validate`, whose errors come back as
     NetlistFormatError.
     """
@@ -497,7 +486,8 @@ def deserialize(text: str) -> Netlist:
     width = _require(doc, "width", "document")
     roles = _lines(_require_list(doc, "lines"))
     gates = _gates(_require_list(doc, "gates"))
-    outputs = _outputs(_require_list(doc, "outputs"))
+    output_entries = _require_list(doc, "outputs")
+    outputs = [o for _, _, o in _records(output_entries, "outputs", ("name", "line"))]
     restored = _require_list(doc, "restored")
 
     try:
