@@ -117,8 +117,10 @@ class Netlist:
     restored: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "roles", _collection(self.roles, "roles"))
-        object.__setattr__(self, "gates", _collection(self.gates, "gates"))
+        roles = _records_of(LineRole, _collection(self.roles, "roles"))
+        object.__setattr__(self, "roles", roles)
+        gates = _records_of(GateInstance, _collection(self.gates, "gates"))
+        object.__setattr__(self, "gates", gates)
         outputs = tuple(map(_pair, _collection(self.outputs, "outputs")))
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "restored", _collection(self.restored, "restored"))
@@ -239,6 +241,24 @@ def _collection(value, what: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be iterable, got {value!r}") from None
+
+
+def _records_of(cls, items: tuple) -> tuple:
+    """`items` with each entry that unpacks into a `cls` record made one.
+
+    Built and parsed netlists hold only records and pass unchanged; an
+    entry that is no record of the right length stays as it is, so
+    `Netlist.validate` names it.
+    """
+    if frozenset((cls,)).issuperset(map(type, items)):
+        return items
+    records = []
+    for item in items:
+        try:
+            records.append(item if type(item) is cls else cls._make(item))
+        except TypeError:
+            records.append(item)
+    return tuple(records)
 
 
 def _pair(output):

@@ -16,8 +16,11 @@ lane mask (bit k set for every vector) riding in the state's last slot
 while the gates run.  The scalar case is mask 1.  `truth_table` and
 `check_permutation` share one sweep: the varied lines start from the
 counting pattern over all 2^n assignments (`counting_lanes`), 2^14 vectors
-per `run_state` call so memory stays small.  Unpacking goes through byte
-planes (`byte_plane`) rather than one int per vector.
+per `run_state` call so memory stays small.  `truth_table` unpacks the
+rows through byte planes (`byte_plane`) rather than one int per vector;
+`check_permutation` never unpacks: it runs each chunk's terminal lanes
+back through the inverse circuit (`CompiledNetlist.undo_state`) and
+compares whole lanes.
 
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
@@ -27,7 +30,6 @@ EXHAUSTIVE_WIDTH_LIMIT lines.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -62,8 +64,11 @@ def _block_end(gates: Sequence[GateInstance], start: int) -> int:
     return stop
 
 
-def _appliers(gates: Sequence[GateInstance]) -> list[Callable[[list[int]], None]]:
-    """One fused applier per block of `gates`, in order."""
+def _appliers(
+    gates: Sequence[GateInstance], inverse: bool = False
+) -> list[Callable[[list[int]], None]]:
+    """One fused applier per block of `gates`, in order; with `inverse`,
+    each gate applies its inverse template."""
     fns = []
     start = 0
     while start < len(gates):
@@ -73,7 +78,7 @@ def _appliers(gates: Sequence[GateInstance]) -> list[Callable[[list[int]], None]
             (g.kind, tuple([slot.setdefault(p, len(slot)) for p in g.pins]))
             for g in gates[start:end]
         )
-        fns.append(block(shape)(*slot))
+        fns.append(block(shape, inverse)(*slot))
         start = end
     return fns
 
@@ -84,6 +89,7 @@ class CompiledNetlist:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self._fns = _appliers(netlist.gates)
+        self._undo_fns: list[Callable[[list[int]], None]] | None = None
         base = []
         for role in netlist.roles:
             base.append(0 if role.is_input else role.const_value)
@@ -101,6 +107,19 @@ class CompiledNetlist:
         """
         state.append(mask)
         for f in self._fns:
+            f(state)
+        state.pop()
+
+    def undo_state(self, state: list[int], mask: int = 1) -> None:
+        """Undo every gate of `state` in place: the inverse of `run_state`.
+
+        Runs the gates in reverse order, each through its inverse
+        template; those appliers are compiled on the first call.
+        """
+        if self._undo_fns is None:
+            self._undo_fns = _appliers(self.netlist.gates[::-1], inverse=True)
+        state.append(mask)
+        for f in self._undo_fns:
             f(state)
         state.pop()
 
@@ -175,22 +194,6 @@ def byte_plane(lane: int, count: int, shift: int = 0) -> int:
     return int.from_bytes(text, "big")
 
 
-def _vector_words(lanes: Sequence[int], count: int) -> memoryview:
-    """Vector k's value over the lanes (lane i is bit i), as a uint32 view.
-
-    For up to 32 lanes: eight byte planes are summed into one byte of every
-    word, and the bytes of each word are interleaved with strided slices.
-    """
-    words = bytearray(4 * count)
-    for byte in range((len(lanes) + 7) // 8):
-        acc = 0
-        for shift, lane in enumerate(lanes[8 * byte : 8 * byte + 8]):
-            acc |= byte_plane(lane, count, shift)
-        pos = byte if sys.byteorder == "little" else 3 - byte
-        words[pos::4] = acc.to_bytes(count, "little")
-    return memoryview(words).cast("I")
-
-
 # Multi-vector callers run at most 2^BATCH_BITS vectors per run_state call,
 # so each lane stays at 2 kB and each unpack buffer near 16 kB however many
 # vectors there are: one batch over all 2^20 states would hold megabytes.
@@ -251,11 +254,16 @@ def check_permutation(netlist: Netlist) -> bool:
     """True iff the raw circuit map on all 2^width states is a bijection.
 
     Constants are varied too: this checks the circuit as a function of
-    every line, not just the used inputs.
+    every line, not just the used inputs.  Each chunk's terminal lanes
+    run back through the inverse circuit G and must give its initial
+    lanes again.  G(F(x)) = x on every state makes F injective, so on a
+    finite set a bijection, whatever G is: a circuit that is not a
+    bijection can never pass.
     """
     _check_exhaustive(netlist)
-    seen = bytearray(1 << netlist.width)
-    for _, terminal, count in _sweep(compile_netlist(netlist), range(netlist.width)):
-        for word in _vector_words(terminal, count):
-            seen[word] = 1
-    return 0 not in seen
+    compiled = compile_netlist(netlist)
+    for initial, terminal, count in _sweep(compiled, range(netlist.width)):
+        compiled.undo_state(terminal, (1 << count) - 1)
+        if terminal != initial:
+            return False
+    return True

@@ -22,6 +22,9 @@ def dec_csk8():
 def mutate_gate(monkeypatch):
     """Swap one gate kind's statement template for the length of a test.
 
+    `mutate(kind, template)` keeps the kind's inverse template, so a
+    mutated gate that is no bijection still fails the inverse run of
+    `check_permutation`; `inverse=` swaps the inverse template as well.
     The block-shape cache and every compiled cache are emptied when the
     swap is made and again when it is undone, so no block or netlist
     compiled under the other semantics is reused.
@@ -37,9 +40,10 @@ def mutate_gate(monkeypatch):
         ):
             cached.cache_clear()
 
-    def mutate(kind, template):
-        arity, qc, delay, _ = gates._GATES[kind]
-        monkeypatch.setitem(gates._GATES, kind, (arity, qc, delay, template))
+    def mutate(kind, template, inverse=None):
+        arity, qc, delay, _, kept = gates._GATES[kind]
+        row = (arity, qc, delay, template, kept if inverse is None else inverse)
+        monkeypatch.setitem(gates._GATES, kind, row)
         clear()
 
     yield mutate

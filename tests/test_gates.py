@@ -7,6 +7,7 @@ from revbcd.gates import (
     ALL_KINDS,
     GateKind,
     arity,
+    block,
     gate_cost,
     gate_semantics,
     gate_truth_table,
@@ -122,3 +123,41 @@ class TestAlgebra:
                     assert (p, q, r) == (a, a ^ b, a ^ c)
         assert gate_semantics(GateKind.DFG, (1, 0, 0)) == (1, 1, 1)
 
+
+
+
+def apply(kind, state, inverse=False):
+    """Run one gate (or its inverse) on lines 0..arity-1 of `state`, whose
+    last slot holds the lane mask, in place."""
+    pins = tuple(range(arity(kind)))
+    block(((kind, pins),), inverse)(*pins)(state)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_inverse_restores_every_scalar_input(self, kind):
+        n = arity(kind)
+        for value in range(1 << n):
+            bits = [(value >> i) & 1 for i in range(n)]
+            state = [*bits, 1]
+            apply(kind, state)
+            assert tuple(state[:n]) == gate_semantics(kind, tuple(bits))
+            apply(kind, state, inverse=True)
+            assert state == [*bits, 1]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_inverse_restores_a_lane_batch(self, kind):
+        """All 2^arity inputs at once, vector k being input k, under a
+        mask of 2^arity bits: NOT's v[-1] and MF's ~ meet a real mask."""
+        n = arity(kind)
+        count = 1 << n
+        mask = (1 << count) - 1
+        lanes = [sum(((k >> i) & 1) << k for k in range(count)) for i in range(n)]
+        state = [*lanes, mask]
+        apply(kind, state)
+        for k in range(count):
+            out = tuple(lane >> k & 1 for lane in state[:n])
+            assert out == gate_semantics(kind, tuple((k >> i) & 1 for i in range(n)))
+        assert all(0 <= lane <= mask for lane in state[:n])
+        apply(kind, state, inverse=True)
+        assert state == [*lanes, mask]

@@ -29,6 +29,7 @@ from revbcd.netlist import (
     input_role,
     serialize,
 )
+from revbcd.simulator import check_permutation, compile_netlist
 
 _TWO_LINES = (input_role("a"), const_role(0))
 
@@ -83,6 +84,23 @@ class TestConstruction:
         )
         rebuilt.validate()
         assert rebuilt.gates == nl.gates
+
+    def test_plain_tuple_records_become_records(self):
+        nl = Netlist(
+            2, (("input", "a"), ("const0", None)), gates=((GateKind.FG, (0, 1), None),)
+        )
+        assert nl == two_line(gates=_FG01)
+        assert [type(r) for r in nl.roles] == [LineRole, LineRole]
+        assert type(nl.gates[0]) is GateInstance
+        assert nl.input_lines() == [0]
+        assert compile_netlist(nl).inputs == (0,)
+        assert check_permutation(nl)
+        assert deserialize(serialize(nl)) == nl
+
+    def test_records_kept_as_they_are(self):
+        nl = build_pdfa()
+        rebuilt = Netlist(nl.width, nl.roles, nl.gates, nl.outputs, nl.restored)
+        assert rebuilt.roles is nl.roles and rebuilt.gates is nl.gates
 
 
 class TestDesignation:

@@ -7,8 +7,16 @@ import pytest
 
 from revbcd.designs import build_dec_csk, build_dec_rca, build_scl, scl_function
 from revbcd.errors import AssignmentError, CapacityError
-from revbcd.gates import GateKind, arity, block, gate_semantics, gate_truth_table
-from revbcd.netlist import GateInstance, Netlist, input_role
+from revbcd.gates import (
+    ALL_KINDS,
+    GateKind,
+    _GATES,
+    arity,
+    block,
+    gate_semantics,
+    gate_truth_table,
+)
+from revbcd.netlist import GateInstance, Netlist, const_role, input_role
 from revbcd.simulator import (
     BLOCK_MAX,
     BLOCK_MIN,
@@ -79,6 +87,20 @@ def random_netlist(rng, width, gates, prefix="x"):
             pins = tuple(rng.sample(range(width), arity(kind)))
             placed.append(GateInstance(kind, pins))
     return inputs_netlist(width, placed, prefix)
+
+
+def mixed_netlist(rng, kinds, prefix):
+    """4-9 lines, each an input, const0 or const1, and every kind of
+    `kinds` at least once among 0-12 more gates drawn from them."""
+    width = rng.randint(4, 9)
+    roles = [
+        rng.choice((input_role(f"{prefix}{i}"), const_role(0), const_role(1)))
+        for i in range(width)
+    ]
+    drawn = list(kinds) + [rng.choice(kinds) for _ in range(rng.randint(0, 12))]
+    rng.shuffle(drawn)
+    placed = [GateInstance(k, tuple(rng.sample(range(width), arity(k)))) for k in drawn]
+    return Netlist(width=width, roles=roles, gates=placed)
 
 
 STAGES = ("addition", "detection", "correction", None)
@@ -252,6 +274,41 @@ class TestPermutation:
             assert verdicts[-1] == scalar_is_permutation(nl)
         assert True in verdicts and False in verdicts
 
+    def test_agrees_with_scalar_check_on_mixed_lines(self):
+        rng = random.Random(19)
+        roles = set()
+        for n in range(20):
+            nl = mixed_netlist(rng, ALL_KINDS, f"c{n}_")
+            roles.update(r.kind for r in nl.roles)
+            assert check_permutation(nl) == scalar_is_permutation(nl) is True
+        assert roles == {"input", "const0", "const1"}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_agrees_with_scalar_check_when_a_kind_loses_a_line(self, kind, mutate_gate):
+        """With `kind` made to clear its first pin, a netlist is a bijection
+        exactly when it holds no such gate."""
+        mutate_gate(kind, _GATES[kind][3] + "\n{a} = 0")
+        rng = random.Random(kind.value)
+        others = tuple(k for k in ALL_KINDS if k is not kind)
+        verdicts = []
+        for n in range(8):
+            nl = mixed_netlist(rng, ALL_KINDS if n % 2 else others, f"l{n}_")
+            verdicts.append(check_permutation(nl))
+            assert verdicts[-1] == scalar_is_permutation(nl)
+        assert verdicts == [True, False] * 4
+
+    def test_a_changed_gate_passes_only_with_its_inverse(self, mutate_gate):
+        """PG with an OR is still a bijection: the inverse run rejects it
+        while PG's own inverse template is kept, and proves it once the
+        inverse template matches."""
+        pg_or = "{c} ^= {a} | {b}\n{b} ^= {a}"
+        nl = mixed_netlist(random.Random(7), ALL_KINDS, "o")
+        mutate_gate(GateKind.PG, pg_or)
+        assert scalar_is_permutation(nl)
+        assert not check_permutation(nl)
+        mutate_gate(GateKind.PG, pg_or, inverse="{b} ^= {a}\n{c} ^= {a} | {b}")
+        assert check_permutation(nl)
+
     def test_sweep_past_one_chunk(self, mutate_gate):
         """15 lines run as two chunks of 2^14 vectors; a gate that copies
         across the chunk-constant line 14 is caught and truth tables agree."""
@@ -327,6 +384,22 @@ class TestLanes:
         for k, vec in enumerate(vectors):
             compiled.run_state(vec)
             assert vec == [lane >> k & 1 for lane in lanes]
+
+    def test_undo_state_inverts_run_state(self):
+        rng = random.Random(8)
+        for n in range(16):
+            nl = staged_netlist(rng, f"u{n}_")
+            compiled = compile_netlist(nl)
+            lanes = [rng.getrandbits(64) for _ in range(nl.width)]
+            state = lanes.copy()
+            compiled.run_state(state, (1 << 64) - 1)
+            compiled.undo_state(state, (1 << 64) - 1)
+            assert state == lanes
+            scalar = [lane & 1 for lane in lanes]
+            state = scalar.copy()
+            compiled.undo_state(state)
+            compiled.run_state(state)
+            assert state == scalar
 
 
 class TestRestoredAndReference:
