@@ -125,11 +125,11 @@ class _Builder:
         self.roles.append(input_role(label))
         return len(self.roles) - 1
 
-    def const(self, bit: int = 0, label: str | None = None) -> int:
-        self.roles.append(const_role(bit, label))
+    def const(self, label: str) -> int:
+        self.roles.append(const_role(0, label))
         return len(self.roles) - 1
 
-    def gate(self, kind: GateKind, *pins: int, stage: str | None = None) -> None:
+    def gate(self, kind: GateKind, *pins: int, stage: str) -> None:
         self.gates.append(GateInstance(kind, pins, stage))
 
     def name(self, name: str, line: int) -> None:
@@ -152,36 +152,34 @@ class _Builder:
 #
 # Each fragment of the two adders is emitted by exactly one function below;
 # the digit cells and the standalone blocks call these.
-# An emitter allocates its own constants (labelled with the caller's tag)
-# and appends its gates, each tagged with the fragment's stage.
+# An emitter allocates its own constants, each 0 and labelled, and appends
+# its gates, each tagged with the fragment's stage.
 
 
-def _raw_sum(
-    b: _Builder, a: list[int], bb: list[int], carry: int, tag: str
-) -> list[int]:
+def _raw_sum(b: _Builder, a: list[int], bb: list[int], carry: int) -> list[int]:
     """Four HNG full adders over the operand bits, carry threaded from
     `carry` through k0..k3.  Returns k0..k3: the sum bit S0 lands on
     `carry`, S1..S3 on k0..k2 and the binary carry C4 on k3."""
-    k = [b.const(0, f"k{i}{tag}") for i in range(4)]
+    k = [b.const(f"k{i}") for i in range(4)]
     chain = [carry] + k
     for i in range(4):
         b.gate(GateKind.HNG, a[i], bb[i], chain[i], k[i], stage=STAGE_ADDITION)
     return k
 
 
-def _detection(b: _Builder, s1: int, s2: int, s3: int, c4: int, tag: str) -> None:
+def _detection(b: _Builder, s1: int, s2: int, s3: int, c4: int) -> None:
     """Decimal carry onto the C4 line: s1|s2 onto a fresh ancilla, then a
     Peres gate folds it with s3 into C4 (c4 ^ s3.(s1|s2))."""
-    m0 = b.const(0, f"or{tag}")
+    m0 = b.const("or")
     b.gate(GateKind.BJN, s1, s2, m0, stage=STAGE_DETECTION)
     b.gate(GateKind.PG, s3, m0, c4, stage=STAGE_DETECTION)
 
 
-def _correction(b: _Builder, dc: int, s1: int, s2: int, s3: int, tag: str) -> int:
+def _correction(b: _Builder, dc: int, s1: int, s2: int, s3: int) -> int:
     """Add 6*dC to the upper three sum bits.  s1 and s3 are corrected in
     place; the corrected S2 lands on a fresh line, which is returned."""
-    n0 = b.const(0, f"c2{tag}")
-    n1 = b.const(0, f"c3{tag}")
+    n0 = b.const("c2")
+    n1 = b.const("c3")
     b.gate(GateKind.PG, dc, s1, n0, stage=STAGE_CORRECTION)
     b.gate(GateKind.HNG, s2, dc, n0, n1, stage=STAGE_CORRECTION)
     b.gate(GateKind.FG, n1, s3, stage=STAGE_CORRECTION)
@@ -194,13 +192,13 @@ def _carry_select(
     """Multiplexer leaving `dc_in` if p else the generate signal on `g`,
     then a double-Feynman fan of it onto two fresh lines, returned."""
     b.gate(GateKind.MF, p, dc_in, g, stage=STAGE_DETECTION)
-    z0 = b.const(0, labels[0])
-    z1 = b.const(0, labels[1])
+    z0 = b.const(labels[0])
+    z1 = b.const(labels[1])
     b.gate(GateKind.DFG, g, z0, z1, stage=STAGE_DETECTION)
     return z0, z1
 
 
-def _propagate(b: _Builder, a: list[int], bb: list[int], tag: str) -> int:
+def _propagate(b: _Builder, a: list[int], bb: list[int]) -> int:
     """Emit the propagate-signal gates; returns the P line.
 
     Reads the operand digit off the a/b pass-through lines, accumulates
@@ -211,9 +209,7 @@ def _propagate(b: _Builder, a: list[int], bb: list[int], tag: str) -> int:
     p3.!t1.!t2 ^ g2.!t1 on valid BCD inputs because p3 and g2 cannot
     both be set when both digits are at most 9.
     """
-    u1, u2, x, y, v0, pline = (
-        b.const(0, f"{label}{tag}") for label in ("g1", "g2", "x", "y", "scratch", "P")
-    )
+    u1, u2, x, y, v0, pline = map(b.const, ("g1", "g2", "x", "y", "scratch", "P"))
     g = lambda kind, *pins: b.gate(kind, *pins, stage=STAGE_DETECTION)
     g(GateKind.FG, a[0], bb[0])          # b0 <- p0
     g(GateKind.PG, a[1], bb[1], u1)      # b1 <- p1, u1 <- g1
@@ -244,8 +240,8 @@ def build_scl() -> Netlist:
     """
     b = _Builder()
     s1, s2, s3, c4 = (b.input(label) for label in ("S1", "S2", "S3", "C4"))
-    _detection(b, s1, s2, s3, c4, "")
-    copy = b.const(0, "carry_copy")
+    _detection(b, s1, s2, s3, c4)
+    copy = b.const("carry_copy")
     b.gate(GateKind.FG, c4, copy, stage=STAGE_DETECTION)
     b.name("dC", copy)
     b.name("dC_chain", c4)
@@ -261,7 +257,7 @@ def build_correction() -> Netlist:
     """
     b = _Builder()
     dc, s1, s2, s3 = (b.input(label) for label in ("dC", "S1", "S2", "S3"))
-    s2c = _correction(b, dc, s1, s2, s3, "")
+    s2c = _correction(b, dc, s1, s2, s3)
     b.name("S1c", s1)
     b.name("S2c", s2c)
     b.name("S3c", s3)
@@ -278,7 +274,7 @@ def build_skip_generator() -> Netlist:
     b = _Builder()
     a = [b.input(f"a{i}") for i in range(4)]
     bb = [b.input(f"b{i}") for i in range(4)]
-    b.name("P", _propagate(b, a, bb, ""))
+    b.name("P", _propagate(b, a, bb))
     b.restore(*a, *bb)
     return b.build()
 
@@ -303,46 +299,45 @@ def build_skip_block() -> Netlist:
 # -- digit cells and the adder frame ------------------------------------------
 #
 # A digit cell appends one digit's lines and gates.  It takes the digit's
-# operand lines, the tuple of carry lines threaded in from the previous
-# digit and the constant-label tag, and returns the four sum lines S0..S3
-# and the tuple of carry lines it threads out; the first of those is the
-# digit's decimal carry.
+# operand lines and the tuple of carry lines threaded in from the previous
+# digit, and returns the four sum lines S0..S3 and the tuple of carry
+# lines it threads out; the first of those is the digit's decimal carry.
 
 
 def _ripple_digit(
-    b: _Builder, a: list[int], bb: list[int], carries: tuple[int], tag: str
+    b: _Builder, a: list[int], bb: list[int], carries: tuple[int]
 ) -> tuple[list[int], tuple[int]]:
     """One decimal full-adder digit; one carry line in and out."""
     (carry_in,) = carries
-    k = _raw_sum(b, a, bb, carry_in, tag)
-    _detection(b, k[0], k[1], k[2], k[3], tag)
-    copy = b.const(0, f"dCcopy{tag}")
+    k = _raw_sum(b, a, bb, carry_in)
+    _detection(b, k[0], k[1], k[2], k[3])
+    copy = b.const("dCcopy")
     b.gate(GateKind.FG, k[3], copy, stage=STAGE_DETECTION)
-    s2 = _correction(b, k[3], k[0], k[1], k[2], tag)
+    s2 = _correction(b, k[3], k[0], k[1], k[2])
     return [carry_in, k[0], s2, k[2]], (copy,)
 
 
 def _csk_digit(
-    b: _Builder, a: list[int], bb: list[int], carries: tuple[int, int], tag: str
+    b: _Builder, a: list[int], bb: list[int], carries: tuple[int, int]
 ) -> tuple[list[int], tuple[int, int]]:
     """One carry-skip digit.  Two carry lines in and out: the first feeds
     the increment chain, the second the carry mux (in digit 0 both are
     the carry-in line)."""
     rca_in, mux_in = carries
-    zc = b.const(0, f"zc{tag}")
-    k = _raw_sum(b, a, bb, zc, tag)
+    zc = b.const("zc")
+    k = _raw_sum(b, a, bb, zc)
     # carry-free raw sum: S0' zc, S1' k0, S2' k1, S3' k2, C4' k3
-    p = _propagate(b, a, bb, tag)
-    _detection(b, k[0], k[1], k[2], k[3], tag)
+    p = _propagate(b, a, bb)
+    _detection(b, k[0], k[1], k[2], k[3])
     # k3 now holds the carry-independent generate signal
-    w = [b.const(0, f"w{i}{tag}") for i in (1, 2, 3)]
+    w = [b.const(f"w{i}") for i in (1, 2, 3)]
     b.gate(GateKind.PG, rca_in, zc, w[0], stage=STAGE_DETECTION)
     b.gate(GateKind.PG, w[0], k[0], w[1], stage=STAGE_DETECTION)
     b.gate(GateKind.PG, w[1], k[1], w[2], stage=STAGE_DETECTION)
     b.gate(GateKind.FG, w[2], k[2], stage=STAGE_DETECTION)
     # zc/k0/k1/k2 now hold the true sum bits (raw sum + incoming carry)
-    carries_out = _carry_select(b, p, mux_in, k[3], (f"dCnext{tag}", f"dCskip{tag}"))
-    s2 = _correction(b, k[3], k[0], k[1], k[2], tag)
+    carries_out = _carry_select(b, p, mux_in, k[3], ("dCnext", "dCskip"))
+    s2 = _correction(b, k[3], k[0], k[1], k[2])
     return [zc, k[0], s2, k[2]], carries_out
 
 
@@ -363,7 +358,7 @@ def _cell(digit, threads: int):
     a = [b.input(f"a{i}") for i in range(4)]
     bb = [b.input(f"b{i}") for i in range(4)]
     carries = tuple(b.input(f"c{t}") for t in range(threads))
-    sums, carries_out = digit(b, a, bb, carries, "")
+    sums, carries_out = digit(b, a, bb, carries)
     return tuple(b.roles[8 + threads :]), tuple(b.gates), tuple(sums), carries_out
 
 

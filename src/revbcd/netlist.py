@@ -13,16 +13,19 @@ Terminal lines fall into three classes:
     equals their initial value (pass-through), and
   * garbage, everything else.
 
-Netlists are immutable.  Lines and gates are plain records; every rule of
-a netlist, value types included, is written once, in `Netlist.validate`,
-which runs when a netlist is made.  So every netlist serializes to a
-document that `deserialize` reads back equal.
+Netlists are immutable.  Lines, gates and outputs are plain records.
+Making a netlist first makes each entry its record, in one step that
+names an entry of the wrong shape; then `Netlist.validate` checks every
+rule of a netlist, value types included, on the records.  Each rule is
+written there only.  So every netlist serializes to a document that
+`deserialize` reads back equal.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -97,13 +100,31 @@ class GateInstance(NamedTuple):
     stage: str | None = None
 
 
-# Gates of exactly this type are checked column by column.
-_GATE = frozenset((GateInstance,))
 # A record made in C from one ready (kind, pins, stage) or (kind, label)
 # tuple, without the NamedTuple constructor's Python frame: for code that
 # makes records in bulk.
 gate_record = partial(tuple.__new__, GateInstance)
 role_record = partial(tuple.__new__, LineRole)
+
+
+class _Output(NamedTuple):
+    """One named output: a (name, line) pair."""
+
+    name: str
+    line: int
+
+
+# The error for an entry that is no record, given its position and itself.
+_BAD_ROLE = "line {}: {!r} is not a (kind, label) record".format
+_BAD_GATE = "gates[{}]: {!r} is not a (kind, pins, stage) record".format
+
+
+def _bad_output(i: int, output) -> str:
+    """The error for an output entry that is no pair; an entry that
+    iterates is shown as the tuple it was read as."""
+    with suppress(TypeError):
+        output = tuple(output)
+    return f"outputs[{i}]: {output!r} is not a (name, line) pair"
 
 
 @dataclass(frozen=True)
@@ -117,32 +138,30 @@ class Netlist:
     restored: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        roles = _records_of(LineRole, _collection(self.roles, "roles"))
-        object.__setattr__(self, "roles", roles)
-        gates = _records_of(GateInstance, _collection(self.gates, "gates"))
-        object.__setattr__(self, "gates", gates)
-        outputs = tuple(map(_pair, _collection(self.outputs, "outputs")))
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "restored", _collection(self.restored, "restored"))
+        put = partial(object.__setattr__, self)
+        put("roles", _as_records(self.roles, "roles", LineRole, _BAD_ROLE))
+        put("gates", _as_records(self.gates, "gates", GateInstance, _BAD_GATE))
+        put("outputs", _as_records(self.outputs, "outputs", _Output, _bad_output))
+        put("restored", _as_records(self.restored, "restored"))
         self.validate()
-        object.__setattr__(self, "restored", frozenset(self.restored))
+        put("restored", frozenset(self.restored))
 
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Check every netlist rule, value types included; raises a
-        RevbcdError subclass naming the first violation.
+        """Check every netlist rule on the records, value types included;
+        raises a RevbcdError subclass naming the first violation.
 
-        Width: an int (not a bool) of at least 1, with one role per line.
-        Lines: a (kind, label) record with a known role and a label that
-        is a str or None; a non-empty unique label on every input, unique
-        constant labels.  Gates: a (kind, pins, stage) record of a known
+        The constructor has made every line, gate and output its record
+        by then, and named any entry of the wrong shape.  Width: an int
+        (not a bool) of at least 1, with one role per line.  Lines: a
+        known role and a label that is a str or None; a non-empty unique
+        label on every input, unique constant labels.  Gates: a known
         kind whose pins are a tuple of as many distinct existing lines as
         its arity, each an int (not a bool); a stage that is a str or
-        None.  Outputs: (name, line) pairs, unique str names on int
-        lines.  Restored lines: ints.  Both on existing lines, each line
-        designated once, restored lines primary inputs that are not also
-        named outputs.
+        None.  Outputs: unique str names on int lines.  Restored lines:
+        ints.  Both on existing lines, each line designated once,
+        restored lines primary inputs that are not also named outputs.
 
         Gates are checked column by column: each rule over all gates at
         once.  Only when a column check fails does a loop over the gates
@@ -155,13 +174,7 @@ class Netlist:
             raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
         input_labels: set[str] = set()
         const_labels: set[str] = set()
-        for i, role in enumerate(self.roles):
-            try:
-                kind, label = role
-            except (TypeError, ValueError):
-                raise InvalidArgumentError(
-                    f"line {i}: {role!r} is not a (kind, label) record"
-                ) from None
+        for i, (kind, label) in enumerate(self.roles):
             if label is not None and type(label) is not str:
                 raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
             if kind == ROLE_INPUT:
@@ -180,13 +193,7 @@ class Netlist:
             _name_bad_gate(self.gates, width)
         names: set[str] = set()
         named_lines: set[int] = set()
-        for i, output in enumerate(self.outputs):
-            try:
-                name, line = output
-            except (TypeError, ValueError):
-                raise InvalidArgumentError(
-                    f"outputs[{i}]: {output!r} is not a (name, line) pair"
-                ) from None
+        for name, line in self.outputs:
             if type(name) is not str or type(line) is not int:
                 raise InvalidArgumentError(
                     f"output {name!r} on line {line!r}: need a str name, an int line"
@@ -235,46 +242,31 @@ class Netlist:
         ]
 
 
-def _collection(value, what: str) -> tuple:
-    """`value` as a tuple; a value that is not iterable is a typed error."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{what} must be iterable, got {value!r}") from None
+def _as_records(value, field: str, record=None, bad=None) -> tuple:
+    """`value` as a tuple, each entry made a `record` when one is given.
 
-
-def _records_of(cls, items: tuple) -> tuple:
-    """`items` with each entry that unpacks into a `cls` record made one.
-
-    Built and parsed netlists hold only records and pass unchanged; an
-    entry that is no record of the right length stays as it is, so
-    `Netlist.validate` names it.
+    A value that is not iterable, or an entry that does not unpack into
+    the record's fields, is a typed error: `bad(position, entry)` is its
+    message.  A tuple of records passes unchanged.
     """
-    if frozenset((cls,)).issuperset(map(type, items)):
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{field} must be iterable, got {value!r}") from None
+    if record is None or frozenset((record,)).issuperset(map(type, items)):
         return items
     records = []
-    for item in items:
+    for i, item in enumerate(items):
         try:
-            records.append(item if type(item) is cls else cls._make(item))
+            records.append(item if type(item) is record else record._make(item))
         except TypeError:
-            records.append(item)
+            raise InvalidArgumentError(bad(i, item)) from None
     return tuple(records)
-
-
-def _pair(output):
-    """An output entry as a tuple, or as is when it is not iterable, so
-    `Netlist.validate` names it."""
-    try:
-        return tuple(output)
-    except TypeError:
-        return output
 
 
 def _gates_hold(gates: tuple, width: int) -> bool:
     """Every gate rule of `Netlist.validate`, over whole columns: arity,
     pin-tuple type, distinct pins, int pins, pin range and stage type."""
-    if not _GATE.issuperset(map(type, gates)):
-        return False
     pins = list(map(_SECOND, gates))
     try:
         wants = list(map(_ARITY.__getitem__, map(_FIRST, gates)))
@@ -297,13 +289,7 @@ def _name_bad_gate(gates: tuple, width: int) -> None:
     """Raise the error of the first gate that breaks a rule: the
     structural rules gate by gate, then the pin types, then the stages."""
     lines = frozenset(range(width))
-    for i, gate in enumerate(gates):
-        try:
-            kind, pins, _ = gate
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                f"gates[{i}]: {gate!r} is not a (kind, pins, stage) record"
-            ) from None
+    for i, (kind, pins, _) in enumerate(gates):
         try:
             want = _ARITY.get(kind)
             if want is None:

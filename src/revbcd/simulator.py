@@ -182,15 +182,12 @@ def bit_lane(bits: Sequence[int]) -> int:
     return int("".join("1" if bit else "0" for bit in reversed(bits)) or "0", 2)
 
 
-_BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+_BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def byte_plane(lane: int, count: int, shift: int = 0) -> int:
-    """An int whose byte k is bit k of `lane` shifted left by `shift` (0..7).
-
-    Planes of distinct shifts add into one byte per vector without carries.
-    """
-    text = bin(lane)[2:].zfill(count).encode().translate(_BYTE_OF_BIT[shift])
+def byte_plane(lane: int, count: int) -> int:
+    """An int whose byte k is bit k of `lane`, over `count` vectors."""
+    text = bin(lane)[2:].zfill(count).encode().translate(_BYTE_OF_BIT)
     return int.from_bytes(text, "big")
 
 
@@ -251,14 +248,19 @@ def truth_table(
 
 
 def check_permutation(netlist: Netlist) -> bool:
-    """True iff the raw circuit map on all 2^width states is a bijection.
+    """Whether the inverse run gives back every one of the 2^width states.
 
     Constants are varied too: this checks the circuit as a function of
     every line, not just the used inputs.  Each chunk's terminal lanes
     run back through the inverse circuit G and must give its initial
-    lanes again.  G(F(x)) = x on every state makes F injective, so on a
-    finite set a bijection, whatever G is: a circuit that is not a
-    bijection can never pass.
+    lanes again.
+
+    True proves the raw circuit map F a bijection: G(F(x)) = x on every
+    state makes F injective, so on a finite set a bijection, whatever G
+    is.  False means that the inverse run did not give back every
+    state.  With the shipped gate templates, whose inverses the tests
+    check on every input, that means F is not a bijection; a gate whose
+    inverse template does not undo it gives False even for a bijection.
     """
     _check_exhaustive(netlist)
     compiled = compile_netlist(netlist)

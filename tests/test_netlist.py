@@ -97,6 +97,23 @@ class TestConstruction:
         assert check_permutation(nl)
         assert deserialize(serialize(nl)) == nl
 
+    @pytest.mark.parametrize(
+        "roles,gates,outputs",
+        [
+            ([["input", "a"], ["const0", None]], [[GateKind.FG, (0, 1), None]],
+             [["q", 1]]),
+            (iter([("input", "a"), ["const0", None]]),
+             [(GateKind.FG, (0, 1), None)], (["q", 1],)),
+        ],
+        ids=["lists", "mixed"],
+    )
+    def test_lists_and_tuples_make_the_record_netlist(self, roles, gates, outputs):
+        nl = Netlist(2, roles, gates, outputs)
+        records = two_line(gates=_FG01, outputs=(("q", 1),))
+        assert nl == records
+        assert serialize(nl) == serialize(records)
+        assert nl.output_map == {"q": 1}
+
     def test_records_kept_as_they_are(self):
         nl = build_pdfa()
         rebuilt = Netlist(nl.width, nl.roles, nl.gates, nl.outputs, nl.restored)
@@ -411,6 +428,11 @@ class TestValidateLines:
     def test_malformed_role_rejected(self, role):
         with pytest.raises(InvalidArgumentError, match=r"^line 1: .* record$"):
             Netlist(width=2, roles=(input_role("a"), role))
+
+    def test_malformed_role_named_before_the_width(self):
+        """Records are made before any rule is checked."""
+        with pytest.raises(InvalidArgumentError, match=r"^line 0: 5 is not a"):
+            Netlist(width=True, roles=(5,))
 
     @pytest.mark.parametrize(
         "width", (True, False, -1, 2.0, "2", None), ids=repr

@@ -91,7 +91,9 @@ def near_valid_netlist_args(draw):
         at = draw(st.integers(0, len(entry) - 1))
         if key == "gates" and at == 0:
             entry[0] = draw(_KIND_JUNK)
-        elif key == "gates" and at == 1 and draw(st.booleans()):
+        elif key == "gates" and at == 1 and type(entry[1]) is tuple and draw(
+            st.booleans()
+        ):
             pins = list(entry[1])
             pins[draw(st.integers(0, len(pins) - 1))] = draw(_JUNK)
             entry[1] = tuple(pins)

@@ -372,8 +372,8 @@ class TestLanes:
         lane = bit_lane(bits)
         assert lane == 0b1011001
         assert bit_lane([]) == 0
-        plane = byte_plane(lane, len(bits), 3)
-        assert plane.to_bytes(len(bits), "little") == bytes(b << 3 for b in bits)
+        plane = byte_plane(lane, len(bits))
+        assert plane.to_bytes(len(bits), "little") == bytes(bits)
 
     def test_lane_run_equals_scalar_runs(self, pdfa):
         rng = random.Random(4)
