@@ -95,10 +95,23 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
             raise CapacityError(
                 f"{decimal_text(amount)} does not fit in {width} BCD digits"
             )
-    # Last amount first, so each strided column reads bit k at position k.
-    text = "".join([_padded_text(amount, width) for amount in reversed(amounts)])
+    text = "".join([_padded_text(amount, width) for amount in amounts])
+    return text_lanes(text, width)
+
+
+def text_lanes(text: str, width: int, start: int = 0, stride: int = 0) -> list[int]:
+    """The 4*width digit-bit lanes of a batch of operands written as ASCII
+    digits: `text` holds one record of `stride` characters (`width` when 0)
+    per vector, in vector order, and vector k's operand is the `width`
+    digits from `start` of record k, most significant first.
+    """
+    stride = stride or width
+    # Reversed, the last record comes first, so each strided column reads
+    # bit k at position k, and digit j of the operand sits j places into it.
+    backward = text[::-1]
+    low = stride - start - width
     return [
-        int(text[width - 1 - j :: width].translate(table) or "0", 2)
+        int(backward[low + j :: stride].translate(table) or "0", 2)
         for j in range(width)
         for table in _BIT_OF_DIGIT
     ]

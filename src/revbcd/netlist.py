@@ -31,7 +31,7 @@ from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ArityError,
@@ -336,46 +336,61 @@ def _scalar(value: str | None) -> str:
     return "null" if value is None else encode_basestring_ascii(value)
 
 
-_KIND_TEXT = {kind: _scalar(kind.value) for kind in GateKind}
 _ROLE_TEXT = {role: _scalar(role) for role in _ROLES}
+# A gate's text is three pieces: this head, shared by every gate of its
+# kind, its pin numbers, and a tail shared by every gate of its stage.
+_GATE_HEAD = {
+    kind: f',\n    {{\n      "kind": {_scalar(kind.value)},\n      "pins": [\n        '
+    for kind in GateKind
+}
 
 
-def _array(key: str, items: list[str]) -> str:
-    """One top-level array member; `items` are its indented elements."""
-    if not items:
-        return f'  "{key}": []'
-    body = ",\n".join(items)
-    return f'  "{key}": [\n{body}\n  ]'
+def _array(parts: list[str], key: str, pieces: Iterable[str]) -> None:
+    """Append the top-level array member `key` to `parts`.  `pieces` is
+    its elements' text, each element starting with a ",\n" piece, so the
+    first loses its comma."""
+    parts.append(f',\n  "{key}": [')
+    start = len(parts)
+    parts.extend(pieces)
+    if len(parts) == start:
+        parts.append("]")
+    else:
+        parts[start] = parts[start][1:]
+        parts.append("\n  ]")
 
 
 def serialize(netlist: Netlist) -> str:
+    # One join over all the pieces, so the text is copied once, and the
+    # pieces shared between gates keep the list well below the text's size.
     lines = [
-        f'    {{\n      "index": {i},\n      "role": {_ROLE_TEXT[kind]},'
+        f',\n    {{\n      "index": {i},\n      "role": {_ROLE_TEXT[kind]},'
         f'\n      "label": {_scalar(label)}\n    }}'
         for i, (kind, label) in enumerate(netlist.roles)
     ]
-    stages = {None: "null"}
-    gates = []
-    for kind, pins, stage in netlist.gates:
-        stage_text = stages.get(stage) or stages.setdefault(stage, _scalar(stage))
-        pin_text = ",\n        ".join(map(str, pins))
-        gates.append(
-            f'    {{\n      "kind": {_KIND_TEXT[kind]},\n      "pins": [\n'
-            f"        {pin_text}\n      ],\n      \"stage\": {stage_text}\n    }}"
+    tails: dict[str | None, str] = {}
+    gates = chain.from_iterable(
+        (
+            _GATE_HEAD[kind],
+            ",\n        ".join(map(str, pins)),
+            tails.get(stage)
+            or tails.setdefault(
+                stage, f'\n      ],\n      "stage": {_scalar(stage)}\n    }}'
+            ),
         )
+        for kind, pins, stage in netlist.gates
+    )
     outputs = [
-        f'    {{\n      "name": {_scalar(name)},\n      "line": {line}\n    }}'
+        f',\n    {{\n      "name": {_scalar(name)},\n      "line": {line}\n    }}'
         for name, line in netlist.outputs
     ]
-    restored = [f"    {line}" for line in sorted(netlist.restored)]
-    members = (
-        f'  "width": {netlist.width}',
-        _array("lines", lines),
-        _array("gates", gates),
-        _array("outputs", outputs),
-        _array("restored", restored),
-    )
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    restored = [f",\n    {line}" for line in sorted(netlist.restored)]
+    parts = ["{\n", f'  "width": {netlist.width}']
+    _array(parts, "lines", lines)
+    _array(parts, "gates", gates)
+    _array(parts, "outputs", outputs)
+    _array(parts, "restored", restored)
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _require(doc, key: str, where: str):

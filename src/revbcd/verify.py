@@ -1,10 +1,12 @@
 """Reusable verification suites: gate laws, adder oracles, metric fidelity.
 
 Each check returns a VerifyResult; run_scope drives the named scope with a
-fixed seed so every randomized pass is reproducible bit-for-bit.  Adder
-vectors are checked in lane batches (one simulator pass per design and
-batch of up to 2^14 vectors), and a failing check names its first failing
-vector.
+fixed seed so every randomized pass is reproducible bit-for-bit.  The
+sampled adder vectors are drawn as decimal digit text from one seeded
+byte stream (DigitStream), and their operand lanes are built straight
+from that text.  Adder vectors are checked in lane batches (one simulator
+pass per design and batch of up to 2^14 vectors) against native integer
+addition, and a failing check names its first failing vector.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import AdderPort, cached_adder, decode, encode, to_lanes
+from .ledger import AdderPort, cached_adder, decode, encode, text_lanes, to_lanes
 from .simulator import (
     BATCH_BITS,
     CompiledNetlist,
@@ -56,21 +58,67 @@ def _compiled_block(builder: str) -> CompiledNetlist:
     return compile_netlist(globals()[builder]())
 
 
-def _check_additions(
-    ports: dict[str, AdderPort], n: int, a: list[int], b: list[int], cin: list[int]
-) -> tuple[int, str]:
-    """Run the additions a[k] + b[k] + cin[k] at n digits as one lane batch
-    through each port; returns (failures, text).
+# The sampler's digits: bytes 0..249 map to the ASCII digit of their value
+# mod 10, 25 bytes to each digit, and bytes 250..255 are dropped, so every
+# digit kept is uniform (rejection sampling).
+_DIGIT_OF_BYTE = bytes(48 + byte % 10 for byte in range(256))
+_REJECTED = bytes(range(250, 256))
 
-    A vector fails when a port's sum or carry differs from native addition
-    or it changed a restored line.  `text` names the lowest failing vector,
-    with what native addition gives and what the first port failing it
-    gave (a non-BCD sum digit shows in hex); it is empty when nothing fails.
+
+class DigitStream:
+    """Uniform ASCII decimal digits from one seeded byte stream.
+
+    The bytes come from random.Random(seed).randbytes in blocks of BLOCK
+    bytes, so the digits depend on the seed alone, not on how take calls
+    split them; between calls the buffer holds less than one block.
     """
+
+    BLOCK = 4096
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self.buffer = b""
+
+    def take(self, count: int) -> str:
+        """The next `count` digits of the stream."""
+        parts, have = [self.buffer], len(self.buffer)
+        while have < count:
+            block = self._rng.randbytes(self.BLOCK)
+            block = block.translate(_DIGIT_OF_BYTE, _REJECTED)
+            parts.append(block)
+            have += len(block)
+        data = b"".join(parts)
+        self.buffer = data[count:]
+        return data[:count].decode()
+
+
+def _check_additions(
+    ports: dict[str, AdderPort], n: int, records: str
+) -> tuple[int, str]:
+    """Run a batch of additions at n digits as one lane batch through each
+    port; returns (failures, text).
+
+    `records` holds 2n+1 ASCII digits per vector: the n digits of a, the n
+    digits of b, and a digit whose parity is the carry-in.  A vector fails
+    when a port's sum or carry differs from native addition of those
+    values or it changed a restored line.  `text` names the lowest failing
+    vector, with what native addition gives and what the first port
+    failing it gave (a non-BCD sum digit shows in hex); it is empty when
+    nothing fails.
+    """
+    stride = 2 * n + 1
+    a = [int(records[i : i + n]) for i in range(0, len(records), stride)]
+    b = [int(records[i : i + n]) for i in range(n, len(records), stride)]
+    cin = [digit & 1 for digit in records[2 * n :: stride].encode()]
     limit = 10**n
     totals = [x + y + c for x, y, c in zip(a, b, cin)]
     mask = (1 << len(totals)) - 1
-    operands = (to_lanes(a, n), to_lanes(b, n), bit_lane(cin))
+    # Bit 0 of a digit is its parity: the carry-in lane.
+    operands = (
+        text_lanes(records, n, 0, stride),
+        text_lanes(records, n, n, stride),
+        text_lanes(records, 1, 2 * n, stride)[0],
+    )
     want_sums = to_lanes([t % limit for t in totals], n)
     want_carry = bit_lane([t >= limit for t in totals])
     outcomes = {}
@@ -114,11 +162,10 @@ def verify_gates() -> VerifyResult:
 
 
 def verify_pdfa() -> VerifyResult:
-    vectors = [(a, b, c) for a in range(10) for b in range(10) for c in range(2)]
-    a, b, cin = (list(column) for column in zip(*vectors))
+    records = "".join(f"{a}{b}{c}" for a in range(10) for b in range(10) for c in "01")
     port = AdderPort(_compiled_block("build_pdfa"))
-    failures, first = _check_additions({"pdfa": port}, 1, a, b, cin)
-    detail = f"{len(vectors) - failures}/{len(vectors)} oracle matches"
+    failures, first = _check_additions({"pdfa": port}, 1, records)
+    detail = f"{200 - failures}/200 oracle matches"
     if first:
         detail += f"; {first}"
     return VerifyResult("pdfa", failures == 0, detail)
@@ -163,23 +210,25 @@ ADDER_SIZES = (2, 4, 8, 16)  # digit counts verify_adders samples
 def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
     """Add `samples` seeded vectors per size of ADDER_SIZES on both designs,
     in lane batches of at most 2^BATCH_BITS vectors; a failure names the
-    first failing vector."""
+    first failing vector.
+
+    Each n-digit vector is the next 2n+1 digits of DigitStream(seed): a is
+    the first n, b the next n, and the carry-in the parity of the last.
+    The vectors depend on the seed (and the Python version's random
+    module), not on BATCH_BITS.
+    """
     if samples < 1:
         raise InvalidArgumentError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
+    stream = DigitStream(seed)
     failures = 0
     checked = 0
     first = ""
     for n in ADDER_SIZES:
         ports = {design: cached_adder(design, n) for design in ADDER_DESIGNS}
         for start in range(0, samples, 1 << BATCH_BITS):
-            a, b, cin = [], [], []
-            for _ in range(min(samples - start, 1 << BATCH_BITS)):
-                a.append(rng.randrange(10**n))
-                b.append(rng.randrange(10**n))
-                cin.append(rng.randrange(2))
-            bad, text = _check_additions(ports, n, a, b, cin)
-            checked += len(a)
+            count = min(samples - start, 1 << BATCH_BITS)
+            bad, text = _check_additions(ports, n, stream.take(count * (2 * n + 1)))
+            checked += count
             failures += bad
             first = first or text
     detail = (

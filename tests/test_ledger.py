@@ -29,6 +29,7 @@ from revbcd.ledger import (
     ingest_csv,
     parse_amount,
     sum_ledger,
+    text_lanes,
     to_lanes,
 )
 from revbcd.simulator import bit_lane, compile_netlist
@@ -113,6 +114,15 @@ class TestLanes:
 
     def test_empty_batch(self):
         assert to_lanes([], 3) == [0] * 12
+
+    def test_fields_of_records(self):
+        """An operand read from its place in fixed-width records has the
+        lanes of the same values given as ints."""
+        rng = random.Random(4)
+        records = [(rng.randrange(10**3), rng.randrange(10**2)) for _ in range(9)]
+        text = "".join(f"7{x:03d}{y:02d}" for x, y in records)
+        assert text_lanes(text, 3, 1, 6) == to_lanes([x for x, _ in records], 3)
+        assert text_lanes(text, 2, 4, 6) == to_lanes([y for _, y in records], 2)
 
     @pytest.mark.parametrize("values", ([5, 100], [-1], [10**5000]))
     def test_out_of_range(self, values):

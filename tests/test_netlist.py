@@ -569,3 +569,17 @@ class TestByteFormat:
         assert text == json.dumps(old_document(nl), indent=2) + "\n"
         assert text.isascii()
         assert deserialize(text) == nl
+
+    def test_text_is_copied_once(self):
+        """serialize joins its pieces once: its peak memory stays below
+        three times the text (nested joins copied it several times)."""
+        import tracemalloc
+
+        nl = build_dec_csk(64)
+        tracemalloc.start()
+        try:
+            text = serialize(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)

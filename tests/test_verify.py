@@ -1,7 +1,9 @@
 """The verify suites: lane batches against one-vector-at-a-time references."""
 
-import random
 import re
+from collections import Counter
+
+import pytest
 
 from revbcd import costs, designs, ledger, simulator, verify
 from revbcd.designs import ADDER_DESIGNS
@@ -27,14 +29,19 @@ mf_outputs_swapped = (
 def scalar_failures(seed, samples):
     """Failing vectors of verify_adders, one scalar run per vector and design.
 
+    Each size's vectors are records of 2n+1 digits of the seed's digit
+    stream: a, b, and a digit whose parity is the carry-in.
+
     Reads the raw sum nibbles, so a non-BCD digit counts as a failure
     instead of raising.  Returns (count, first failing (design, n, a, b, cin)).
     """
-    rng = random.Random(seed)
+    stream = verify.DigitStream(seed)
     count, first = 0, None
     for n in verify.ADDER_SIZES:
-        for _ in range(samples):
-            a, b, cin = rng.randrange(10**n), rng.randrange(10**n), rng.randrange(2)
+        text = stream.take(samples * (2 * n + 1))
+        for k in range(samples):
+            record = text[k * (2 * n + 1) : (k + 1) * (2 * n + 1)]
+            a, b, cin = int(record[:n]), int(record[n : 2 * n]), int(record[-1]) % 2
             total = a + b + cin
             want = (
                 tuple(map(int, reversed(encode(total % 10**n, n)))),
@@ -102,11 +109,15 @@ class TestAdders:
         assert (got_sum, got_carry) != (want_sum, want_carry)
         assert design in ADDER_DESIGNS
 
-    def test_batches_keep_the_vectors_and_the_report(self, mutate_gate, monkeypatch):
-        """Batches of 8 vectors draw, count and name exactly what one batch does."""
+    @pytest.mark.parametrize("batch_bits", (0, 3))
+    def test_batches_keep_the_vectors_and_the_report(
+        self, mutate_gate, monkeypatch, batch_bits
+    ):
+        """Batches of 1 or 8 vectors draw, count and name exactly what one
+        batch does."""
         mutate_gate(GateKind.DFG, dfg_first_only)
         whole = verify.verify_adders(seed=3, samples=60)
-        monkeypatch.setattr(verify, "BATCH_BITS", 3)
+        monkeypatch.setattr(verify, "BATCH_BITS", batch_bits)
         assert verify.verify_adders(seed=3, samples=60) == whole
         assert not whole.passed and "first failure" in whole.detail
 
@@ -126,6 +137,39 @@ class TestAdders:
         assert "restored" not in first
         want_carry, got_carry = re.findall(r"carry=(\d)", first)
         assert want_carry != got_carry
+
+
+class TestDigitStream:
+    def test_each_digit_from_25_byte_values(self):
+        kept = bytes(range(256)).translate(verify._DIGIT_OF_BYTE, verify._REJECTED)
+        assert len(kept) == 250
+        assert Counter(kept) == {ord(d): 25 for d in "0123456789"}
+        assert verify._REJECTED == bytes(range(250, 256))
+
+    def test_draws_do_not_depend_on_the_split(self):
+        # 4103 digits take more than one block of bytes, so the split
+        # requests cross a refill.
+        assert verify.DigitStream.BLOCK < 4103
+        whole = verify.DigitStream(7).take(4103)
+        stream = verify.DigitStream(7)
+        parts = [stream.take(count) for count in (5, 4091, 7)]
+        assert "".join(parts) == whole
+        assert len(whole) == 4103 and whole.isascii() and whole.isdecimal()
+
+    def test_buffer_stays_below_one_block(self, monkeypatch):
+        buffered = []
+
+        class Recorded(verify.DigitStream):
+            def take(self, count):
+                digits = super().take(count)
+                buffered.append(len(self.buffer))
+                return digits
+
+        monkeypatch.setattr(verify, "DigitStream", Recorded)
+        monkeypatch.setattr(verify, "BATCH_BITS", 4)
+        assert verify.verify_adders(seed=2, samples=300).passed
+        assert len(buffered) == 4 * 19
+        assert max(buffered) < verify.DigitStream.BLOCK
 
 
 class TestCells:
