@@ -96,16 +96,15 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
                 f"{decimal_text(amount)} does not fit in {width} BCD digits"
             )
     text = "".join([_padded_text(amount, width) for amount in amounts])
-    return text_lanes(text, width)
+    return text_lanes(text, width, 0, width)
 
 
-def text_lanes(text: str, width: int, start: int = 0, stride: int = 0) -> list[int]:
+def text_lanes(text: str, width: int, start: int, stride: int) -> list[int]:
     """The 4*width digit-bit lanes of a batch of operands written as ASCII
-    digits: `text` holds one record of `stride` characters (`width` when 0)
-    per vector, in vector order, and vector k's operand is the `width`
-    digits from `start` of record k, most significant first.
+    digits: `text` holds one record of `stride` characters per vector, in
+    vector order, and vector k's operand is the `width` digits from
+    `start` of record k, most significant first.
     """
-    stride = stride or width
     # Reversed, the last record comes first, so each strided column reads
     # bit k at position k, and digit j of the operand sits j places into it.
     backward = text[::-1]
