@@ -15,12 +15,13 @@ tuple of the same length, and every map is a bijection on {0,1}^arity:
 
 Each gate's semantics are written once, as the statement template in its
 `_GATES` entry: in-place Python statements on the named operands {a}, {b},
-... (pins A, B, ... in order).  Each entry also holds its inverse
-template, which undoes the gate on the same pins: NOT, FG, BJN and DFG are
-their own inverses and reuse their template, PG, MF and HNG have their
-own.  `block` turns a run of gates into one fused applier from either
-column, and the simulator and `gate_semantics` (a block of one gate) both
-run such appliers; no per-gate engine exists beside them.
+... (pins A, B, ... in order).  Each entry also holds its undo steps
+(`undo_steps`): the gates, each of the undone gate's own kind, that undo
+it.  NOT, FG, BJN and DFG undo themselves, MF is undone by MF(A, C, B),
+and PG and HNG, both of order 4, by three copies of themselves.  `block`
+turns a run of gates into one fused applier, and the simulator and
+`gate_semantics` (a block of one gate) both run such appliers; no
+per-gate engine exists beside them.
 
 A block's shape is its (kind, slots) list, with its lines renamed to slots
 in first-use order, so every copy of a repeated digit cell has the same
@@ -77,20 +78,15 @@ _HNG = "t = {a} ^ {b}\n{d} ^= (t & {c}) ^ ({a} & {b})\n{c} ^= t"
 _BJN = "{c} ^= {a} | {b}"
 _DFG = "{b} ^= {a}\n{c} ^= {a}"
 
-# Inverse templates of the gates that are not their own inverse.
-_PG_INV = "{b} ^= {a}\n{c} ^= {a} & {b}"
-_MF_INV = "t = {b}\nu = ~{a}\n{b} = (u & t) ^ ({a} & {c})\n{c} = ({a} & ~t) ^ (u & {c})"
-_HNG_INV = "t = {a} ^ {b}\n{c} ^= t\n{d} ^= (t & {c}) ^ ({a} & {b})"
-
-# kind -> (arity, qc, delay, statement template, inverse template)
+# kind -> (arity, qc, delay, statement template, undo steps)
 _GATES = {
-    GateKind.NOT: (1, 0, 1, _NOT, _NOT),
-    GateKind.FG: (2, 1, 1, _FG, _FG),
-    GateKind.PG: (3, 4, 4, _PG, _PG_INV),
-    GateKind.MF: (3, 4, 3, _MF, _MF_INV),
-    GateKind.HNG: (4, 6, 5, _HNG, _HNG_INV),
-    GateKind.BJN: (3, 5, 4, _BJN, _BJN),
-    GateKind.DFG: (3, 2, 2, _DFG, _DFG),
+    GateKind.NOT: (1, 0, 1, _NOT, ((GateKind.NOT, (0,)),)),
+    GateKind.FG: (2, 1, 1, _FG, ((GateKind.FG, (0, 1)),)),
+    GateKind.PG: (3, 4, 4, _PG, ((GateKind.PG, (0, 1, 2)),) * 3),
+    GateKind.MF: (3, 4, 3, _MF, ((GateKind.MF, (0, 2, 1)),)),
+    GateKind.HNG: (4, 6, 5, _HNG, ((GateKind.HNG, (0, 1, 2, 3)),) * 3),
+    GateKind.BJN: (3, 5, 4, _BJN, ((GateKind.BJN, (0, 1, 2)),)),
+    GateKind.DFG: (3, 2, 2, _DFG, ((GateKind.DFG, (0, 1, 2)),)),
 }
 
 ALL_KINDS = tuple(_GATES)
@@ -106,30 +102,31 @@ def gate_cost(kind: GateKind) -> tuple[int, int]:
     return _GATES[kind][1:3]
 
 
+def undo_steps(kind: GateKind) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
+    """The gates that undo one `kind` gate, in order, as (kind, pin
+    positions) steps: position p stands for the undone gate's pin p."""
+    return _GATES[kind][4]
+
+
 @lru_cache(maxsize=512)
 def block(
     shape: tuple[tuple[GateKind, tuple[int, ...]], ...],
-    inverse: bool = False,
 ) -> Callable[..., Callable[[list[int]], None]]:
     """The factory of the fused applier for one block shape.
 
     `shape` holds (kind, slots) per gate, in order, with the block's lines
-    renamed to slots 0, 1, ... in first-use order; with `inverse`, each
-    gate runs its inverse template instead (the shape's order is kept, so
-    undoing a run of gates takes the shape of the reversed run).  The
-    factory takes the line of each slot as its arguments and returns one
-    in-place update of a state list: it loads those lines into locals,
-    runs every gate's template inline and stores back only the lines a
-    gate wrote.  The generated source holds template text and slot
-    numbers only; line indices arrive as arguments, so no netlist text
-    reaches `compile`.
+    renamed to slots 0, 1, ... in first-use order.  The factory takes the
+    line of each slot as its arguments and returns one in-place update of
+    a state list: it loads those lines into locals, runs every gate's
+    template inline and stores back only the lines a gate wrote.  The
+    generated source holds template text and slot numbers only; line
+    indices arrive as arguments, so no netlist text reaches `compile`.
     """
     count = 1 + max(s for _, slots in shape for s in slots)
-    column = 4 if inverse else 3
     body, written = [], set()
     for kind, slots in shape:
         names = dict(zip("abcd", (f"x{s:d}" for s in slots)))
-        lines = _GATES[kind][column].format(**names).splitlines()
+        lines = _GATES[kind][3].format(**names).splitlines()
         body += lines
         written.update(line.split()[0] for line in lines if line.startswith("x"))
     loads = [f"x{s} = v[i{s}]" for s in range(count)]

@@ -42,7 +42,7 @@ from .errors import (
     NetlistFormatError,
     RevbcdError,
 )
-from .gates import ALL_KINDS, GateKind, arity
+from .gates import ALL_KINDS, GateKind, arity, undo_steps
 
 ROLE_INPUT = "input"
 ROLE_CONST0 = "const0"
@@ -240,6 +240,20 @@ class Netlist:
             for i in range(self.width)
             if i not in named and i not in self.restored
         ]
+
+
+def inverse(netlist: Netlist) -> Netlist:
+    """The netlist that undoes `netlist`: the same width and roles, and
+    its gates in reverse order, each replaced by the gates that undo it
+    (`gates.undo_steps`) under its own stage.  A state run through
+    `netlist` and then through this comes back unchanged.
+    """
+    gates = [
+        gate_record((kind, tuple([pins[p] for p in positions]), stage))
+        for own, pins, stage in reversed(netlist.gates)
+        for kind, positions in undo_steps(own)
+    ]
+    return Netlist(netlist.width, netlist.roles, tuple(gates))
 
 
 def _as_records(value, field: str, record=None, bad=None) -> tuple:

@@ -19,8 +19,8 @@ counting pattern over all 2^n assignments (`counting_lanes`), 2^14 vectors
 per `run_state` call so memory stays small.  `truth_table` unpacks the
 rows through byte planes (`byte_plane`) rather than one int per vector;
 `check_permutation` never unpacks: it runs each chunk's terminal lanes
-back through the inverse circuit (`CompiledNetlist.undo_state`) and
-compares whole lanes.
+through the compiled inverse netlist (`netlist.inverse`) with the same
+`run_state` and compares whole lanes.
 
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
 from .gates import block
-from .netlist import GateInstance, Netlist
+from .netlist import GateInstance, Netlist, inverse
 
 EXHAUSTIVE_WIDTH_LIMIT = 20
 
@@ -64,11 +64,8 @@ def _block_end(gates: Sequence[GateInstance], start: int) -> int:
     return stop
 
 
-def _appliers(
-    gates: Sequence[GateInstance], inverse: bool = False
-) -> list[Callable[[list[int]], None]]:
-    """One fused applier per block of `gates`, in order; with `inverse`,
-    each gate applies its inverse template."""
+def _appliers(gates: Sequence[GateInstance]) -> list[Callable[[list[int]], None]]:
+    """One fused applier per block of `gates`, in order."""
     fns = []
     start = 0
     while start < len(gates):
@@ -78,7 +75,7 @@ def _appliers(
             (g.kind, tuple([slot.setdefault(p, len(slot)) for p in g.pins]))
             for g in gates[start:end]
         )
-        fns.append(block(shape, inverse)(*slot))
+        fns.append(block(shape)(*slot))
         start = end
     return fns
 
@@ -89,7 +86,6 @@ class CompiledNetlist:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self._fns = _appliers(netlist.gates)
-        self._undo_fns: list[Callable[[list[int]], None]] | None = None
         base = []
         for role in netlist.roles:
             base.append(0 if role.is_input else role.const_value)
@@ -107,19 +103,6 @@ class CompiledNetlist:
         """
         state.append(mask)
         for f in self._fns:
-            f(state)
-        state.pop()
-
-    def undo_state(self, state: list[int], mask: int = 1) -> None:
-        """Undo every gate of `state` in place: the inverse of `run_state`.
-
-        Runs the gates in reverse order, each through its inverse
-        template; those appliers are compiled on the first call.
-        """
-        if self._undo_fns is None:
-            self._undo_fns = _appliers(self.netlist.gates[::-1], inverse=True)
-        state.append(mask)
-        for f in self._undo_fns:
             f(state)
         state.pop()
 
@@ -252,20 +235,21 @@ def check_permutation(netlist: Netlist) -> bool:
 
     Constants are varied too: this checks the circuit as a function of
     every line, not just the used inputs.  Each chunk's terminal lanes
-    run back through the inverse circuit G and must give its initial
-    lanes again.
+    run through the inverse netlist G (`netlist.inverse`) and must give
+    its initial lanes again.
 
     True proves the raw circuit map F a bijection: G(F(x)) = x on every
     state makes F injective, so on a finite set a bijection, whatever G
     is.  False means that the inverse run did not give back every
-    state.  With the shipped gate templates, whose inverses the tests
-    check on every input, that means F is not a bijection; a gate whose
-    inverse template does not undo it gives False even for a bijection.
+    state.  With the shipped step lists, each checked on every input,
+    that means F is not a bijection; a gate whose undo steps do not undo
+    it gives False even for a bijection.
     """
     _check_exhaustive(netlist)
     compiled = compile_netlist(netlist)
+    undo = compile_netlist(inverse(netlist))
     for initial, terminal, count in _sweep(compiled, range(netlist.width)):
-        compiled.undo_state(terminal, (1 << count) - 1)
+        undo.run_state(terminal, (1 << count) - 1)
         if terminal != initial:
             return False
     return True

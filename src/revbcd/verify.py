@@ -119,7 +119,7 @@ def _check_additions(
         text_lanes(records, n, n, stride),
         text_lanes(records, 1, 2 * n, stride)[0],
     )
-    want_sums = to_lanes([t % limit for t in totals], n)
+    want_sums = text_lanes("".join([str(t % limit).zfill(n) for t in totals]), n, 0, n)
     want_carry = bit_lane([t >= limit for t in totals])
     outcomes = {}
     bad = 0

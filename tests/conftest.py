@@ -22,9 +22,10 @@ def dec_csk8():
 def mutate_gate(monkeypatch):
     """Swap one gate kind's statement template for the length of a test.
 
-    `mutate(kind, template)` keeps the kind's inverse template, so a
-    mutated gate that is no bijection still fails the inverse run of
-    `check_permutation`; `inverse=` swaps the inverse template as well.
+    `mutate(kind, template)` keeps the kind's undo steps, so a mutated
+    gate that is no bijection still fails the inverse run of
+    `check_permutation`; `steps=` swaps the undo steps as well, a tuple
+    of (kind, pin positions) gates as `gates.undo_steps` returns.
     The block-shape cache and every compiled cache are emptied when the
     swap is made and again when it is undone, so no block or netlist
     compiled under the other semantics is reused.
@@ -40,9 +41,9 @@ def mutate_gate(monkeypatch):
         ):
             cached.cache_clear()
 
-    def mutate(kind, template, inverse=None):
+    def mutate(kind, template, steps=None):
         arity, qc, delay, _, kept = gates._GATES[kind]
-        row = (arity, qc, delay, template, kept if inverse is None else inverse)
+        row = (arity, qc, delay, template, kept if steps is None else steps)
         monkeypatch.setitem(gates._GATES, kind, row)
         clear()
 

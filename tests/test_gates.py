@@ -12,6 +12,7 @@ from revbcd.gates import (
     gate_semantics,
     gate_truth_table,
     is_bijective,
+    undo_steps,
 )
 
 
@@ -126,14 +127,30 @@ class TestAlgebra:
 
 
 
-def apply(kind, state, inverse=False):
-    """Run one gate (or its inverse) on lines 0..arity-1 of `state`, whose
-    last slot holds the lane mask, in place."""
+def apply(kind, state):
+    """Run one gate on lines 0..arity-1 of `state`, whose last slot holds
+    the lane mask, in place."""
     pins = tuple(range(arity(kind)))
-    block(((kind, pins),), inverse)(*pins)(state)
+    block(((kind, pins),))(*pins)(state)
+
+
+def undo(kind, state):
+    """Run the undo steps of `kind` on lines 0..arity-1 of `state` as one
+    block, in place."""
+    block(undo_steps(kind))(*range(arity(kind)))(state)
 
 
 class TestInverse:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_steps_use_only_their_own_kind(self, kind):
+        """Each step is a gate of the undone kind on the same pins, so a
+        mutated kind changes no other kind's undo."""
+        steps = undo_steps(kind)
+        assert steps
+        for step_kind, positions in steps:
+            assert step_kind is kind
+            assert sorted(positions) == list(range(arity(kind)))
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inverse_restores_every_scalar_input(self, kind):
         n = arity(kind)
@@ -142,7 +159,7 @@ class TestInverse:
             state = [*bits, 1]
             apply(kind, state)
             assert tuple(state[:n]) == gate_semantics(kind, tuple(bits))
-            apply(kind, state, inverse=True)
+            undo(kind, state)
             assert state == [*bits, 1]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -159,5 +176,5 @@ class TestInverse:
             out = tuple(lane >> k & 1 for lane in state[:n])
             assert out == gate_semantics(kind, tuple((k >> i) & 1 for i in range(n)))
         assert all(0 <= lane <= mask for lane in state[:n])
-        apply(kind, state, inverse=True)
+        undo(kind, state)
         assert state == [*lanes, mask]

@@ -16,7 +16,7 @@ from revbcd.gates import (
     gate_semantics,
     gate_truth_table,
 )
-from revbcd.netlist import GateInstance, Netlist, const_role, input_role
+from revbcd.netlist import GateInstance, Netlist, const_role, input_role, inverse
 from revbcd.simulator import (
     BLOCK_MAX,
     BLOCK_MIN,
@@ -298,15 +298,16 @@ class TestPermutation:
         assert verdicts == [True, False] * 4
 
     def test_a_changed_gate_passes_only_with_its_inverse(self, mutate_gate):
-        """PG with an OR is still a bijection: the inverse run rejects it
-        while PG's own inverse template is kept, and proves it once the
-        inverse template matches."""
+        """PG with an OR is an involution, so still a bijection: the
+        inverse run rejects it under steps that undo the real PG but not
+        it, PG·FG(a, c), and proves it under the one step PG."""
         pg_or = "{c} ^= {a} | {b}\n{b} ^= {a}"
         nl = mixed_netlist(random.Random(7), ALL_KINDS, "o")
-        mutate_gate(GateKind.PG, pg_or)
+        pg = ((GateKind.PG, (0, 1, 2)),)
+        mutate_gate(GateKind.PG, pg_or, steps=pg + ((GateKind.FG, (0, 2)),))
         assert scalar_is_permutation(nl)
         assert not check_permutation(nl)
-        mutate_gate(GateKind.PG, pg_or, inverse="{b} ^= {a}\n{c} ^= {a} | {b}")
+        mutate_gate(GateKind.PG, pg_or, steps=pg)
         assert check_permutation(nl)
 
     def test_sweep_past_one_chunk(self, mutate_gate):
@@ -385,20 +386,26 @@ class TestLanes:
             compiled.run_state(vec)
             assert vec == [lane >> k & 1 for lane in lanes]
 
-    def test_undo_state_inverts_run_state(self):
+    def test_inverse_after_netlist_gives_back_every_lane(self):
+        """Staged random netlists and both adders at N=64, whose width is
+        past check_permutation's bound: 64 lanes through the netlist and
+        its inverse, and one scalar state through the inverse and back."""
         rng = random.Random(8)
-        for n in range(16):
-            nl = staged_netlist(rng, f"u{n}_")
-            compiled = compile_netlist(nl)
+        nets = [staged_netlist(rng, f"u{n}_") for n in range(16)]
+        for nl in nets + [build_dec_rca(64), build_dec_csk(64)]:
+            undo = inverse(nl)
+            assert (undo.width, undo.roles) == (nl.width, nl.roles)
+            assert {g.stage for g in undo.gates} == {g.stage for g in nl.gates}
+            forward, backward = compile_netlist(nl), compile_netlist(undo)
             lanes = [rng.getrandbits(64) for _ in range(nl.width)]
             state = lanes.copy()
-            compiled.run_state(state, (1 << 64) - 1)
-            compiled.undo_state(state, (1 << 64) - 1)
+            forward.run_state(state, (1 << 64) - 1)
+            backward.run_state(state, (1 << 64) - 1)
             assert state == lanes
             scalar = [lane & 1 for lane in lanes]
             state = scalar.copy()
-            compiled.undo_state(state)
-            compiled.run_state(state)
+            backward.run_state(state)
+            forward.run_state(state)
             assert state == scalar
 
 
