@@ -19,8 +19,8 @@ counting pattern over all 2^n assignments (`counting_lanes`), 2^14 vectors
 per `run_state` call so memory stays small.  `truth_table` unpacks the
 rows through byte planes (`byte_plane`) rather than one int per vector;
 `check_permutation` never unpacks: it runs each chunk's terminal lanes
-through the compiled inverse netlist (`netlist.inverse`) with the same
-`run_state` and compares whole lanes.
+through the compiled inverse netlist (`netlist.inverse`, compiled once
+per compiled netlist) with the same `run_state` and compares whole lanes.
 
 Evaluation is deterministic and side-effect free with respect to the
 netlist, so compiled netlists can be shared across threads.  Exhaustive
@@ -31,7 +31,7 @@ EXHAUSTIVE_WIDTH_LIMIT lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
@@ -94,6 +94,12 @@ class CompiledNetlist:
         self.named = tuple(netlist.outputs)
         self.restored = tuple(sorted(netlist.restored))
         self.inputs = tuple(netlist.input_lines())
+
+    @cached_property
+    def inverse(self) -> CompiledNetlist:
+        """The compiled inverse netlist (`netlist.inverse`), made at the
+        first use and kept for the life of this compiled netlist."""
+        return CompiledNetlist(inverse(self.netlist))
 
     def run_state(self, state: list[int], mask: int = 1) -> None:
         """Apply every gate to `state` in place.
@@ -247,7 +253,7 @@ def check_permutation(netlist: Netlist) -> bool:
     """
     _check_exhaustive(netlist)
     compiled = compile_netlist(netlist)
-    undo = compile_netlist(inverse(netlist))
+    undo = compiled.inverse
     for initial, terminal, count in _sweep(compiled, range(netlist.width)):
         undo.run_state(terminal, (1 << count) - 1)
         if terminal != initial:

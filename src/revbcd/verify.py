@@ -6,7 +6,11 @@ sampled adder vectors are drawn as decimal digit text from one seeded
 byte stream (DigitStream), and their operand lanes are built straight
 from that text.  Adder vectors are checked in lane batches (one simulator
 pass per design and batch of up to 2^14 vectors) against native integer
-addition, and a failing check names its first failing vector.
+addition, and a failing check names its first failing vector.  The
+oracle adds a whole batch at once: every vector's operands sit in decimal
+fields behind a zero guard digit, so one int addition covers many vectors
+and no carry crosses a field (Lamport's guarded field packing, in base
+10); no Python step of the check runs per vector.
 """
 
 from __future__ import annotations
@@ -92,6 +96,44 @@ class DigitStream:
         return data[:count].decode()
 
 
+# A carry-in digit's parity as an ASCII digit: 0 for an even digit, 1 for odd.
+_PARITY = bytes.maketrans(b"0123456789", b"0101010101")
+
+# Digits per int in _native_sums: CPython converts int <-> str in time
+# quadratic in the length, so chunks of a few hundred digits add fastest.
+_CHUNK_DIGITS = 256
+
+
+def _native_sums(records: str, n: int) -> str:
+    """Native addition of a batch of digit records, as one decimal text.
+
+    `records` holds 2n+1 ASCII digits per vector: a, b, and a digit whose
+    parity is the carry-in.  The result holds one field of n+1 digits per
+    vector, in vector order: the carry digit, then the n-digit sum, so
+    field k is str(a + b + cin).zfill(n + 1).
+
+    Each operand is written into an (n+1)-digit field behind a zero guard
+    digit, and whole runs of fields are added as one int: a field's sum
+    is at most 2*10^n - 1, so no carry crosses into the next field.
+    """
+    stride, field = 2 * n + 1, n + 1
+    raw = records.encode()
+    size = len(raw) // stride * field
+    a, b, c = (bytearray(b"0" * size) for _ in range(3))
+    for j in range(n):
+        a[1 + j :: field] = raw[j::stride]
+        b[1 + j :: field] = raw[n + j :: stride]
+    c[n::field] = raw[2 * n :: stride].translate(_PARITY)
+    chunk = max(1, _CHUNK_DIGITS // field) * field
+    return "".join(
+        [
+            str(int(a[i : i + chunk]) + int(b[i : i + chunk]) + int(c[i : i + chunk]))
+            .zfill(min(chunk, size - i))
+            for i in range(0, size, chunk)
+        ]
+    )
+
+
 def _check_additions(
     ports: dict[str, AdderPort], n: int, records: str
 ) -> tuple[int, str]:
@@ -101,26 +143,23 @@ def _check_additions(
     `records` holds 2n+1 ASCII digits per vector: the n digits of a, the n
     digits of b, and a digit whose parity is the carry-in.  A vector fails
     when a port's sum or carry differs from native addition of those
-    values or it changed a restored line.  `text` names the lowest failing
-    vector, with what native addition gives and what the first port
-    failing it gave (a non-BCD sum digit shows in hex); it is empty when
-    nothing fails.
+    values (_native_sums, read into lanes) or it changed a restored line.
+    No Python step runs per vector: only the failure text reads one
+    vector's operands.  `text` names the lowest failing vector, with what
+    native addition gives and what the first port failing it gave (a
+    non-BCD sum digit shows in hex); it is empty when nothing fails.
     """
-    stride = 2 * n + 1
-    a = [int(records[i : i + n]) for i in range(0, len(records), stride)]
-    b = [int(records[i : i + n]) for i in range(n, len(records), stride)]
-    cin = [digit & 1 for digit in records[2 * n :: stride].encode()]
-    limit = 10**n
-    totals = [x + y + c for x, y, c in zip(a, b, cin)]
-    mask = (1 << len(totals)) - 1
+    stride, field = 2 * n + 1, n + 1
     # Bit 0 of a digit is its parity: the carry-in lane.
     operands = (
         text_lanes(records, n, 0, stride),
         text_lanes(records, n, n, stride),
         text_lanes(records, 1, 2 * n, stride)[0],
     )
-    want_sums = text_lanes("".join([str(t % limit).zfill(n) for t in totals]), n, 0, n)
-    want_carry = bit_lane([t >= limit for t in totals])
+    totals = _native_sums(records, n)
+    want_sums = text_lanes(totals, n, 1, field)
+    want_carry = text_lanes(totals, 1, 0, field)[0]
+    mask = (1 << len(records) // stride) - 1
     outcomes = {}
     bad = 0
     for name, port in ports.items():
@@ -139,10 +178,12 @@ def _check_additions(
         sum((sums[4 * j + i] >> k & 1) << i for i in range(4))
         for j in reversed(range(n))
     )
-    t = totals[k]
+    record = records[k * stride : (k + 1) * stride]
+    want = totals[k * field : (k + 1) * field]
     text = (
-        f"first failure: {design} N={n} a={a[k]} b={b[k]} cin={cin[k]}: "
-        f"expected sum={str(t % limit).zfill(n)} carry={int(t >= limit)}, "
+        f"first failure: {design} N={n} a={int(record[:n])} "
+        f"b={int(record[n:-1])} cin={int(record[-1]) & 1}: "
+        f"expected sum={want[1:]} carry={want[0]}, "
         f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
         f"carry={carry >> k & 1}"
     )

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from revbcd import simulator
 from revbcd.designs import build_dec_csk, build_dec_rca, build_scl, scl_function
 from revbcd.errors import AssignmentError, CapacityError
 from revbcd.gates import (
@@ -309,6 +310,27 @@ class TestPermutation:
         assert not check_permutation(nl)
         mutate_gate(GateKind.PG, pg_or, steps=pg)
         assert check_permutation(nl)
+
+    def test_inverse_compiled_once_per_compiled_netlist(self, pdfa, monkeypatch):
+        """A second check of an equal netlist builds no inverse; emptying
+        the compile cache drops the compiled inverse with the netlist's."""
+        calls = []
+
+        def counted(netlist):
+            calls.append(netlist)
+            return inverse(netlist)
+
+        monkeypatch.setattr(simulator, "inverse", counted)
+        compile_netlist.cache_clear()
+        assert check_permutation(pdfa)
+        assert len(calls) == 1
+        equal = replace(pdfa)
+        assert equal == pdfa and equal is not pdfa
+        assert check_permutation(equal)
+        assert len(calls) == 1
+        compile_netlist.cache_clear()
+        assert check_permutation(equal)
+        assert len(calls) == 2
 
     def test_sweep_past_one_chunk(self, mutate_gate):
         """15 lines run as two chunks of 2^14 vectors; a gate that copies
