@@ -88,13 +88,25 @@ def _int_list(text: str) -> list[int]:
     return [_bounded(value) for value in values]
 
 
-def _digit_count(text: str) -> int:
-    """A --digits or --width value: an int of at most MAX_DIGITS."""
+def _int_value(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
-    return _bounded(value)
+
+
+def _digit_count(text: str) -> int:
+    """A --digits or --width value: an int of at most MAX_DIGITS."""
+    return _bounded(_int_value(text))
+
+
+def _sample_count(text: str) -> int:
+    """A verify --samples value: an int of at least 1, checked for every
+    scope before any runs."""
+    value = _int_value(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"samples must be at least 1, got {value}")
+    return value
 
 
 # Built on the first main() call and reused: a parser costs about 1.5 ms
@@ -134,7 +146,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=("all", *verify.SCOPES),
     )
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=_sample_count, default=1000)
 
     p_metrics = sub.add_parser("metrics", help="report structural metrics")
     src = p_metrics.add_mutually_exclusive_group(required=True)

@@ -33,7 +33,8 @@ arguments, so no text from a netlist reaches `compile`.
 Appliers work on lanes: a line value is a Python int whose bit k holds
 vector k's value on that line, so one call updates every vector at once
 with whole-word ``^ & | ~`` operations.  The state list carries one slot
-past the lines, the lane mask (bit k set for every vector in the batch).
+past the lines, the lane mask (bit k set for every vector in the batch;
+digit-text batches put vector k at bit 4k, and the mask says so).
 NOT complements against it (``v[-1]``); MF complements with ``~`` under an
 AND with a non-negative lane, which needs no mask.  A mask of 1 is the
 scalar case, where every value is a single bit.

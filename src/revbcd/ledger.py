@@ -76,17 +76,20 @@ def decode(text: str) -> int:
     return _text_value(text)
 
 
-# Lanes: bit k of a lane is vector k's value on one line (see simulator).
-# A batch of `width`-digit operands is 4*width lanes, lane 4j+i holding bit i
-# of digit j of every operand.
-_BIT_OF_DIGIT = [
-    str.maketrans("0123456789", "".join(str(d >> i & 1) for d in range(10)))
-    for i in range(4)
-]
+# Lanes made from digit text put vector k at bit 4k (see simulator): then
+# the base-16 value of a digit column, vector k's digit in nibble k, holds
+# that column's four bit lanes at once.
+
+
+def lane_mask(count: int) -> int:
+    """The lane mask of a batch of `count` vectors in the layout of
+    text_lanes: bit 4k set for each vector k."""
+    return int("1" * count or "0", 16)
 
 
 def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
-    """The 4*width digit-bit lanes of a batch of amounts, amounts[k] in bit k."""
+    """The 4*width digit-bit lanes of a batch of amounts, amounts[k] in
+    bit 4k (the layout of text_lanes, under lane_mask(len(amounts)))."""
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
     limit = 10**width
@@ -104,16 +107,30 @@ def text_lanes(text: str, width: int, start: int, stride: int) -> list[int]:
     digits: `text` holds one record of `stride` characters per vector, in
     vector order, and vector k's operand is the `width` digits from
     `start` of record k, most significant first.
+
+    Lane 4j+i holds bit i of digit j of vector k at bit 4k, so every lane
+    lies inside lane_mask(len(text) // stride).  Text that is not ASCII
+    digits or not whole records, and a field that does not fit in its
+    record, raise InvalidArgumentError.
     """
-    # Reversed, the last record comes first, so each strided column reads
-    # bit k at position k, and digit j of the operand sits j places into it.
+    if width < 1 or start < 0 or start + width > stride:
+        raise InvalidArgumentError(
+            f"a {width}-digit field at {start} does not fit a {stride}-digit record"
+        )
+    if len(text) % stride:
+        raise InvalidArgumentError(
+            f"{len(text)} digits are not whole {stride}-digit records"
+        )
+    if text and not (text.isascii() and text.encode().isdigit()):
+        raise InvalidArgumentError("operand text must be ASCII digits")
+    mask = lane_mask(len(text) // stride)
+    # Reversed, the last record comes first, so each strided column read in
+    # base 16 holds vector k's digit in nibble k, and digit j of the
+    # operand sits j places into the record.
     backward = text[::-1]
     low = stride - start - width
-    return [
-        int(backward[low + j :: stride].translate(table) or "0", 2)
-        for j in range(width)
-        for table in _BIT_OF_DIGIT
-    ]
+    columns = [int(backward[low + j :: stride] or "0", 16) for j in range(width)]
+    return [column >> i & mask for column in columns for i in range(4)]
 
 
 # An ASCII digit's byte is 0x30 | its BCD nibble, so bits 0..3 of the byte
@@ -173,8 +190,10 @@ class AdderPort:
     ) -> tuple[list[int], int, int]:
         """Simulate every vector of a lane batch in one pass.
 
-        Returns (sum lanes, carry lane, moved) in the layout of to_lanes;
-        bit k of `moved` is set when vector k changed a restored line.
+        `a` and `b` are operand lanes as to_lanes returns them, `cin` the
+        carry-in lane and `mask` the batch's lane_mask.  Returns (sum
+        lanes, carry lane, moved) in the same layout; bit 4k of `moved`
+        is set when vector k changed a restored line.
         """
         if len(a) != 4 * self.width or len(b) != 4 * self.width:
             raise InvalidArgumentError(

@@ -13,7 +13,10 @@ enter the generated source, never text from the netlist.
 `CompiledNetlist.run_state` is the one engine, for one vector or many.
 Each line holds a lane: an int whose bit k is vector k's value, with the
 lane mask (bit k set for every vector) riding in the state's last slot
-while the gates run.  The scalar case is mask 1.  `truth_table` and
+while the gates run.  The scalar case is mask 1.  Batches made from
+digit text (`ledger.text_lanes`) put vector k at bit 4k instead, under
+`ledger.lane_mask`; every gate is bitwise, so the engine runs either
+layout, and one batch never mixes the two.  `truth_table` and
 `check_permutation` share one sweep: the varied lines start from the
 counting pattern over all 2^n assignments (`counting_lanes`), 2^14 vectors
 per `run_state` call so memory stays small.  `truth_table` unpacks the
@@ -181,8 +184,9 @@ def byte_plane(lane: int, count: int) -> int:
 
 
 # Multi-vector callers run at most 2^BATCH_BITS vectors per run_state call,
-# so each lane stays at 2 kB and each unpack buffer near 16 kB however many
-# vectors there are: one batch over all 2^20 states would hold megabytes.
+# so each lane stays at 2 kB (8 kB in a digit-text batch, whose vectors sit
+# four bits apart) and each unpack buffer near 16 kB however many vectors
+# there are: one batch over all 2^20 states would hold megabytes.
 BATCH_BITS = 14
 
 

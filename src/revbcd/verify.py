@@ -4,13 +4,15 @@ Each check returns a VerifyResult; run_scope drives the named scope with a
 fixed seed so every randomized pass is reproducible bit-for-bit.  The
 sampled adder vectors are drawn as decimal digit text from one seeded
 byte stream (DigitStream), and their operand lanes are built straight
-from that text.  Adder vectors are checked in lane batches (one simulator
-pass per design and batch of up to 2^14 vectors) against native integer
-addition, and a failing check names its first failing vector.  The
-oracle adds a whole batch at once: every vector's operands sit in decimal
-fields behind a zero guard digit, so one int addition covers many vectors
-and no carry crosses a field (Lamport's guarded field packing, in base
-10); no Python step of the check runs per vector.
+from that text (ledger.text_lanes: vector k at bit 4k, so one base-16
+parse of a digit column gives its four bit lanes).  Adder vectors are
+checked in lane batches (one simulator pass per design and batch of up
+to 2^14 vectors) against native integer addition, and a failing check
+names its first failing vector.  The oracle adds a whole batch at once:
+every vector's operands sit in decimal fields behind a zero guard digit,
+so one int addition covers many vectors and no carry crosses a field
+(Lamport's guarded field packing, in base 10); no Python step of the
+check runs per vector.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import AdderPort, cached_adder, decode, encode, text_lanes, to_lanes
-from .simulator import (
-    BATCH_BITS,
-    CompiledNetlist,
-    bit_lane,
-    compile_netlist,
-    truth_table,
+from .ledger import (
+    AdderPort,
+    cached_adder,
+    decode,
+    encode,
+    lane_mask,
+    text_lanes,
+    to_lanes,
 )
+from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist, truth_table
 
 
 @dataclass(frozen=True)
@@ -150,16 +154,15 @@ def _check_additions(
     non-BCD sum digit shows in hex); it is empty when nothing fails.
     """
     stride, field = 2 * n + 1, n + 1
-    # Bit 0 of a digit is its parity: the carry-in lane.
-    operands = (
-        text_lanes(records, n, 0, stride),
-        text_lanes(records, n, n, stride),
-        text_lanes(records, 1, 2 * n, stride)[0],
-    )
+    # Each record read whole as one number, least significant digit first:
+    # the carry-in digit (its bit 0, the parity, is the carry-in lane),
+    # then b, then a.
+    lanes = text_lanes(records, stride, 0, stride)
+    operands = (lanes[4 * field :], lanes[4 : 4 * field], lanes[0])
     totals = _native_sums(records, n)
-    want_sums = text_lanes(totals, n, 1, field)
-    want_carry = text_lanes(totals, 1, 0, field)[0]
-    mask = (1 << len(records) // stride) - 1
+    expected = text_lanes(totals, field, 0, field)
+    want_sums, want_carry = expected[: 4 * n], expected[4 * n]
+    mask = lane_mask(len(records) // stride)
     outcomes = {}
     bad = 0
     for name, port in ports.items():
@@ -171,11 +174,12 @@ def _check_additions(
         bad |= lane
     if not bad:
         return 0, ""
-    k = (bad & -bad).bit_length() - 1
-    design = next(name for name, out in outcomes.items() if out[0] >> k & 1)
+    bit = (bad & -bad).bit_length() - 1
+    k = bit // 4
+    design = next(name for name, out in outcomes.items() if out[0] >> bit & 1)
     _, sums, carry, moved = outcomes[design]
     nibbles = (
-        sum((sums[4 * j + i] >> k & 1) << i for i in range(4))
+        sum((sums[4 * j + i] >> bit & 1) << i for i in range(4))
         for j in reversed(range(n))
     )
     record = records[k * stride : (k + 1) * stride]
@@ -185,9 +189,9 @@ def _check_additions(
         f"b={int(record[n:-1])} cin={int(record[-1]) & 1}: "
         f"expected sum={want[1:]} carry={want[0]}, "
         f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
-        f"carry={carry >> k & 1}"
+        f"carry={carry >> bit & 1}"
     )
-    if moved >> k & 1:
+    if moved >> bit & 1:
         text += ", restored line changed"
     return bad.bit_count(), text
 
@@ -219,9 +223,9 @@ def verify_propagate() -> VerifyResult:
     p_line = compiled.netlist.output_map["P"]
     da = [x for x in range(10) for _ in range(10)]
     db = [y for _ in range(10) for y in range(10)]
-    want = bit_lane([x + y == 9 for x, y in zip(da, db)])
-    model = bit_lane([decimal_propagate(x, y) for x, y in zip(da, db)])
-    mask = (1 << len(da)) - 1
+    want = to_lanes([int(x + y == 9) for x, y in zip(da, db)], 1)[0]
+    model = to_lanes([decimal_propagate(x, y) for x, y in zip(da, db)], 1)[0]
+    mask = lane_mask(len(da))
     state = compiled.fresh_state(mask)
     for stem, digits in (("a", da), ("b", db)):
         for i, lane in enumerate(to_lanes(digits, 1)):
@@ -255,6 +259,8 @@ def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
 
     Each n-digit vector is the next 2n+1 digits of DigitStream(seed): a is
     the first n, b the next n, and the carry-in the parity of the last.
+    A batch's lanes hold vector k at bit 4k (ledger.text_lanes), under
+    ledger.lane_mask.
     The vectors depend on the seed (and the Python version's random
     module), not on BATCH_BITS.
     """

@@ -13,6 +13,7 @@ import pytest
 from revbcd.cli import main
 from revbcd.ledger import decode, generate_synthetic_csv
 from revbcd.netlist import deserialize
+from revbcd.verify import SCOPES
 
 
 def run_cli(*argv, capsys=None):
@@ -199,6 +200,25 @@ class TestVerify:
         )
         assert code == 2 and "samples must be at least 1" in err
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("scope", ("all", *SCOPES))
+    @pytest.mark.parametrize("samples", ("0", "-1"))
+    def test_samples_checked_before_any_scope_runs(
+        self, scope, samples, capsys, monkeypatch
+    ):
+        """Every scope takes --samples, so every scope rejects a bad one
+        at parse time, before any check runs."""
+        from revbcd import verify as verify_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scope ran")
+
+        monkeypatch.setattr(verify_mod, "run_scope", refuse)
+        code, out, err = run_cli(
+            "verify", "--scope", scope, "--samples", samples, capsys=capsys
+        )
+        assert code == 2 and out == ""
+        assert f"samples must be at least 1, got {samples}" in err
 
     def test_unknown_scope_rejected(self):
         from revbcd.errors import InvalidArgumentError

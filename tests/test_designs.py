@@ -19,10 +19,10 @@ from revbcd.designs import (
     skip_carry,
 )
 from revbcd.errors import InvalidArgumentError, InvalidBCDError
-from revbcd.ledger import AdderPort, cached_adder, encode, to_lanes
+from revbcd.ledger import AdderPort, cached_adder, encode, lane_mask, to_lanes
 from revbcd.metrics import structural_metrics
 from revbcd.netlist import serialize
-from revbcd.simulator import bit_lane, check_permutation, compile_netlist, run
+from revbcd.simulator import check_permutation, compile_netlist, run
 from revbcd.verify import adder_sum
 
 
@@ -204,10 +204,10 @@ class TestCarrySkip:
         and restore their operands."""
         vectors = [(a, b, c) for a in range(100) for b in range(100) for c in range(2)]
         a, b, cin = (list(column) for column in zip(*vectors))
-        mask = (1 << len(vectors)) - 1
+        mask = lane_mask(len(vectors))
         results = [
             cached_adder(design, 2).add_lanes(
-                to_lanes(a, 2), to_lanes(b, 2), bit_lane(cin), mask
+                to_lanes(a, 2), to_lanes(b, 2), to_lanes(cin, 1)[0], mask
             )
             for design in ("dec-rca", "dec-csk")
         ]
@@ -215,7 +215,7 @@ class TestCarrySkip:
         totals = [x + y + c for x, y, c in vectors]
         sums, carry, moved = results[0]
         assert sums == to_lanes([t % 100 for t in totals], 2)
-        assert carry == bit_lane([t >= 100 for t in totals])
+        assert carry == to_lanes([int(t >= 100) for t in totals], 1)[0]
         assert moved == 0
 
     def test_digitwise_carries_equal_ripple(self, dec_rca8, dec_csk8):

@@ -165,16 +165,23 @@ class TestInverse:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inverse_restores_a_lane_batch(self, kind):
         """All 2^arity inputs at once, vector k being input k, under a
-        mask of 2^arity bits: NOT's v[-1] and MF's ~ meet a real mask."""
+        mask of 2^arity bits: NOT's v[-1] and MF's ~ meet a real mask.
+        Vector k sits at bit k (the compact layout) and at bit 4k (the
+        sparse layout of digit-text batches), whose mask has gaps."""
         n = arity(kind)
         count = 1 << n
-        mask = (1 << count) - 1
-        lanes = [sum(((k >> i) & 1) << k for k in range(count)) for i in range(n)]
-        state = [*lanes, mask]
-        apply(kind, state)
-        for k in range(count):
-            out = tuple(lane >> k & 1 for lane in state[:n])
-            assert out == gate_semantics(kind, tuple((k >> i) & 1 for i in range(n)))
-        assert all(0 <= lane <= mask for lane in state[:n])
-        undo(kind, state)
-        assert state == [*lanes, mask]
+        for spread in (1, 4):
+            mask = sum(1 << spread * k for k in range(count))
+            lanes = [
+                sum(((k >> i) & 1) << spread * k for k in range(count))
+                for i in range(n)
+            ]
+            state = [*lanes, mask]
+            apply(kind, state)
+            for k in range(count):
+                out = tuple(lane >> spread * k & 1 for lane in state[:n])
+                want = gate_semantics(kind, tuple((k >> i) & 1 for i in range(n)))
+                assert out == want
+            assert all(lane & ~mask == 0 for lane in state[:n])
+            undo(kind, state)
+            assert state == [*lanes, mask]

@@ -27,12 +27,13 @@ from revbcd.ledger import (
     encode,
     generate_synthetic_csv,
     ingest_csv,
+    lane_mask,
     parse_amount,
     sum_ledger,
     text_lanes,
     to_lanes,
 )
-from revbcd.simulator import bit_lane, compile_netlist
+from revbcd.simulator import compile_netlist
 
 
 class TestCodec:
@@ -104,10 +105,11 @@ class TestLanes:
         values = [0, 10**width - 1] + [rng.randrange(10**width) for _ in range(6)]
         lanes = to_lanes(values, width)
         assert len(lanes) == 4 * width
-        assert all(lane < 1 << len(values) for lane in lanes)
+        assert lane_mask(len(values)) == sum(1 << 4 * k for k in range(len(values)))
+        assert all(lane & ~lane_mask(len(values)) == 0 for lane in lanes)
         for k, value in enumerate(values):
             digits = "".join(
-                str(sum((lanes[4 * j + i] >> k & 1) << i for i in range(4)))
+                str(sum((lanes[4 * j + i] >> 4 * k & 1) << i for i in range(4)))
                 for j in reversed(range(width))
             )
             assert digits == encode(value, width)
@@ -123,6 +125,22 @@ class TestLanes:
         text = "".join(f"7{x:03d}{y:02d}" for x, y in records)
         assert text_lanes(text, 3, 1, 6) == to_lanes([x for x, _ in records], 3)
         assert text_lanes(text, 2, 4, 6) == to_lanes([y for _, y in records], 2)
+
+    @pytest.mark.parametrize(
+        "text", ("x", "12a4", "0x12", "12_4", " 123", "1234\n", "١٢٣٤", "１２")
+    )
+    def test_text_not_ascii_digits(self, text):
+        with pytest.raises(InvalidArgumentError, match="ASCII digits"):
+            text_lanes(text, 1, 0, 1)
+
+    def test_text_not_whole_records(self):
+        with pytest.raises(InvalidArgumentError, match="not whole 2-digit records"):
+            text_lanes("123", 2, 0, 2)
+
+    @pytest.mark.parametrize("width, start", ((3, 0), (2, 1), (1, -1), (0, 0)))
+    def test_field_outside_its_record(self, width, start):
+        with pytest.raises(InvalidArgumentError, match="does not fit"):
+            text_lanes("1234", width, start, 2)
 
     @pytest.mark.parametrize("values", ([5, 100], [-1], [10**5000]))
     def test_out_of_range(self, values):
@@ -229,7 +247,7 @@ class TestAdderPort:
         b = [rng.randrange(10**4) for _ in range(200)]
         cin = [rng.randrange(2) for _ in range(200)]
         sums, carry, moved = port.add_lanes(
-            to_lanes(a, 4), to_lanes(b, 4), bit_lane(cin), (1 << 200) - 1
+            to_lanes(a, 4), to_lanes(b, 4), to_lanes(cin, 1)[0], lane_mask(200)
         )
         totals, carries = [], []
         for k in range(200):
@@ -237,7 +255,7 @@ class TestAdderPort:
             assert ok
             totals.append(decode(total))
             carries.append(c)
-        assert (sums, carry, moved) == (to_lanes(totals, 4), bit_lane(carries), 0)
+        assert (sums, carry, moved) == (to_lanes(totals, 4), to_lanes(carries, 1)[0], 0)
 
     def test_lane_count_mismatch(self):
         port = cached_adder("dec-rca", 2)

@@ -1,7 +1,11 @@
-"""Property tests for the ledger amount boundary (needs hypothesis).
+"""Property tests for the ledger amount boundary and the digit-text lane
+codec (needs hypothesis).
 
 Any text either parses to an int or fails with LedgerFormatError, and
 every rendering of a cents value the parser documents reads back exactly.
+`text_lanes` reads a field of fixed-width digit records into lanes with
+vector k at bit 4k: every lane lies inside `lane_mask`, and nibble k of
+the lanes gives field k back.
 """
 
 import itertools
@@ -12,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from revbcd.errors import LedgerFormatError
-from revbcd.ledger import parse_amount
+from revbcd.ledger import lane_mask, parse_amount, text_lanes
 
 # Text drawn mostly from the characters an amount is made of, so the
 # parser's later branches (signs, commas, the fraction) are reached often.
@@ -39,3 +43,30 @@ def test_rendered_cents_read_back(cents):
             text = f"{whole:,}" if grouped else str(whole)
             text = f"{'-' if minus else ''}{'$' if dollar else ''}{text}{tail}"
             assert parse_amount(text) == (-cents if minus else cents), text
+
+
+@st.composite
+def digit_records(draw):
+    """(width, start, stride, records): a field that fits its record, and
+    0..60 records of `stride` ASCII digits."""
+    stride = draw(st.integers(min_value=1, max_value=12))
+    start = draw(st.integers(min_value=0, max_value=stride - 1))
+    width = draw(st.integers(min_value=1, max_value=stride - start))
+    record = st.text(alphabet="0123456789", min_size=stride, max_size=stride)
+    return width, start, stride, draw(st.lists(record, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_records())
+def test_nibble_k_of_the_lanes_rebuilds_field_k(batch):
+    width, start, stride, records = batch
+    lanes = text_lanes("".join(records), width, start, stride)
+    mask = lane_mask(len(records))
+    assert len(lanes) == 4 * width
+    assert all(lane & ~mask == 0 for lane in lanes)
+    for k, record in enumerate(records):
+        digits = [
+            sum((lanes[4 * j + i] >> 4 * k & 1) << i for i in range(4))
+            for j in reversed(range(width))
+        ]
+        assert "".join(map(str, digits)) == record[start : start + width]

@@ -69,6 +69,13 @@ def scalar_failures(seed, samples):
     return count, first
 
 
+def operands(seed, k):
+    """The "a=.. b=.. cin=.." of vector k of verify_adders' first size."""
+    n = verify.ADDER_SIZES[0]
+    record = verify.DigitStream(seed).take((k + 1) * (2 * n + 1))[-(2 * n + 1) :]
+    return f"a={int(record[:n])} b={int(record[n:-1])} cin={int(record[-1]) % 2}"
+
+
 def matched(detail):
     good, total = re.match(r"(\d+)/(\d+)", detail).groups()
     return int(good), int(total)
@@ -122,21 +129,64 @@ class TestAdders:
         assert not whole.passed and "first failure" in whole.detail
 
     def test_carry_and_restored_mismatches_count(self, monkeypatch):
-        """Vector 0 gets a wrong carry and vector 3 a moved restored line."""
+        """Vector 0 gets a wrong carry (bit 0) and vector 3 a moved restored
+        line (bit 12): two failing vectors per batch, vector 0 named."""
         original = AdderPort.add_lanes
 
         def tampered(self, *args):
             sums, carry, moved = original(self, *args)
-            return sums, carry ^ 0b1, moved | 0b1000
+            return sums, carry ^ 1, moved | 1 << 12
 
         monkeypatch.setattr(AdderPort, "add_lanes", tampered)
         result = verify.verify_adders(seed=0, samples=10)
         assert matched(result.detail) == (32, 40)
         first = result.detail.split("; first failure: ")[1]
-        assert first.startswith("dec-rca N=2 ")
+        assert first.startswith(f"dec-rca N=2 {operands(0, 0)}: ")
         assert "restored" not in first
         want_carry, got_carry = re.findall(r"carry=(\d)", first)
         assert want_carry != got_carry
+
+    def test_restored_mismatch_names_its_vector(self, monkeypatch):
+        """A moved restored line at bit 12 alone fails vector 3 of each
+        batch, and the report names vector 3's operands."""
+        original = AdderPort.add_lanes
+
+        def tampered(self, *args):
+            sums, carry, moved = original(self, *args)
+            return sums, carry, moved | 1 << 12
+
+        monkeypatch.setattr(AdderPort, "add_lanes", tampered)
+        result = verify.verify_adders(seed=0, samples=10)
+        assert matched(result.detail) == (36, 40)
+        first = result.detail.split("; first failure: ")[1]
+        assert first.startswith(f"dec-rca N=2 {operands(0, 3)}: ")
+        assert first.endswith(", restored line changed")
+
+    @pytest.mark.parametrize(
+        "kind, template, first",
+        (
+            (
+                GateKind.DFG,
+                dfg_first_only,
+                "359/480 sampled vectors match native addition on both designs "
+                "(seed=8); first failure: dec-csk N=2 a=74 b=27 cin=1: "
+                "expected sum=02 carry=1, got sum=a2 carry=0",
+            ),
+            (
+                GateKind.BJN,
+                bjn_and,
+                "87/480 sampled vectors match native addition on both designs "
+                "(seed=8); first failure: dec-rca N=2 a=11 b=98 cin=1: "
+                "expected sum=10 carry=1, got sum=aa carry=0",
+            ),
+        ),
+        ids=("dfg", "bjn"),
+    )
+    def test_mutated_gate_report_pinned(self, mutate_gate, kind, template, first):
+        """The whole report of a failing run, recorded when every lane held
+        vector k at bit k: the count, the vector named and what it got."""
+        mutate_gate(kind, template)
+        assert verify.verify_adders(seed=8, samples=120).detail == first
 
 
 class TestDigitStream:
@@ -179,6 +229,11 @@ class TestCells:
         assert not result.passed
         assert 0 < matched(result.detail)[0] < 200
         assert "; first failure: pdfa N=1 a=" in result.detail
+        # as recorded when every lane held vector k at bit k
+        assert result.detail == (
+            "136/200 oracle matches; first failure: pdfa N=1 a=0 b=9 cin=1: "
+            "expected sum=0 carry=1, got sum=a carry=0"
+        )
 
     def test_propagate_passing_detail_unchanged(self):
         result = verify.verify_propagate()
