@@ -145,7 +145,7 @@ def make_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("all", *verify.SCOPES),
     )
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_int_value, default=None)
     p_verify.add_argument("--samples", type=_sample_count, default=1000)
 
     p_metrics = sub.add_parser("metrics", help="report structural metrics")

@@ -32,12 +32,14 @@ arguments, so no text from a netlist reaches `compile`.
 
 Appliers work on lanes: a line value is a Python int whose bit k holds
 vector k's value on that line, so one call updates every vector at once
-with whole-word ``^ & | ~`` operations.  The state list carries one slot
+with whole-word ``^ & |`` operations.  The state list carries one slot
 past the lines, the lane mask (bit k set for every vector in the batch;
 digit-text batches put vector k at bit 4k, and the mask says so).
-NOT complements against it (``v[-1]``); MF complements with ``~`` under an
-AND with a non-negative lane, which needs no mask.  A mask of 1 is the
-scalar case, where every value is a single bit.
+NOT complements against it (``v[-1]``), the one template that reads the
+mask.  MF needs no complement: where A is set it swaps B and C, through
+t = A(B^C), and flips the new B by XOR with A itself, so every value
+stays within the lanes.  A mask of 1 is the scalar case, where every
+value is a single bit.
 
 Cost constants are per-gate elementary-operation counts (qc) and delay in
 delta units.  1x1 gates carry no quantum cost.
@@ -74,7 +76,7 @@ class GateKind(str, Enum):
 _NOT = "{a} ^= v[-1]"
 _FG = "{b} ^= {a}"
 _PG = "{c} ^= {a} & {b}\n{b} ^= {a}"
-_MF = "t = {b}\nu = ~{a}\n{b} = (u & t) ^ ({a} & ~{c})\n{c} = ({a} & t) ^ (u & {c})"
+_MF = "t = {a} & ({b} ^ {c})\n{b} ^= {a} ^ t\n{c} ^= t"
 _HNG = "t = {a} ^ {b}\n{d} ^= (t & {c}) ^ ({a} & {b})\n{c} ^= t"
 _BJN = "{c} ^= {a} | {b}"
 _DFG = "{b} ^= {a}\n{c} ^= {a}"

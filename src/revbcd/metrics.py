@@ -15,8 +15,10 @@ and the stage split reads each line's first and last gate from it too.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DecompositionError, MetricsUndefinedError
 from .gates import ALL_KINDS, gate_cost
@@ -25,6 +27,7 @@ from .netlist import Netlist
 # Per-kind quantum cost and delay, read once per gate by the sweeps below.
 _QC = {kind: gate_cost(kind)[0] for kind in ALL_KINDS}
 _DELAY = {kind: gate_cost(kind)[1] for kind in ALL_KINDS}
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,16 @@ def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     via = []
     delay = _DELAY
     for g, (kind, pins, _) in enumerate(netlist.gates):
-        pre = [arr[p] for p in pins]
-        t = max(pre)
+        # The latest pin, the lowest position on a tie (strict >).
+        t = -1
+        for p in pins:
+            a = arr[p]
+            if a > t:
+                t = a
+                top = p
         # An untouched line arrives at 0 and every touched one later, so
         # the latest pin's last gate is -1 exactly when its arrival is 0.
-        via.append(last[pins[pre.index(t)]])
+        via.append(last[top])
         t += delay[kind]
         completions.append(t)
         for p in pins:
@@ -98,8 +106,8 @@ def structural_metrics(netlist: Netlist) -> MetricReport:
         gc=len(netlist.gates),
         ci=len(netlist.const_lines()),
         go=len(netlist.garbage_lines()),
-        qc=sum(_QC[kind] for kind, _, _ in netlist.gates),
-        delay=max(final[line] for _, line in netlist.outputs),
+        qc=sum(map(_QC.__getitem__, map(_FIRST, netlist.gates))),
+        delay=max(map(final.__getitem__, map(_SECOND, netlist.outputs))),
     )
 
 
@@ -143,32 +151,37 @@ def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
     if not netlist.outputs:
         raise MetricsUndefinedError("decomposition needs designated outputs")
     gates = netlist.gates
+    kinds = list(map(_FIRST, gates))
+    stages = list(map(_THIRD, gates))
+    if None in stages:
+        i = stages.index(None)
+        raise DecompositionError(f"gate {i} ({kinds[i]}) has no stage tag")
     rows: dict[str, list[int]] = {}  # stage -> [gc, ci, go, qc, delay]
-    for i, (kind, _, stage) in enumerate(gates):
-        if stage is None:
-            raise DecompositionError(f"gate {i} ({kind}) has no stage tag")
-        row = rows.get(stage)
-        if row is None:
-            row = rows[stage] = [0, 0, 0, 0, 0]
-        row[0] += 1
-        row[3] += _QC[kind]
+    # A Counter keeps its keys in first-seen order: stages by first gate.
+    for (stage, kind), count in Counter(zip(stages, kinds)).items():
+        row = rows.setdefault(stage, [0, 0, 0, 0, 0])
+        row[0] += count
+        row[3] += count * _QC[kind]
 
     profile = arrival_profile(netlist)
-    for line in netlist.const_lines():
-        if profile.first[line] < 0:
-            raise DecompositionError(
-                f"constant line {line} is consumed by no gate"
-            )
-        rows[gates[profile.first[line]].stage][1] += 1
-    for line in netlist.garbage_lines():
-        if profile.last[line] < 0:
-            raise DecompositionError(
-                f"garbage line {line} is touched by no gate"
-            )
-        rows[gates[profile.last[line]].stage][2] += 1
-    for idx in _walk(netlist, profile):
-        kind, _, stage = gates[idx]
-        rows[stage][4] += _DELAY[kind]
+    consts = netlist.const_lines()
+    firsts = list(map(profile.first.__getitem__, consts))
+    if -1 in firsts:
+        line = consts[firsts.index(-1)]
+        raise DecompositionError(f"constant line {line} is consumed by no gate")
+    garbage = netlist.garbage_lines()
+    lasts = list(map(profile.last.__getitem__, garbage))
+    if -1 in lasts:
+        line = garbage[lasts.index(-1)]
+        raise DecompositionError(f"garbage line {line} is touched by no gate")
+    for stage, count in Counter(map(stages.__getitem__, firsts)).items():
+        rows[stage][1] += count
+    for stage, count in Counter(map(stages.__getitem__, lasts)).items():
+        rows[stage][2] += count
+    path = _walk(netlist, profile)
+    on_path = zip(map(stages.__getitem__, path), map(kinds.__getitem__, path))
+    for (stage, kind), count in Counter(on_path).items():
+        rows[stage][4] += count * _DELAY[kind]
 
     return {stage: MetricReport(*row) for stage, row in rows.items()}
 

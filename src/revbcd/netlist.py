@@ -28,7 +28,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -48,10 +48,12 @@ ROLE_INPUT = "input"
 ROLE_CONST0 = "const0"
 ROLE_CONST1 = "const1"
 _ROLES = (ROLE_INPUT, ROLE_CONST0, ROLE_CONST1)
+_ROLE_SET = frozenset(_ROLES)
 _ARITY = {kind: arity(kind) for kind in ALL_KINDS}
 # `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
 _INT = frozenset((int,))
 _TUPLE = frozenset((tuple,))
+_STR = frozenset((str,))
 _STR_OR_NONE = frozenset((str, type(None)))
 _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
@@ -163,32 +165,18 @@ class Netlist:
         ints.  Both on existing lines, each line designated once,
         restored lines primary inputs that are not also named outputs.
 
-        Gates are checked column by column: each rule over all gates at
-        once.  Only when a column check fails does a loop over the gates
-        run, to name the gate at fault.
+        Lines and gates are checked column by column: each rule over all
+        entries at once.  Only when a column check fails does a loop over
+        the entries run, to decide the result and name the entry at
+        fault.
         """
         width = self.width
         if type(width) is not int or width < 1:
             raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
         if len(self.roles) != width:
             raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
-        input_labels: set[str] = set()
-        const_labels: set[str] = set()
-        for i, (kind, label) in enumerate(self.roles):
-            if label is not None and type(label) is not str:
-                raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
-            if kind == ROLE_INPUT:
-                if not label:
-                    raise InvalidArgumentError(f"line {i}: an input needs a label")
-                if label in input_labels:
-                    raise InvalidArgumentError(f"line {i}: duplicate input label")
-                input_labels.add(label)
-            elif kind == ROLE_CONST0 or kind == ROLE_CONST1:
-                if label and label in const_labels:
-                    raise InvalidArgumentError(f"line {i}: duplicate constant label")
-                const_labels.add(label)
-            else:
-                raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
+        if not _lines_hold(self.roles):
+            _name_bad_line(self.roles)
         if not _gates_hold(self.gates, width):
             _name_bad_gate(self.gates, width)
         names: set[str] = set()
@@ -226,6 +214,8 @@ class Netlist:
         return [i for i, r in enumerate(self.roles) if r.kind == ROLE_INPUT]
 
     def const_lines(self) -> list[int]:
+        # A comprehension: under CPython 3.11 it runs faster here than
+        # compress over a map of str comparisons.
         return [i for i, r in enumerate(self.roles) if r.kind != ROLE_INPUT]
 
     def label_map(self) -> dict[str, int]:
@@ -234,12 +224,8 @@ class Netlist:
 
     def garbage_lines(self) -> list[int]:
         """Terminal lines that are neither named outputs nor restored inputs."""
-        named = {line for _, line in self.outputs}
-        return [
-            i
-            for i in range(self.width)
-            if i not in named and i not in self.restored
-        ]
+        taken = {*map(_SECOND, self.outputs), *self.restored}
+        return list(filterfalse(taken.__contains__, range(self.width)))
 
 
 def inverse(netlist: Netlist) -> Netlist:
@@ -261,7 +247,9 @@ def _as_records(value, field: str, record=None, bad=None) -> tuple:
 
     A value that is not iterable, or an entry that does not unpack into
     the record's fields, is a typed error: `bad(position, entry)` is its
-    message.  A tuple of records passes unchanged.
+    message.  A tuple of records passes unchanged.  Other entries are
+    made as `record._make` makes them, the whole column at once; a loop
+    over the entries runs only to name the first bad one.
     """
     try:
         items = tuple(value)
@@ -269,13 +257,57 @@ def _as_records(value, field: str, record=None, bad=None) -> tuple:
         raise InvalidArgumentError(f"{field} must be iterable, got {value!r}") from None
     if record is None or frozenset((record,)).issuperset(map(type, items)):
         return items
-    records = []
+    # `tuple.__new__` and a length check, as `_make` does; `records`
+    # stops at an entry that does not iterate.
+    records: list = []
+    with suppress(TypeError):
+        records.extend(map(partial(tuple.__new__, record), items))
+    size = len(record._fields)
+    if len(records) == len(items) and {*map(len, records)} <= {size}:
+        return tuple(records)
     for i, item in enumerate(items):
-        try:
-            records.append(item if type(item) is record else record._make(item))
-        except TypeError:
-            raise InvalidArgumentError(bad(i, item)) from None
-    return tuple(records)
+        if i == len(records) or len(records[i]) != size:
+            raise InvalidArgumentError(bad(i, item))
+
+
+def _lines_hold(roles: tuple) -> bool:
+    """The line rules of `Netlist.validate` over whole columns, in the
+    common case where they hold: every role known, every label a
+    non-empty str, and no label repeated."""
+    try:
+        known = _ROLE_SET.issuperset(map(_FIRST, roles))
+        labels = set(map(_SECOND, roles))
+    except TypeError:  # an unhashable kind or label
+        return False
+    return (
+        known
+        and len(labels) == len(roles)
+        and "" not in labels
+        and _STR.issuperset(map(type, labels))
+    )
+
+
+def _name_bad_line(roles: tuple) -> None:
+    """The line rules of `Netlist.validate`, line by line: raise the error
+    of the first line that breaks one.  Runs when `_lines_hold` fails, and
+    alone decides the result."""
+    input_labels: set[str] = set()
+    const_labels: set[str] = set()
+    for i, (kind, label) in enumerate(roles):
+        if label is not None and type(label) is not str:
+            raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
+        if kind == ROLE_INPUT:
+            if not label:
+                raise InvalidArgumentError(f"line {i}: an input needs a label")
+            if label in input_labels:
+                raise InvalidArgumentError(f"line {i}: duplicate input label")
+            input_labels.add(label)
+        elif kind == ROLE_CONST0 or kind == ROLE_CONST1:
+            if label and label in const_labels:
+                raise InvalidArgumentError(f"line {i}: duplicate constant label")
+            const_labels.add(label)
+        else:
+            raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
 
 
 def _gates_hold(gates: tuple, width: int) -> bool:

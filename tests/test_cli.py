@@ -405,6 +405,11 @@ class TestHostileArguments:
         ),
         "ledger-width": ((*LEDGER, "--width", "0"), 2, "width must be at least 1"),
         "verify-samples": (("verify", "--samples", "0"), 2, "samples must be"),
+        "verify-seed": (
+            ("verify", "--scope", "gates", "--seed", "9" * 5000),
+            2,
+            "invalid int value: a 5000-character value",
+        ),
         "long-seed": (("verify", "--scope", "gates"), 2, "REVBCD_SEED"),
     }
 

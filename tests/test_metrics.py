@@ -278,6 +278,29 @@ def reference_structural_metrics(netlist):
     )
 
 
+def reference_touchers(netlist):
+    """Each touched line's first and last gate, from a pass of its own."""
+    first_toucher, last_toucher = {}, {}
+    for i, g in enumerate(netlist.gates):
+        for p in g.pins:
+            first_toucher.setdefault(p, i)
+            last_toucher[p] = i
+    return first_toucher, last_toucher
+
+
+def reference_via(netlist):
+    """Per gate, the last earlier gate on its latest-arriving pin (the
+    lowest pin position on a tie), found by scanning back; -1 when no
+    earlier gate touches that pin."""
+    _, _, pres = reference_arrivals(netlist)
+    via = []
+    for g, (gate, pre) in enumerate(zip(netlist.gates, pres)):
+        line = gate.pins[pre.index(max(pre))]
+        earlier = [i for i in range(g) if line in netlist.gates[i].pins]
+        via.append(earlier[-1] if earlier else -1)
+    return via
+
+
 def reference_decomposition(netlist):
     """The stage split with its own pass for each line's first and last
     toucher, one dict per figure."""
@@ -289,11 +312,7 @@ def reference_decomposition(netlist):
             raise DecompositionError(f"gate {i} ({g.kind}) has no stage tag")
         if g.stage not in stages:
             stages.append(g.stage)
-    first_toucher, last_toucher = {}, {}
-    for i, g in enumerate(netlist.gates):
-        for p in g.pins:
-            first_toucher.setdefault(p, i)
-            last_toucher[p] = i
+    first_toucher, last_toucher = reference_touchers(netlist)
     gc, qc, ci, go, delay = ({s: 0 for s in stages} for _ in range(5))
     for kind, _, stage in netlist.gates:
         gc[stage] += 1
@@ -354,18 +373,26 @@ def outcome(fn, netlist):
 
 
 class TestSweepAgreement:
-    """The one-sweep profile against self-contained references: the
-    quadratic walk and a stage split with its own toucher pass."""
+    """The one-sweep profile against self-contained references: every
+    field of the profile, the quadratic walk and a stage split with its
+    own toucher pass."""
 
     def test_random_netlists(self):
         rng = random.Random(2024)
         seen = set()
         for _ in range(2000):
             nl = random_tagged_netlist(rng)
-            final, completions, _ = reference_arrivals(nl)
+            final, completions, pres = reference_arrivals(nl)
             profile = arrival_profile(nl)
             assert profile.final == tuple(final)
             assert profile.completions == tuple(completions)
+            first, last = reference_touchers(nl)
+            lines = range(nl.width)
+            assert profile.first == tuple(first.get(line, -1) for line in lines)
+            assert profile.last == tuple(last.get(line, -1) for line in lines)
+            assert profile.via == tuple(reference_via(nl))
+            # -1 exactly where the latest pin arrives at 0
+            assert [v < 0 for v in profile.via] == [max(pre) == 0 for pre in pres]
             for fn, ref in (
                 (critical_path, reference_critical_path),
                 (structural_metrics, reference_structural_metrics),
@@ -384,6 +411,20 @@ class TestSweepAgreement:
             ("metric_decomposition", MetricsUndefinedError),
             ("metric_decomposition", DecompositionError),
         }
+
+    def test_line_views_on_random_netlists(self):
+        """`const_lines` and `garbage_lines` against plain comprehensions
+        over the records."""
+        rng = random.Random(2024)
+        for _ in range(2000):
+            nl = random_tagged_netlist(rng)
+            named = {line for _, line in nl.outputs}
+            assert nl.const_lines() == [
+                i for i, (kind, _) in enumerate(nl.roles) if kind != "input"
+            ]
+            assert nl.garbage_lines() == [
+                i for i in range(nl.width) if i not in named | nl.restored
+            ]
 
     def test_stage_split_sums_to_total_on_random_netlists(self):
         """Whenever the stage split is defined, its column sums are the

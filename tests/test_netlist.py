@@ -24,6 +24,7 @@ from revbcd.netlist import (
     GateInstance,
     LineRole,
     Netlist,
+    _Output,
     const_role,
     deserialize,
     input_role,
@@ -498,6 +499,68 @@ class TestValidateDesignations:
     def test_restored_iterable_is_frozen(self):
         nl = two_line(outputs=(("q", 1),), restored=(line for line in [0]))
         assert nl.restored == frozenset({0})
+
+
+class TestRecordColumns:
+    """Entries that are not records yet are made records a whole column
+    at once, as `_make` makes each one; a loop names a bad entry."""
+
+    WIDTH = 6
+    ROLES = tuple(input_role(f"x{i}") for i in range(WIDTH))
+    PAIRS = tuple((f"o{i}", i) for i in range(WIDTH))
+    GATES = tuple((GateKind.FG, (i, i + 1), "s") for i in range(WIDTH - 1))
+
+    def make(self, **fields):
+        return Netlist(**{"width": self.WIDTH, "roles": self.ROLES, **fields})
+
+    def test_plain_pairs_equal_output_records(self):
+        plain = self.make(outputs=self.PAIRS, gates=self.GATES)
+        lists = self.make(outputs=[list(p) for p in self.PAIRS], gates=self.GATES)
+        records = self.make(
+            outputs=tuple(_Output(*p) for p in self.PAIRS),
+            gates=tuple(GateInstance(*g) for g in self.GATES),
+        )
+        assert plain == lists == records
+        for nl in (plain, lists):
+            assert all(type(o) is _Output for o in nl.outputs)
+            assert all(type(g) is GateInstance for g in nl.gates)
+        assert serialize(plain) == serialize(records)
+
+    def test_plain_roles_equal_line_records(self):
+        plain = Netlist(self.WIDTH, tuple(map(tuple, self.ROLES)))
+        assert plain == self.make()
+        assert all(type(r) is LineRole for r in plain.roles)
+
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [(("x",), "('x',)"), (5, "5"), (("q", 1, 2), "('q', 1, 2)"), ([], "()")],
+        ids=["one-field", "entry-int", "three-fields", "empty-list"],
+    )
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_one_malformed_output_is_named(self, bad, shown, at):
+        outputs = list(self.PAIRS)
+        outputs[at] = bad
+        with pytest.raises(InvalidArgumentError) as err:
+            self.make(outputs=outputs)
+        assert str(err.value) == f"outputs[{at}]: {shown} is not a (name, line) pair"
+
+    @pytest.mark.parametrize(
+        "bad", [(GateKind.FG, (0, 1)), 7, (GateKind.FG, (0, 1), "s", "t")],
+        ids=["two-fields", "entry-int", "four-fields"],
+    )
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_one_malformed_gate_is_named(self, bad, at):
+        gates = list(self.GATES)
+        gates[at] = bad
+        with pytest.raises(InvalidArgumentError) as err:
+            self.make(gates=gates)
+        assert str(err.value) == f"gates[{at}]: {bad!r} is not a (kind, pins, stage) record"
+
+    def test_first_malformed_entry_is_named(self):
+        outputs = list(self.PAIRS)
+        outputs[2], outputs[4] = ("x",), 5
+        with pytest.raises(InvalidArgumentError, match=r"^outputs\[2\]: \('x',\) "):
+            self.make(outputs=outputs)
 
 
 def old_document(nl) -> dict:

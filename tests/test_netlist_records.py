@@ -3,7 +3,8 @@
 Any records, each field a valid value or junk, either fail with a
 RevbcdError or make a netlist whose document is the one serialize has
 always written and reloads to the same netlist.  The column check of the
-gates accepts exactly what the per-gate loop accepts.
+gates accepts exactly what the per-gate loop accepts; the column check of
+the lines accepts nothing that the per-line loop rejects.
 """
 
 import json
@@ -20,7 +21,9 @@ from revbcd.netlist import (
     LineRole,
     Netlist,
     _gates_hold,
+    _lines_hold,
     _name_bad_gate,
+    _name_bad_line,
     deserialize,
     serialize,
 )
@@ -139,6 +142,27 @@ def test_gate_columns_agree_with_the_gate_loop(args):
         assert not _gates_hold(args["gates"], width)
     else:
         assert _gates_hold(args["gates"], width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_valid_netlist_args())
+def test_line_columns_imply_the_line_loop(args):
+    """Where the column check of the lines passes, the per-line loop, the
+    reference, finds no fault; where it fails, the loop alone decides."""
+    if _lines_hold(args["roles"]):
+        _name_bad_line(args["roles"])
+
+
+def test_line_columns_reject_what_the_loop_accepts():
+    """The column check is stricter than the rules: unlabelled constants
+    and an input label reused by a constant send it to the loop."""
+    for roles in (
+        (LineRole("input", "a"), LineRole("const0", None)),
+        (LineRole("input", "a"), LineRole("const1", "a")),
+    ):
+        assert not _lines_hold(roles)
+        _name_bad_line(roles)
+        Netlist(len(roles), roles)
 
 
 def test_record_strategy_reaches_valid_netlists():
