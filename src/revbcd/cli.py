@@ -26,6 +26,7 @@ from .errors import (
     LedgerFormatError,
     NetlistFormatError,
     RevbcdError,
+    shown,
 )
 from .ledger import (
     DEFAULT_WIDTH,
@@ -52,18 +53,12 @@ EXIT_LEDGER = 5
 MAX_DIGITS = 10_000
 
 
-def _shown(text: str) -> str:
-    """`text` as an error names it: quoted, or past 40 characters by its
-    length, so a huge value cannot flood stderr."""
-    return repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
-
-
 def _default_seed() -> int:
     raw = os.environ.get("REVBCD_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        raise InvalidArgumentError(f"REVBCD_SEED must be an integer, got {_shown(raw)}")
+        raise InvalidArgumentError(f"REVBCD_SEED must be an integer, got {shown(raw)}")
 
 
 def _bounded(value: int) -> int:
@@ -83,7 +78,7 @@ def _int_list(text: str) -> list[int]:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(
-            f"not a comma list of integers: {_shown(text)}"
+            f"not a comma list of integers: {shown(text)}"
         )
     return [_bounded(value) for value in values]
 
@@ -92,7 +87,7 @@ def _int_value(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
 
 
 def _digit_count(text: str) -> int:

@@ -19,7 +19,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .designs import ADDER_DESIGNS, build_design
-from .errors import CapacityError, InvalidArgumentError, InvalidBCDError, LedgerFormatError
+from .errors import (
+    CapacityError,
+    InvalidArgumentError,
+    InvalidBCDError,
+    LedgerFormatError,
+    shown,
+)
 from .simulator import CompiledNetlist, compile_netlist
 
 DEFAULT_WIDTH = 16  # digits; headroom for folded sums of thousands of rows
@@ -99,37 +105,33 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
                 f"{decimal_text(amount)} does not fit in {width} BCD digits"
             )
     text = "".join([_padded_text(amount, width) for amount in amounts])
-    return text_lanes(text, width, 0, width)
+    return text_lanes(text, width)
 
 
-def text_lanes(text: str, width: int, start: int, stride: int) -> list[int]:
+def text_lanes(text: str, width: int) -> list[int]:
     """The 4*width digit-bit lanes of a batch of operands written as ASCII
-    digits: `text` holds one record of `stride` characters per vector, in
-    vector order, and vector k's operand is the `width` digits from
-    `start` of record k, most significant first.
+    digits: `text` holds one `width`-digit operand per vector, in vector
+    order, each most significant digit first.
 
     Lane 4j+i holds bit i of digit j of vector k at bit 4k, so every lane
-    lies inside lane_mask(len(text) // stride).  Text that is not ASCII
-    digits or not whole records, and a field that does not fit in its
-    record, raise InvalidArgumentError.
+    lies inside lane_mask(len(text) // width).  A width below 1, and text
+    that is not ASCII digits or not whole operands, raise
+    InvalidArgumentError.
     """
-    if width < 1 or start < 0 or start + width > stride:
+    if width < 1:
+        raise InvalidArgumentError("width must be at least 1")
+    if len(text) % width:
         raise InvalidArgumentError(
-            f"a {width}-digit field at {start} does not fit a {stride}-digit record"
-        )
-    if len(text) % stride:
-        raise InvalidArgumentError(
-            f"{len(text)} digits are not whole {stride}-digit records"
+            f"{len(text)} digits are not whole {width}-digit records"
         )
     if text and not (text.isascii() and text.encode().isdigit()):
         raise InvalidArgumentError("operand text must be ASCII digits")
-    mask = lane_mask(len(text) // stride)
-    # Reversed, the last record comes first, so each strided column read in
-    # base 16 holds vector k's digit in nibble k, and digit j of the
-    # operand sits j places into the record.
+    mask = lane_mask(len(text) // width)
+    # Reversed, the last operand comes first, so each strided column read
+    # in base 16 holds vector k's digit in nibble k, and digit j of the
+    # operand sits j places into it.
     backward = text[::-1]
-    low = stride - start - width
-    columns = [int(backward[low + j :: stride] or "0", 16) for j in range(width)]
+    columns = [int(backward[j::width] or "0", 16) for j in range(width)]
     return [column >> i & mask for column in columns for i in range(4)]
 
 
@@ -239,7 +241,7 @@ class AdderPort:
         """The digit string of a bit string, four little-endian bits per
         digit, least significant digit first."""
         if not text or len(text) % 4 or set(text) - {"0", "1"}:
-            raise InvalidArgumentError(f"not a 4-per-digit bit string: {text!r}")
+            raise InvalidArgumentError(f"not a 4-per-digit bit string: {shown(text)}")
         digits = format(int(text[::-1], 2), "x").zfill(len(text) // 4)
         if not digits.isdigit():
             bad = next(c for c in reversed(digits) if c > "9")

@@ -17,8 +17,9 @@ Netlists are immutable.  Lines, gates and outputs are plain records.
 Making a netlist first makes each entry its record, in one step that
 names an entry of the wrong shape; then `Netlist.validate` checks every
 rule of a netlist, value types included, on the records.  Each rule is
-written there only.  So every netlist serializes to a document that
-`deserialize` reads back equal.
+written once, there; a line, gate or record rule is a column over the
+entries that also names the first entry at fault (`_check`).  So every
+netlist serializes to a document that `deserialize` reads back equal.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, filterfalse, repeat
+from itertools import chain, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, itemgetter, not_, or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -55,6 +56,8 @@ _INT = frozenset((int,))
 _TUPLE = frozenset((tuple,))
 _STR = frozenset((str,))
 _STR_OR_NONE = frozenset((str, type(None)))
+# True when every item of an iterable is hashable; a TypeError otherwise.
+_HASHABLE = frozenset().isdisjoint
 _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
@@ -165,20 +168,18 @@ class Netlist:
         ints.  Both on existing lines, each line designated once,
         restored lines primary inputs that are not also named outputs.
 
-        Lines and gates are checked column by column: each rule over all
-        entries at once.  Only when a column check fails does a loop over
-        the entries run, to decide the result and name the entry at
-        fault.
+        Each line and gate rule is one column over the entries (`_check`),
+        and its fault is read from that same column: the first line or
+        gate at fault is named, and within it the first rule it breaks.
         """
         width = self.width
         if type(width) is not int or width < 1:
             raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
         if len(self.roles) != width:
             raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
-        if not _lines_hold(self.roles):
-            _name_bad_line(self.roles)
-        if not _gates_hold(self.gates, width):
-            _name_bad_gate(self.gates, width)
+        _check(self.roles, _line_rules(self.roles))
+        for rules in _gate_rules(self.gates, width):
+            _check(self.gates, rules)
         names: set[str] = set()
         named_lines: set[int] = set()
         for name, line in self.outputs:
@@ -248,8 +249,7 @@ def _as_records(value, field: str, record=None, bad=None) -> tuple:
     A value that is not iterable, or an entry that does not unpack into
     the record's fields, is a typed error: `bad(position, entry)` is its
     message.  A tuple of records passes unchanged.  Other entries are
-    made as `record._make` makes them, the whole column at once; a loop
-    over the entries runs only to name the first bad one.
+    made as `record._make` makes them: `tuple.__new__`, then the length.
     """
     try:
         items = tuple(value)
@@ -257,109 +257,118 @@ def _as_records(value, field: str, record=None, bad=None) -> tuple:
         raise InvalidArgumentError(f"{field} must be iterable, got {value!r}") from None
     if record is None or frozenset((record,)).issuperset(map(type, items)):
         return items
-    # `tuple.__new__` and a length check, as `_make` does; `records`
-    # stops at an entry that does not iterate.
-    records: list = []
-    with suppress(TypeError):
-        records.extend(map(partial(tuple.__new__, record), items))
-    size = len(record._fields)
-    if len(records) == len(items) and {*map(len, records)} <= {size}:
-        return tuple(records)
-    for i, item in enumerate(items):
-        if i == len(records) or len(records[i]) != size:
-            raise InvalidArgumentError(bad(i, item))
+    make, fits = partial(tuple.__new__, record), len(record._fields).__eq__
+    records = []
+    with suppress(TypeError):  # an entry that does not iterate
+        records.extend(map(make, items))
+    made = len(records) == len(items) and all(map(fits, map(len, records)))
+    rule = lambda end: map(fits, map(len, map(make, items[:end])))
+    _check(items, [(made, rule, InvalidArgumentError, bad)])
+    return tuple(records)
 
 
-def _lines_hold(roles: tuple) -> bool:
-    """The line rules of `Netlist.validate` over whole columns, in the
-    common case where they hold: every role known, every label a
-    non-empty str, and no label repeated."""
-    try:
-        known = _ROLE_SET.issuperset(map(_FIRST, roles))
-        labels = set(map(_SECOND, roles))
-    except TypeError:  # an unhashable kind or label
-        return False
-    return (
-        known
-        and len(labels) == len(roles)
-        and "" not in labels
-        and _STR.issuperset(map(type, labels))
-    )
-
-
-def _name_bad_line(roles: tuple) -> None:
-    """The line rules of `Netlist.validate`, line by line: raise the error
-    of the first line that breaks one.  Runs when `_lines_hold` fails, and
-    alone decides the result."""
-    input_labels: set[str] = set()
-    const_labels: set[str] = set()
-    for i, (kind, label) in enumerate(roles):
-        if label is not None and type(label) is not str:
-            raise InvalidArgumentError(f"line {i}: label {label!r} must be a str")
-        if kind == ROLE_INPUT:
-            if not label:
-                raise InvalidArgumentError(f"line {i}: an input needs a label")
-            if label in input_labels:
-                raise InvalidArgumentError(f"line {i}: duplicate input label")
-            input_labels.add(label)
-        elif kind == ROLE_CONST0 or kind == ROLE_CONST1:
-            if label and label in const_labels:
-                raise InvalidArgumentError(f"line {i}: duplicate constant label")
-            const_labels.add(label)
-        else:
-            raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
-
-
-def _gates_hold(gates: tuple, width: int) -> bool:
-    """Every gate rule of `Netlist.validate`, over whole columns: arity,
-    pin-tuple type, distinct pins, int pins, pin range and stage type."""
-    pins = list(map(_SECOND, gates))
-    try:
-        wants = list(map(_ARITY.__getitem__, map(_FIRST, gates)))
-        distinct = list(map(len, map(set, pins)))
-    except (KeyError, TypeError):
-        return False
-    if not _TUPLE.issuperset(map(type, pins)) or distinct != wants:
-        return False
-    if list(map(len, pins)) != wants:
-        return False
-    flat = list(chain.from_iterable(pins))
-    if not _INT.issuperset(map(type, flat)):
-        return False
-    if flat and (min(flat) < 0 or max(flat) >= width):
-        return False
-    return _STR_OR_NONE.issuperset(map(type, map(_THIRD, gates)))
-
-
-def _name_bad_gate(gates: tuple, width: int) -> None:
-    """Raise the error of the first gate that breaks a rule: the
-    structural rules gate by gate, then the pin types, then the stages."""
-    lines = frozenset(range(width))
-    for i, (kind, pins, _) in enumerate(gates):
+def _check(entries, rules: list) -> None:
+    """Raise the error of the first entry that breaks a rule, for the
+    first rule it breaks.  `rules` are (settled, holds, error, message)
+    in an entry's rule order.  `holds(end)` makes the rule's column over
+    entries[:end] lazily, whether each entry keeps it, and stops with a
+    TypeError at an entry it cannot evaluate, which breaks the rule.  A
+    rule `settled` by a cheaper fact about every entry makes no column.
+    Each rule's first fault becomes the new `end`, so the entries below
+    it keep all earlier rules, which a later column may assume.  The
+    error is `error(message(position, entry))`."""
+    end, fault = len(entries), None
+    for settled, holds, error, message in rules:
+        column = []
         try:
-            want = _ARITY.get(kind)
-            if want is None:
-                raise InvalidArgumentError(f"gates[{i}]: unknown kind {kind!r}")
-            if type(pins) is not tuple:
-                raise InvalidArgumentError(f"gates[{i}]: pins must be a tuple")
-            if len(pins) != want:
-                raise ArityError(
-                    f"gates[{i}]: {kind} takes {want} pins, got {len(pins)}"
-                )
-            used = set(pins)
-            if len(used) != want:
-                raise FanInError(f"gates[{i}]: {kind} pins {pins} repeat a line")
-            if not used <= lines:
-                bad = next(p for p in pins if p not in lines)
-                raise LineIndexError(f"gates[{i}]: pin {bad} outside 0..{width - 1}")
+            column.extend(() if settled else holds(end))
         except TypeError:
-            raise InvalidArgumentError(f"gates[{i}]: unhashable kind or pin") from None
-    for i, (_, pins, _) in enumerate(gates):
-        if {*map(type, pins)} - _INT:
-            raise InvalidArgumentError(f"gates[{i}]: pins {pins} must be ints")
-    for i, (_, _, stage) in enumerate(gates):
-        if type(stage) not in _STR_OR_NONE:
-            raise InvalidArgumentError(f"gates[{i}]: stage {stage!r} not a str")
+            column.append(False)
+        if False in column:
+            end, fault = column.index(False), (error, message)
+    if fault:
+        error, message = fault
+        raise error(message(end, entries[end]))
+
+
+def _line_rules(roles: tuple) -> list:
+    """The line rules of `Netlist.validate`, in a line's rule order."""
+    known = plain = False
+    with suppress(TypeError):  # an unhashable kind or label
+        known = _ROLE_SET.issuperset(map(_FIRST, roles))
+        seen = set(map(_SECOND, roles))
+        plain = len(seen) == len(roles) and "" not in seen and (
+            _STR.issuperset(map(type, seen))
+        )
+    kinds = lambda end: map(_FIRST, roles[:end])
+    labels = lambda end: map(_SECOND, roles[:end])
+    inputs = lambda end: map(eq, kinds(end), repeat(ROLE_INPUT))
+
+    def first_use(end):  # no label, or its first use among inputs or among constants
+        firsts = map({}.setdefault, zip(inputs(end), labels(end)), count())
+        return map(or_, map(not_, labels(end)), map(eq, firsts, count()))
+
+    return [
+        (plain, lambda end: map(_STR_OR_NONE.__contains__, map(type, labels(end))),
+         InvalidArgumentError, "line {0}: label {1[1]!r} must be a str".format),
+        (known, lambda end: map(_ROLE_SET.__contains__, kinds(end)),
+         InvalidArgumentError, "line {0}: unknown role {1[0]!r}".format),
+        (plain, lambda end: map(or_, map(not_, inputs(end)), map(bool, labels(end))),
+         InvalidArgumentError, "line {0}: an input needs a label".format),
+        (plain, first_use, InvalidArgumentError, lambda i, role: f"line {i}: duplicate "
+         f"{'input' if role[0] == ROLE_INPUT else 'constant'} label"),
+    ]
+
+
+def _gate_rules(gates: tuple, width: int) -> list:
+    """The gate rules of `Netlist.validate`, as three passes over the
+    gates, each in a gate's rule order: structure, int pins, stages."""
+    kinds = lambda end: map(_FIRST, gates[:end])
+    pins = list(map(_SECOND, gates))
+    stages = lambda end: map(type, map(_THIRD, gates[:end]))
+    known = shaped = placed = False
+    with suppress(TypeError):  # an unhashable kind or pin, or pins that do not iterate
+        wants = list(map(_ARITY.get, kinds(len(gates))))
+        known = all(wants)
+        shaped = known and _TUPLE.issuperset(map(type, pins)) and (
+            wants == list(map(len, pins)) == list(map(len, map(set, pins)))
+        )
+        flat = list(chain.from_iterable(pins))
+        placed = _INT.issuperset(map(type, flat)) and (
+            0 <= min(flat, default=0) and max(flat, default=0) < width
+        )
+    sizes = lambda end: map(len, pins[:end])
+    lines = lambda: frozenset(range(width))
+
+    def arity(i, gate):
+        return f"gates[{i}]: {gate[0]} takes {_ARITY[gate[0]]} pins, got {len(gate[1])}"
+
+    def outside(i, gate):
+        pin = next(filterfalse(lines().__contains__, gate[1]))
+        return f"gates[{i}]: pin {pin} outside 0..{width - 1}"
+
+    unhashable = InvalidArgumentError, "gates[{0}]: unhashable kind or pin".format
+    return [
+        [
+            (known, lambda end: map(_HASHABLE, zip(kinds(end))), *unhashable),
+            (known, lambda end: map(_ARITY.__contains__, kinds(end)),
+             InvalidArgumentError, "gates[{0}]: unknown kind {1[0]!r}".format),
+            (shaped, lambda end: map(_TUPLE.__contains__, map(type, pins[:end])),
+             InvalidArgumentError, "gates[{0}]: pins must be a tuple".format),
+            (shaped, lambda end: map(eq, sizes(end), map(_ARITY.get, kinds(end))),
+             ArityError, arity),
+            (placed, lambda end: map(_HASHABLE, pins[:end]), *unhashable),
+            (shaped, lambda end: map(eq, map(len, map(set, pins[:end])), sizes(end)),
+             FanInError, "gates[{0}]: {1[0]} pins {1[1]} repeat a line".format),
+            (placed, lambda end: map(lines().issuperset, pins[:end]),
+             LineIndexError, outside),
+        ],
+        [(placed, lambda end: map(_INT.issuperset, map(map, repeat(type), pins[:end])),
+          InvalidArgumentError, "gates[{0}]: pins {1[1]} must be ints".format)],
+        [(_STR_OR_NONE.issuperset(stages(len(gates))),
+          lambda end: map(_STR_OR_NONE.__contains__, stages(end)),
+          InvalidArgumentError, "gates[{0}]: stage {1[2]!r} not a str".format)],
+    ]
 
 
 # -- serialization ----------------------------------------------------------
@@ -439,89 +448,90 @@ def serialize(netlist: Netlist) -> str:
     return "".join(parts)
 
 
-def _require(doc, key: str, where: str):
-    if not isinstance(doc, dict):
-        raise NetlistFormatError(f"{where}: must be an object")
+def _require(doc: Mapping, key: str):
     if key not in doc:
-        raise NetlistFormatError(f"{where}: missing field {key!r}")
+        raise NetlistFormatError(f"document: missing field {key!r}")
     return doc[key]
 
 
 def _require_list(doc: Mapping, key: str) -> list:
-    value = _require(doc, key, "document")
+    value = _require(doc, key)
     if not isinstance(value, list):
         raise NetlistFormatError(f"{key} must be an array")
     return value
 
 
-def _records(entries: list, key: str, fields: tuple[str, ...]):
-    """Yield (position, entry, its required `fields`) for the array `key`.
-
-    A non-object entry or a missing field is a NetlistFormatError that
-    names the entry.
-    """
-    get = itemgetter(*fields)
-    for pos, entry in enumerate(entries):
-        try:
-            values = get(entry)
-        except (KeyError, TypeError):
-            values = tuple(_require(entry, f, f"{key}[{pos}]") for f in fields)
-        yield pos, entry, values
-
-
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}
 _INDEX, _ROLE, _KIND, _PINS = map(itemgetter, ("index", "role", "kind", "pins"))
+_DICT = frozenset((dict,))
 _LIST = frozenset((list,))
 
 
+def _fields(entries: list, key: str, fields: tuple[str, ...]):
+    """A list of each of `fields` over the entries of the array `key`, or
+    None where an entry is not an object that has them all; and the rules
+    for `_check` that name that entry."""
+    columns = None
+    with suppress(KeyError, TypeError):  # an entry that breaks a rule
+        columns = [list(map(itemgetter(field), entries)) for field in fields]
+
+    def has(field):
+        return lambda end: map(dict.__contains__, entries[:end], repeat(field))
+
+    def fault(text):
+        return NetlistFormatError, lambda i, entry: f"{key}[{i}]: {text}"
+
+    shaped = columns is not None
+    objects = lambda end: map(_DICT.__contains__, map(type, entries[:end]))
+    rules = [(shaped, has(f), *fault(f"missing field {f!r}")) for f in fields]
+    return columns, [(shaped, objects, *fault("must be an object")), *rules]
+
+
 def _lines(entries: list) -> list[LineRole]:
-    """Each entry's role, placed by its index.  The indices must be ints
-    equal to range(count) once sorted; a loop over the entries runs only
-    when that or a field lookup fails, to name the first bad entry."""
-    count = len(entries)
-    try:
-        indices = list(map(_INDEX, entries))
-        if _INT.issuperset(map(type, indices)) and sorted(indices) == [*range(count)]:
-            placed = sorted(entries, key=_INDEX)
-            labels = map(dict.get, placed, repeat("label"))
-            return list(map(role_record, zip(map(_ROLE, placed), labels)))
-    except (KeyError, TypeError):
-        pass
-    # Sized by the entries, so the document's own size bounds the
-    # allocation; validate compares their count with `width`.
-    roles: list[LineRole | None] = [None] * count
-    for pos, entry, (idx, role) in _records(entries, "lines", ("index", "role")):
-        if type(idx) is not int or not 0 <= idx < count:
-            raise NetlistFormatError(
-                f"lines[{pos}]: index {idx!r} outside 0..{count - 1}"
-            )
-        if roles[idx] is not None:
-            raise NetlistFormatError(f"lines[{pos}]: line {idx} defined twice")
-        roles[idx] = LineRole(role, entry.get("label"))
-    return roles
+    """Each entry's role, placed by its index: an int in
+    0..len(entries) - 1 that no other entry has."""
+    size = len(entries)
+    columns, rules = _fields(entries, "lines", ("index", "role"))
+    indices = columns[0] if columns else ()
+    placed = _INT.issuperset(map(type, indices)) and sorted(indices) == [*range(size)]
+    index = lambda end: map(_INDEX, entries[:end])
+
+    def outside(i, line):
+        return f"lines[{i}]: index {line['index']!r} outside 0..{size - 1}"
+
+    _check(entries, [
+        *rules,
+        (placed, lambda end: map(_INT.__contains__, map(type, index(end))),
+         NetlistFormatError, outside),
+        (placed, lambda end: map(range(size).__contains__, index(end)),
+         NetlistFormatError, outside),
+        (placed, lambda end: map(eq, map({}.setdefault, index(end), count()), count()),
+         NetlistFormatError, "lines[{0}]: line {1[index]} defined twice".format),
+    ])
+    entries = sorted(entries, key=_INDEX)
+    labels = map(dict.get, entries, repeat("label"))
+    return list(map(role_record, zip(map(_ROLE, entries), labels)))
 
 
 def _gates(entries: list) -> list[GateInstance]:
-    """Each entry as a gate, made column by column; a loop over the
-    entries runs only when a column fails, to name the first bad entry."""
-    try:
-        kinds = list(map(_KIND_BY_NAME.get, map(_KIND, entries)))
-        pins = list(map(_PINS, entries))
-    except (KeyError, TypeError):
-        pass
-    else:
-        if None not in kinds and _LIST.issuperset(map(type, pins)):
-            stages = map(dict.get, entries, repeat("stage"))
-            return list(map(gate_record, zip(kinds, map(tuple, pins), stages)))
-    gates = []
-    for pos, entry, (kind_name, pins) in _records(entries, "gates", ("kind", "pins")):
-        kind = _KIND_BY_NAME.get(kind_name) if type(kind_name) is str else None
-        if kind is None:
-            raise NetlistFormatError(f"gates[{pos}]: unknown gate kind {kind_name!r}")
-        if type(pins) is not list:
-            raise NetlistFormatError(f"gates[{pos}]: pins must be an array")
-        gates.append(GateInstance(kind, tuple(pins), entry.get("stage")))
-    return gates
+    """Each entry as a gate: a known kind name, and an array of pins."""
+    columns, rules = _fields(entries, "gates", ("kind", "pins"))
+    names, pins = columns or ((), ())
+    kinds, known = [], False
+    with suppress(TypeError):  # an unhashable kind name
+        kinds = list(map(_KIND_BY_NAME.get, names))
+        known = columns is not None and None not in kinds
+    arrays = columns is not None and _LIST.issuperset(map(type, pins))
+    pins_of = lambda end: map(_PINS, entries[:end])
+    _check(entries, [
+        *rules,
+        (known, lambda end: map(_KIND_BY_NAME.__contains__, map(_KIND, entries[:end])),
+         NetlistFormatError, "gates[{0}]: unknown gate kind {1[kind]!r}".format),
+        (arrays, lambda end: map(_LIST.__contains__, map(type, pins_of(end))),
+         NetlistFormatError, "gates[{0}]: pins must be an array".format),
+    ])
+    stages = map(dict.get, entries, repeat("stage"))
+    return list(map(gate_record, zip(kinds, map(tuple, pins), stages)))
 
 
 def deserialize(text: str) -> Netlist:
@@ -529,11 +539,10 @@ def deserialize(text: str) -> Netlist:
 
     Maps the document to records and checks only what a record cannot
     hold: the JSON syntax, the shape of each object, each line placed once
-    by its `index`, and gate kind names.  The lines and gates are mapped
-    column by column; only when a column fails does a loop over the
-    entries run, to name the first bad entry.  Every netlist rule, value types included,
-    is left to `Netlist.validate`, whose errors come back as
-    NetlistFormatError.
+    by its `index`, and gate kind names.  Each rule on the entries is a
+    column over an array that also names the first entry at fault
+    (`_check`).  Every netlist rule, value types included, is left to
+    `Netlist.validate`, whose errors come back as NetlistFormatError.
     """
     try:
         doc = json.loads(text)
@@ -550,14 +559,16 @@ def deserialize(text: str) -> Netlist:
     if not isinstance(doc, dict):
         raise NetlistFormatError("document root must be an object")
 
-    width = _require(doc, "width", "document")
+    width = _require(doc, "width")
     roles = _lines(_require_list(doc, "lines"))
     gates = _gates(_require_list(doc, "gates"))
-    output_entries = _require_list(doc, "outputs")
-    outputs = [o for _, _, o in _records(output_entries, "outputs", ("name", "line"))]
+    entries = _require_list(doc, "outputs")
+    outputs, rules = _fields(entries, "outputs", ("name", "line"))
+    _check(entries, rules)
     restored = _require_list(doc, "restored")
 
+    outputs = tuple(zip(*outputs))
     try:
-        return Netlist(width, tuple(roles), tuple(gates), tuple(outputs), restored)
+        return Netlist(width, tuple(roles), tuple(gates), outputs, restored)
     except RevbcdError as exc:
         raise NetlistFormatError(str(exc)) from exc

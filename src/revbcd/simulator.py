@@ -169,11 +169,6 @@ def counting_lanes(count: int) -> list[int]:
     return lanes
 
 
-def bit_lane(bits: Sequence[int]) -> int:
-    """The lane whose bit k is bits[k] (each 0 or 1, or a bool)."""
-    return int("".join("1" if bit else "0" for bit in reversed(bits)) or "0", 2)
-
-
 _BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")
 
 

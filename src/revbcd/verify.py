@@ -157,10 +157,10 @@ def _check_additions(
     # Each record read whole as one number, least significant digit first:
     # the carry-in digit (its bit 0, the parity, is the carry-in lane),
     # then b, then a.
-    lanes = text_lanes(records, stride, 0, stride)
+    lanes = text_lanes(records, stride)
     operands = (lanes[4 * field :], lanes[4 : 4 * field], lanes[0])
     totals = _native_sums(records, n)
-    expected = text_lanes(totals, field, 0, field)
+    expected = text_lanes(totals, field)
     want_sums, want_carry = expected[: 4 * n], expected[4 * n]
     mask = lane_mask(len(records) // stride)
     outcomes = {}

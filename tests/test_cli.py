@@ -411,6 +411,11 @@ class TestHostileArguments:
             "invalid int value: a 5000-character value",
         ),
         "long-seed": (("verify", "--scope", "gates"), 2, "REVBCD_SEED"),
+        "simulate-raw-bits": (
+            ("simulate", "--raw-bits", "--a", "2" * 50_000, "--b", "2" * 50_000),
+            2,
+            "not a 4-per-digit bit string: a 50000-character value",
+        ),
     }
 
     @pytest.fixture

@@ -117,30 +117,16 @@ class TestLanes:
     def test_empty_batch(self):
         assert to_lanes([], 3) == [0] * 12
 
-    def test_fields_of_records(self):
-        """An operand read from its place in fixed-width records has the
-        lanes of the same values given as ints."""
-        rng = random.Random(4)
-        records = [(rng.randrange(10**3), rng.randrange(10**2)) for _ in range(9)]
-        text = "".join(f"7{x:03d}{y:02d}" for x, y in records)
-        assert text_lanes(text, 3, 1, 6) == to_lanes([x for x, _ in records], 3)
-        assert text_lanes(text, 2, 4, 6) == to_lanes([y for _, y in records], 2)
-
     @pytest.mark.parametrize(
         "text", ("x", "12a4", "0x12", "12_4", " 123", "1234\n", "١٢٣٤", "１２")
     )
     def test_text_not_ascii_digits(self, text):
         with pytest.raises(InvalidArgumentError, match="ASCII digits"):
-            text_lanes(text, 1, 0, 1)
+            text_lanes(text, 1)
 
     def test_text_not_whole_records(self):
         with pytest.raises(InvalidArgumentError, match="not whole 2-digit records"):
-            text_lanes("123", 2, 0, 2)
-
-    @pytest.mark.parametrize("width, start", ((3, 0), (2, 1), (1, -1), (0, 0)))
-    def test_field_outside_its_record(self, width, start):
-        with pytest.raises(InvalidArgumentError, match="does not fit"):
-            text_lanes("1234", width, start, 2)
+            text_lanes("123", 2)
 
     @pytest.mark.parametrize("values", ([5, 100], [-1], [10**5000]))
     def test_out_of_range(self, values):
@@ -150,6 +136,8 @@ class TestLanes:
     def test_width_below_one(self):
         with pytest.raises(InvalidArgumentError):
             to_lanes([0], 0)
+        with pytest.raises(InvalidArgumentError, match="width must be at least 1"):
+            text_lanes("", 0)
 
 
 class TestBcdAdd:

@@ -3,9 +3,9 @@ codec (needs hypothesis).
 
 Any text either parses to an int or fails with LedgerFormatError, and
 every rendering of a cents value the parser documents reads back exactly.
-`text_lanes` reads a field of fixed-width digit records into lanes with
-vector k at bit 4k: every lane lies inside `lane_mask`, and nibble k of
-the lanes gives field k back.
+`text_lanes` reads fixed-width digit operands into lanes with vector k
+at bit 4k: every lane lies inside `lane_mask`, and nibble k of the lanes
+gives operand k back.
 """
 
 import itertools
@@ -47,20 +47,17 @@ def test_rendered_cents_read_back(cents):
 
 @st.composite
 def digit_records(draw):
-    """(width, start, stride, records): a field that fits its record, and
-    0..60 records of `stride` ASCII digits."""
-    stride = draw(st.integers(min_value=1, max_value=12))
-    start = draw(st.integers(min_value=0, max_value=stride - 1))
-    width = draw(st.integers(min_value=1, max_value=stride - start))
-    record = st.text(alphabet="0123456789", min_size=stride, max_size=stride)
-    return width, start, stride, draw(st.lists(record, max_size=60))
+    """(width, records): 0..60 operands of `width` ASCII digits."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    record = st.text(alphabet="0123456789", min_size=width, max_size=width)
+    return width, draw(st.lists(record, max_size=60))
 
 
 @settings(max_examples=300, deadline=None)
 @given(digit_records())
 def test_nibble_k_of_the_lanes_rebuilds_field_k(batch):
-    width, start, stride, records = batch
-    lanes = text_lanes("".join(records), width, start, stride)
+    width, records = batch
+    lanes = text_lanes("".join(records), width)
     mask = lane_mask(len(records))
     assert len(lanes) == 4 * width
     assert all(lane & ~mask == 0 for lane in lanes)
@@ -69,4 +66,4 @@ def test_nibble_k_of_the_lanes_rebuilds_field_k(batch):
             sum((lanes[4 * j + i] >> 4 * k & 1) << i for i in range(4))
             for j in reversed(range(width))
         ]
-        assert "".join(map(str, digits)) == record[start : start + width]
+        assert "".join(map(str, digits)) == record

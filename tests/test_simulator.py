@@ -23,7 +23,6 @@ from revbcd.simulator import (
     BLOCK_MIN,
     CompiledNetlist,
     _block_end,
-    bit_lane,
     byte_plane,
     check_permutation,
     compile_netlist,
@@ -32,6 +31,11 @@ from revbcd.simulator import (
     truth_table,
 )
 from revbcd.verify import adder_sum
+
+
+def bit_lane(bits):
+    """The lane whose bit k is bits[k] (each 0 or 1, or a bool)."""
+    return int("".join("1" if bit else "0" for bit in reversed(bits)) or "0", 2)
 
 
 def scalar_truth_table(netlist):
