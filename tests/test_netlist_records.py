@@ -5,7 +5,8 @@ RevbcdError or make a netlist whose document is the one serialize has
 always written and reloads to the same netlist.  The constructor's rule
 columns and the loader's entry columns raise the error type and message
 that the entry-by-entry loops below, the reference, raise: the first
-entry at fault, and within it the first rule it breaks.
+entry at fault, and within it the first rule it breaks.  The line and
+gate columns alone agree with the line and gate loops.
 """
 
 import json
@@ -25,7 +26,16 @@ from revbcd.errors import (
     RevbcdError,
 )
 from revbcd.gates import GateKind, arity
-from revbcd.netlist import GateInstance, LineRole, Netlist, deserialize, serialize
+from revbcd.netlist import (
+    GateInstance,
+    LineRole,
+    Netlist,
+    _check,
+    _gate_rules,
+    _line_rules,
+    deserialize,
+    serialize,
+)
 
 from test_netlist import old_document
 
@@ -138,6 +148,35 @@ def reference_validate(width, roles, gates, outputs, restored):
         raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
     if len(roles) != width:
         raise InvalidArgumentError(f"{len(roles)} lines for width {width}")
+    reference_lines(roles)
+    reference_gates(gates, width)
+    names, named = set(), set()
+    for name, line in outputs:
+        if type(name) is not str or type(line) is not int:
+            raise InvalidArgumentError(
+                f"output {name!r} on line {line!r}: need a str name, an int line"
+            )
+        if name in names:
+            raise DesignationError(f"output name {name!r} used twice")
+        if not 0 <= line < width:
+            raise LineIndexError(f"output {name!r} on missing line {line}")
+        if line in named:
+            raise DesignationError(f"line {line} designated twice")
+        names.add(name)
+        named.add(line)
+    for line in restored:
+        if type(line) is not int:
+            raise InvalidArgumentError(f"restored line {line!r} must be an int")
+        if not 0 <= line < width:
+            raise LineIndexError(f"restored line {line} out of range")
+        if roles[line][0] != "input":
+            raise DesignationError(f"restored line {line} is not a primary input")
+        if line in named:
+            raise DesignationError(f"restored line {line} is also a named output")
+
+
+def reference_lines(roles):
+    """The line rules, one line at a time."""
     input_labels, const_labels = set(), set()
     for i, (kind, label) in enumerate(roles):
         if label is not None and type(label) is not str:
@@ -154,6 +193,10 @@ def reference_validate(width, roles, gates, outputs, restored):
             const_labels.add(label)
         else:
             raise InvalidArgumentError(f"line {i}: unknown role {kind!r}")
+
+
+def reference_gates(gates, width):
+    """The gate rules, one gate at a time, for a positive int width."""
     arities = {kind: arity(kind) for kind in GateKind}
     lines = frozenset(range(width))
     for i, (kind, pins, _) in enumerate(gates):
@@ -181,29 +224,6 @@ def reference_validate(width, roles, gates, outputs, restored):
     for i, (_, _, stage) in enumerate(gates):
         if stage is not None and type(stage) is not str:
             raise InvalidArgumentError(f"gates[{i}]: stage {stage!r} not a str")
-    names, named = set(), set()
-    for name, line in outputs:
-        if type(name) is not str or type(line) is not int:
-            raise InvalidArgumentError(
-                f"output {name!r} on line {line!r}: need a str name, an int line"
-            )
-        if name in names:
-            raise DesignationError(f"output name {name!r} used twice")
-        if not 0 <= line < width:
-            raise LineIndexError(f"output {name!r} on missing line {line}")
-        if line in named:
-            raise DesignationError(f"line {line} designated twice")
-        names.add(name)
-        named.add(line)
-    for line in restored:
-        if type(line) is not int:
-            raise InvalidArgumentError(f"restored line {line!r} must be an int")
-        if not 0 <= line < width:
-            raise LineIndexError(f"restored line {line} out of range")
-        if roles[line][0] != "input":
-            raise DesignationError(f"restored line {line} is not a primary input")
-        if line in named:
-            raise DesignationError(f"restored line {line} is also a named output")
 
 
 def reference_deserialize(text):
@@ -281,6 +301,54 @@ def test_constructor_errors_match_the_reference_loops(args):
         assert made[0] == "made"
     else:
         assert made == want
+
+
+def _check_gates(gates, width):
+    for rules in _gate_rules(gates, width):
+        _check(gates, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@example(dict(width=2, gates=(GateInstance(GateKind.FG, (0, 2)),)))
+@example(dict(width=2, gates=(GateInstance(GateKind.FG, (1, -1)),)))
+@given(near_valid_netlist_args())
+def test_gate_columns_agree_with_the_gate_loop(args):
+    """The gate columns raise exactly what the per-gate loop, the
+    reference, raises, and pass exactly where it passes; a pin one past
+    either end of the lines is every case's edge."""
+    width = args["width"]
+    hypothesis.assume(type(width) is int and width >= 1)
+    gates = args["gates"]
+    assert _outcome(lambda: _check_gates(gates, width)) == _outcome(
+        lambda: reference_gates(gates, width)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_valid_netlist_args())
+def test_line_columns_imply_the_line_loop(args):
+    """Where the line columns pass, the per-line loop, the reference,
+    finds no fault; where they fail, it raises the same error."""
+    roles = args["roles"]
+    assert _outcome(lambda: _check(roles, _line_rules(roles))) == _outcome(
+        lambda: reference_lines(roles)
+    )
+
+
+def test_line_columns_reject_what_the_loop_accepts():
+    """The whole-column facts that settle the line rules are stricter than
+    the rules: unlabelled constants and an input label reused by a
+    constant leave the rules to their columns, which accept them, as the
+    loop does."""
+    for roles in (
+        (LineRole("input", "a"), LineRole("const0", None)),
+        (LineRole("input", "a"), LineRole("const1", "a")),
+    ):
+        rules = _line_rules(roles)
+        assert not all(settled for settled, *_ in rules)
+        _check(roles, rules)
+        reference_lines(roles)
+        Netlist(len(roles), roles)
 
 
 # JSON values that are no object.
