@@ -124,7 +124,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--design", default="dec-rca", choices=sorted(ADDER_DESIGNS))
     p_sim.add_argument("--a", required=True)
     p_sim.add_argument("--b", required=True)
-    p_sim.add_argument("--cin", type=int, default=0, choices=(0, 1))
+    p_sim.add_argument("--cin", type=_int_value, default=0, choices=(0, 1))
     p_sim.add_argument(
         "--digits", type=_digit_count, help="digit width (default: fit operands)"
     )

@@ -1,10 +1,11 @@
 """Exception types shared across the toolkit, and how an error names a value."""
 
 
-def shown(text: str) -> str:
-    """`text` as an error names it: quoted, or past 40 characters by its
-    length, so a huge value cannot flood stderr."""
-    return repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
+def shown(value: object) -> str:
+    """`value` as an error names it: its repr (a text quoted), or past 40
+    characters of text by that length, so a huge value cannot flood stderr."""
+    text = str(value)
+    return repr(value) if len(text) <= 40 else f"a {len(text)}-character value"
 
 
 class RevbcdError(Exception):

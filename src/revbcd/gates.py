@@ -148,12 +148,12 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
     """Apply one gate to an input tuple and return the output tuple.
 
     Raises ArityError when the tuple length does not match the gate's
-    arity or a value is not a bit.
+    arity or a value is not a bit: an int (or bool) 0 or 1.
     """
     want = arity(kind)
     if len(bits) != want:
         raise ArityError(f"{kind} expects {want} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
+    if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
         raise ArityError(f"{kind} input must be 0/1 bits: {bits!r}")
     state = [*bits, 1]  # mask 1: one vector
     pins = tuple(range(want))

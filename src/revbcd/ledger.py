@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .designs import ADDER_DESIGNS, build_design
+from .designs import build_design
 from .errors import (
     CapacityError,
     InvalidArgumentError,
@@ -71,10 +71,15 @@ def encode(amount: int, width: int) -> str:
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
     if amount < 0 or amount >= 10**width:
-        raise CapacityError(
-            f"{decimal_text(amount)} does not fit in {width} BCD digits"
-        )
+        named = _shown_amount(amount)
+        raise CapacityError(f"{named} does not fit in {width} BCD digits")
     return _padded_text(amount, width)
+
+
+def _shown_amount(amount: int) -> str:
+    """`amount` in decimal, or past 40 digits by its count (errors.shown)."""
+    text = decimal_text(amount)
+    return text if len(text) <= 40 else f"a {len(text)}-digit value"
 
 
 def decode(text: str) -> int:
@@ -95,17 +100,9 @@ def lane_mask(count: int) -> int:
 
 def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
     """The 4*width digit-bit lanes of a batch of amounts, amounts[k] in
-    bit 4k (the layout of text_lanes, under lane_mask(len(amounts)))."""
-    if width < 1:
-        raise InvalidArgumentError("width must be at least 1")
-    limit = 10**width
-    for amount in amounts:
-        if amount < 0 or amount >= limit:
-            raise CapacityError(
-                f"{decimal_text(amount)} does not fit in {width} BCD digits"
-            )
-    text = "".join([_padded_text(amount, width) for amount in amounts])
-    return text_lanes(text, width)
+    bit 4k (the layout of text_lanes, under lane_mask(len(amounts))); each
+    amount is checked as encode checks it."""
+    return text_lanes("".join([encode(amount, width) for amount in amounts]), width)
 
 
 def text_lanes(text: str, width: int) -> list[int]:
@@ -256,11 +253,11 @@ class AdderPort:
 
 @lru_cache(maxsize=256)
 def cached_adder(design: str, width: int) -> AdderPort:
-    """The port of the compiled `design` adder at `width` digits, built once."""
-    if design not in ADDER_DESIGNS:
-        raise InvalidArgumentError(
-            f"unknown adder design {design!r}; known: {', '.join(ADDER_DESIGNS)}"
-        )
+    """The port of the compiled `design` adder at `width` digits, built once.
+
+    Any registered adder works: the pdfa at width 1, dec-rca and dec-csk
+    at any width.  build_design names an unknown design or a width the
+    design cannot take, and AdderPort a netlist that is not an adder."""
     return AdderPort(compile_netlist(build_design(design, width)))
 
 
@@ -300,7 +297,7 @@ class CsvConfig:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise InvalidArgumentError(
-                f"delimiter must be one character, got {self.delimiter!r}"
+                f"delimiter must be one character, got {shown(self.delimiter)}"
             )
 
 
@@ -317,11 +314,9 @@ _AMOUNT_RE = re.compile(r"^(-)?\$?(-)?(\d{1,3}(?:,\d{3})*|\d+)(?:\.(\d{1,2}))?$"
 def parse_amount(text: str) -> int:
     """Parse "$12.34", "12.34", "-5.00", "1,234.5" to signed cents."""
     m = _AMOUNT_RE.match(text.strip())
-    if not m:
-        raise LedgerFormatError(f"malformed amount {text!r}")
+    if not m or m[1] and m[2]:  # one minus sign at most
+        raise LedgerFormatError(f"malformed amount {shown(text)}")
     neg1, neg2, whole, frac = m.groups()
-    if neg1 and neg2:
-        raise LedgerFormatError(f"malformed amount {text!r}")
     cents = _text_value(whole.replace(",", "")) * 100
     if frac:
         cents += int(frac.ljust(2, "0"))
@@ -352,24 +347,22 @@ def ingest_csv(
             for col in (config.group_column, config.amount_column):
                 if col not in header:
                     raise LedgerFormatError(
-                        f"column {col!r} not in header {header}"
+                        f"column {shown(col)} not in header {shown(header)}"
                     )
             for row_no, row in enumerate(reader, start=1):
                 diags.rows_read += 1
                 try:
                     group = (row[config.group_column] or "").strip()
                     if not group:
-                        raise LedgerFormatError("empty group key", row_no)
+                        raise LedgerFormatError("empty group key")
                     raw = row[config.amount_column]
                     if raw is None:
-                        raise LedgerFormatError("missing amount field", row_no)
+                        raise LedgerFormatError("missing amount field")
                     records.append(LedgerRecord(group, abs(parse_amount(raw))))
                     diags.rows_kept += 1
-                except LedgerFormatError as exc:
+                except LedgerFormatError as exc:  # raised without a row
                     if config.strict:
-                        if exc.row is None:
-                            raise LedgerFormatError(str(exc), row_no) from exc
-                        raise
+                        raise LedgerFormatError(str(exc), row_no) from exc
                     diags.skipped.append((row_no, str(exc)))
     except UnicodeDecodeError as exc:
         # The reader decodes in chunks, so exc.start counts from the start
@@ -432,7 +425,7 @@ def sum_ledger(
     for rec in records:
         if rec.amount_cents >= limit:
             raise CapacityError(
-                f"group {rec.group!r}: amount {decimal_text(rec.amount_cents)} "
+                f"group {shown(rec.group)}: amount {_shown_amount(rec.amount_cents)} "
                 f"exceeds {width} digits"
             )
         grouped.setdefault(rec.group, []).append(rec.amount_cents)
@@ -449,8 +442,7 @@ def sum_ledger(
             additions += 1
             if carry:
                 raise CapacityError(
-                    f"group {group!r}: running total overflowed "
-                    f"{width} digits"
+                    f"group {shown(group)}: running total overflowed {width} digits"
                 )
         totals[group] = decode(acc)
         native[group] = sum(amounts)

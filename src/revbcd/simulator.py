@@ -51,7 +51,8 @@ BLOCK_MAX = 64
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """The designated outputs of one run, and whether restored lines held."""
+    """The designated outputs of one run, as lanes under its mask (bits in
+    a scalar run), and whether every restored line held in every lane."""
 
     named: dict[str, int]
     restored_ok: bool
@@ -121,20 +122,25 @@ class CompiledNetlist:
             return self.base_state.copy()
         return [mask * bit for bit in self.base_state]
 
-    def run_labels(self, inputs: Mapping[str, int]) -> SimulationResult:
-        state = self.fresh_state()
+    def run_labels(self, inputs: Mapping[str, int], mask: int = 1) -> SimulationResult:
+        """Run one lane batch, its inputs given by label.
+
+        Every primary input needs a lane: an int with no bit outside
+        `mask` (the default mask 1 makes each lane a single bit).
+        """
         unknown = set(inputs) - set(self.label_to_line)
         if unknown:
             raise AssignmentError(f"unknown input label(s): {sorted(unknown)}")
         missing = set(self.label_to_line) - set(inputs)
         if missing:
             raise AssignmentError(f"unassigned input label(s): {sorted(missing)}")
-        for label, bit in inputs.items():
-            if bit not in (0, 1):
-                raise AssignmentError(f"input {label!r} must be 0 or 1, got {bit!r}")
-            state[self.label_to_line[label]] = bit
+        state = self.fresh_state(mask)
+        for label, lane in inputs.items():
+            if not isinstance(lane, int) or lane & ~mask:
+                raise AssignmentError(f"input {label!r} must be an int inside the mask")
+            state[self.label_to_line[label]] = lane
         initial = state.copy()
-        self.run_state(state)
+        self.run_state(state, mask)
         named = {name: state[line] for name, line in self.named}
         ok = all(state[l] == initial[l] for l in self.restored)
         return SimulationResult(named, ok)

@@ -24,7 +24,6 @@ from functools import lru_cache
 from .costs import METRICS, MODELS, metric_value, structural_figures
 from .designs import (
     ADDER_DESIGNS,
-    build_pdfa,
     build_skip_block,
     build_skip_generator,
     decimal_propagate,
@@ -32,16 +31,8 @@ from .designs import (
 )
 from .errors import InvalidArgumentError
 from .gates import ALL_KINDS, is_bijective
-from .ledger import (
-    AdderPort,
-    cached_adder,
-    decode,
-    encode,
-    lane_mask,
-    text_lanes,
-    to_lanes,
-)
-from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist, truth_table
+from .ledger import AdderPort, cached_adder, decode, encode, lane_mask, text_lanes
+from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist, counting_lanes
 
 
 @dataclass(frozen=True)
@@ -60,9 +51,9 @@ def adder_sum(design: str, n: int, a: int, b: int, cin: int = 0):
 @lru_cache(maxsize=None)
 def _compiled_block(builder: str) -> CompiledNetlist:
     """The compiled netlist of the standalone block made by the builder of
-    this name (build_pdfa, build_skip_generator, build_skip_block), built
-    once.  The name is looked up at the first call, so a builder replaced
-    before then is the one that runs."""
+    this name (build_skip_generator, build_skip_block), built once.  The
+    name is looked up at the first call, so a builder replaced before then
+    is the one that runs."""
     return compile_netlist(globals()[builder]())
 
 
@@ -208,8 +199,7 @@ def verify_gates() -> VerifyResult:
 
 def verify_pdfa() -> VerifyResult:
     records = "".join(f"{a}{b}{c}" for a in range(10) for b in range(10) for c in "01")
-    port = AdderPort(_compiled_block("build_pdfa"))
-    failures, first = _check_additions({"pdfa": port}, 1, records)
+    failures, first = _check_additions({"pdfa": cached_adder("pdfa", 1)}, 1, records)
     detail = f"{200 - failures}/200 oracle matches"
     if first:
         detail += f"; {first}"
@@ -218,34 +208,30 @@ def verify_pdfa() -> VerifyResult:
 
 def verify_propagate() -> VerifyResult:
     """The skip generator's P on every digit pair, and the skip block's
-    selected carry dC on every (P, dC_in, G) row, against the models."""
-    compiled = _compiled_block("build_skip_generator")
-    p_line = compiled.netlist.output_map["P"]
-    da = [x for x in range(10) for _ in range(10)]
-    db = [y for _ in range(10) for y in range(10)]
-    want = to_lanes([int(x + y == 9) for x, y in zip(da, db)], 1)[0]
-    model = to_lanes([decimal_propagate(x, y) for x, y in zip(da, db)], 1)[0]
-    mask = lane_mask(len(da))
-    state = compiled.fresh_state(mask)
-    for stem, digits in (("a", da), ("b", db)):
-        for i, lane in enumerate(to_lanes(digits, 1)):
-            state[compiled.label_to_line[f"{stem}{i}"]] = lane
-    compiled.run_state(state, mask)
-    failures = (state[p_line] ^ want | model ^ want).bit_count()
-    block = _compiled_block("build_skip_block").netlist
-    p, dc_in, g = (block.label_map()[label] for label in ("P", "dC_in", "G"))
-    dc = block.output_map["dC"]
-    rows = truth_table(block)
+    selected carry dC on every (P, dC_in, G) row, against the models.
+
+    Each block runs once, as one lane batch: the generator over the 100
+    digit pairs written as digit text, the skip block over its 8 rows."""
+    pairs = [(x, y) for x in range(10) for y in range(10)]
+    digits = text_lanes("".join(f"{x}{y}" for x, y in pairs), 2)
+    flags = text_lanes(
+        "".join(f"{int(x + y == 9)}{decimal_propagate(x, y)}" for x, y in pairs), 2
+    )
+    want, model = flags[4], flags[0]
+    inputs = dict(zip([f"{stem}{i}" for stem in "ba" for i in range(4)], digits))
+    generator = _compiled_block("build_skip_generator")
+    got = generator.run_labels(inputs, lane_mask(len(pairs))).named["P"]
+    failures = (got ^ want | model ^ want).bit_count()
+    rows = dict(zip(("P", "dC_in", "G"), counting_lanes(3)))
+    dc = _compiled_block("build_skip_block").run_labels(rows, 0xFF).named["dC"]
     rows_bad = sum(
-        terminal[dc] != skip_carry(initial[p], initial[dc_in], initial[g])
-        for initial, terminal in rows
+        dc >> k & 1 != skip_carry(k & 1, k >> 1 & 1, k >> 2 & 1) for k in range(8)
     )
     passed = failures == 0 and rows_bad == 0
     return VerifyResult(
         "propagate",
         passed,
-        f"{100 - failures}/100 digit pairs sound; carry-select rows "
-        f"{len(rows) - rows_bad}/{len(rows)}",
+        f"{100 - failures}/100 digit pairs sound; carry-select rows {8 - rows_bad}/8",
     )
 
 

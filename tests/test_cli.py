@@ -416,6 +416,31 @@ class TestHostileArguments:
             2,
             "not a 4-per-digit bit string: a 50000-character value",
         ),
+        "simulate-cin": (
+            ("simulate", "--a", "1", "--b", "2", "--cin", "9" * 50_000),
+            2,
+            "invalid int value: a 50000-character value",
+        ),
+        "ledger-delimiter": (
+            (*LEDGER, "--delimiter", ";" * 50_000),
+            2,
+            "delimiter must be one character, got a 50000-character value",
+        ),
+        "ledger-long-amount": (
+            (*LEDGER[:2], "{long_amount}", *LEDGER[3:]),
+            4,
+            "group 'x': amount a 100002-digit value exceeds 16 digits",
+        ),
+        "ledger-malformed-amount": (
+            (*LEDGER[:2], "{malformed}", *LEDGER[3:]),
+            3,
+            "row 1: malformed amount a 50000-character value",
+        ),
+        "ledger-long-header": (
+            (*LEDGER[:2], "{long_header}", *LEDGER[3:]),
+            3,
+            "column 'a' not in header a 100009-character value",
+        ),
     }
 
     @pytest.fixture
@@ -426,6 +451,9 @@ class TestHostileArguments:
         big = "1" + "0" * 5000
         texts = {
             "csv": "g,a\nx,1.00\n",
+            "long_amount": f"g,a\nx,{'1' * 100_000}\n",
+            "malformed": f"g,a\nx,{'x' * 50_000}\n",
+            "long_header": f"g,{'h' * 100_000}\nx,1.00\n",
             "width": f'{{"width": {big}}}',
             "pin": f'{{"width": 2, "gates": [{{"kind": "FG", "pins": [0, {big}]}}]}}',
             "no_outputs": serialize(
@@ -665,7 +693,7 @@ class TestLedger:
         )
         assert got == code
         if code:
-            assert err.startswith("error: group 'u1': amount 1111") and "16 digits" in err
+            assert err == "error: group 'u1': amount a 4402-digit value exceeds 16 digits\n"
         else:
             assert out.splitlines()[1] == "u1," + "1" * 4399 + "200"
 

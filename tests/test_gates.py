@@ -40,6 +40,14 @@ class TestSemantics:
         with pytest.raises(ArityError):
             gate_semantics(GateKind.NOT, (2,))
 
+    @pytest.mark.parametrize("bit", (-1, 1.0, "1", None), ids=repr)
+    def test_non_int_bit_rejected(self, bit):
+        with pytest.raises(ArityError, match="must be 0/1 bits"):
+            gate_semantics(GateKind.NOT, (bit,))
+
+    def test_bools_are_bits(self):
+        assert gate_semantics(GateKind.FG, (True, False)) == (True, 1)
+
 
 class TestCosts:
     @pytest.mark.parametrize(

@@ -87,8 +87,17 @@ class TestCodec:
         assert decode(v) == x
 
     def test_overflow_message_past_int_str_digit_limit(self):
-        with pytest.raises(CapacityError, match=r"^10{5000} does not fit in 3 BCD"):
+        with pytest.raises(CapacityError) as info:
             encode(10**5000, 3)
+        assert str(info.value) == "a 5001-digit value does not fit in 3 BCD digits"
+
+    @pytest.mark.parametrize("digits", (2, 40, 41))
+    def test_overflow_names_a_long_amount_by_its_digit_count(self, digits):
+        amount = 10 ** (digits - 1)
+        want = str(amount) if digits <= 40 else f"a {digits}-digit value"
+        with pytest.raises(CapacityError) as info:
+            encode(amount, 1)
+        assert str(info.value) == f"{want} does not fit in 1 BCD digits"
 
     @pytest.mark.parametrize("amount", (0, 7, -7, 10**20, -(10**999), 10**1000 + 5))
     def test_decimal_text_equals_str(self, amount):
@@ -164,6 +173,23 @@ class TestBcdAdd:
     def test_unknown_design(self):
         with pytest.raises(InvalidArgumentError):
             bcd_add(encode(1, 2), encode(1, 2), "fast-adder")
+
+    def test_pdfa_is_a_registered_adder(self):
+        assert bcd_add("5", "7", "pdfa") == ("2", 1)
+        assert cached_adder("pdfa", 1).add("9", "9", 1) == ("9", 1, True)
+
+    @pytest.mark.parametrize(
+        "design,width,message",
+        (
+            ("scl", 1, "not a BCD adder: no line 'a0.0'"),
+            ("pdfa", 2, "design 'pdfa' is single-digit only"),
+            ("fast-adder", 1, "unknown design 'fast-adder'; known: "),
+        ),
+    )
+    def test_cached_adder_names_what_is_not_an_adder(self, design, width, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            cached_adder(design, width)
+        assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("design", ("dec-rca", "dec-csk"))
     @pytest.mark.parametrize("cin", (2, -1, 1.0, "1", None), ids=repr)
@@ -328,6 +354,42 @@ class TestIngest:
         assert [r.amount_cents for r in records] == [100, 200]
         assert len(diags.skipped) == 1 and diags.skipped[0][0] == 2
 
+    # One fault per row: an empty group key, a malformed amount, a row
+    # too short to hold the amount field.
+    FAULTY = "user,amount\n,1.00\nu1,bogus\nu1\nu1,2.00\n"
+    FAULTS = ["empty group key", "malformed amount 'bogus'", "missing amount field"]
+
+    def test_lenient_keeps_each_bare_message_once(self, tmp_path):
+        path = self.write(tmp_path, self.FAULTY)
+        records, diags = ingest_csv(path, self.config(strict=False))
+        assert records == [LedgerRecord("u1", 200)]
+        assert diags.skipped == list(enumerate(self.FAULTS, start=1))
+        assert (diags.rows_read, diags.rows_kept) == (4, 1)
+
+    @pytest.mark.parametrize("row", (1, 2, 3))
+    def test_strict_names_the_row_once(self, tmp_path, row):
+        lines = self.FAULTY.splitlines()
+        body = "\n".join([lines[0], lines[row], lines[-1]]) + "\n"
+        with pytest.raises(LedgerFormatError) as info:
+            ingest_csv(self.write(tmp_path, body), self.config())
+        assert str(info.value) == f"row 1: {self.FAULTS[row - 1]}"
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("size", (40, 41))
+    def test_long_fields_named_by_length(self, tmp_path, size):
+        field = "x" * size
+        path = self.write(tmp_path, f"user,amount\nu1,{field}\n")
+        with pytest.raises(LedgerFormatError) as info:
+            ingest_csv(path, self.config())
+        shown = repr(field) if size <= 40 else f"a {size}-character value"
+        assert str(info.value) == f"row 1: malformed amount {shown}"
+        path = self.write(tmp_path, f"user,{field}\nu1,1\n")
+        header = str(["user", field])
+        shown = header if len(header) <= 40 else f"a {len(header)}-character value"
+        with pytest.raises(LedgerFormatError) as info:
+            ingest_csv(path, self.config())
+        assert str(info.value) == f"column 'amount' not in header {shown}"
+
     def test_missing_column(self, tmp_path):
         path = self.write(tmp_path, "user,value\nu1,1\n")
         with pytest.raises(LedgerFormatError, match="amount"):
@@ -410,8 +472,17 @@ class TestSumLedger:
             sum_ledger(records, width=4)
 
     def test_amount_past_int_str_digit_limit(self):
-        with pytest.raises(CapacityError, match="^group 'g': amount 10{5000} exceeds"):
+        with pytest.raises(CapacityError) as info:
             sum_ledger([LedgerRecord("g", 10**5000)], width=16)
+        assert str(info.value) == "group 'g': amount a 5001-digit value exceeds 16 digits"
+
+    def test_long_group_key_named_by_length(self):
+        records = [LedgerRecord("g" * 41, 5000), LedgerRecord("g" * 41, 5000)]
+        with pytest.raises(CapacityError) as info:
+            sum_ledger(records, width=4)
+        assert str(info.value) == (
+            "group a 41-character value: running total overflowed 4 digits"
+        )
 
 
 class TestSynthetic:

@@ -190,6 +190,19 @@ class TestRun:
         with pytest.raises(AssignmentError, match="unknown"):
             run(pdfa, pdfa_inputs(1, 1, 0) | {"zz": 1})
 
+    @pytest.mark.parametrize("bit", (2, -1, 1.0, "1", None), ids=repr)
+    def test_non_bit_rejected(self, pdfa, bit):
+        with pytest.raises(AssignmentError, match="'a0' must be an int inside the mask"):
+            run(pdfa, pdfa_inputs(1, 1, 0) | {"a0": bit})
+
+    def test_lane_outside_the_mask_rejected(self, pdfa):
+        compiled = compile_netlist(pdfa)
+        lanes = {label: 0 for label in compiled.label_to_line}
+        compiled.run_labels(lanes | {"cin": 0b101}, 0b101)
+        for lane in (0b10, 0b1000, -1, 5.0):
+            with pytest.raises(AssignmentError, match="'cin' must be an int"):
+                compiled.run_labels(lanes | {"cin": lane}, 0b101)
+
     def test_deterministic(self, pdfa):
         assignment = pdfa_inputs(7, 5, 1)
         assert run(pdfa, assignment) == run(pdfa, assignment)
@@ -411,6 +424,42 @@ class TestLanes:
         for k, vec in enumerate(vectors):
             compiled.run_state(vec)
             assert vec == [lane >> k & 1 for lane in lanes]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_run_labels_batch_equals_scalar_runs(self, pdfa, seed):
+        """One run_labels lane batch gives, in each lane, the named outputs
+        and restored_ok of that vector's scalar run: on the pdfa and on a
+        random netlist with constants, in the bit-k and the bit-4k layout."""
+        rng = random.Random(seed)
+        if seed:
+            netlist = mixed_netlist(rng, list(GateKind), "x")
+            inputs = list(netlist.input_lines())
+            restored = set(rng.sample(inputs, min(len(inputs), rng.randint(0, 2))))
+            outputs = [line for line in range(netlist.width) if line not in restored]
+            netlist = replace(
+                netlist,
+                outputs=tuple((f"o{line}", line) for line in outputs),
+                restored=frozenset(restored),
+            )
+        else:
+            netlist = pdfa
+        compiled = compile_netlist(netlist)
+        labels = list(compiled.label_to_line)
+        vectors = [{label: rng.randrange(2) for label in labels} for _ in range(40)]
+        spread = 4 if seed % 2 else 1  # vector k at bit spread*k
+        mask = sum(1 << spread * k for k in range(len(vectors)))
+        lanes = {
+            label: sum(vec[label] << spread * k for k, vec in enumerate(vectors))
+            for label in labels
+        }
+        batch = compiled.run_labels(lanes, mask)
+        scalar = [compiled.run_labels(vec) for vec in vectors]
+        for name, lane in batch.named.items():
+            assert lane & ~mask == 0
+            assert [lane >> spread * k & 1 for k in range(len(vectors))] == [
+                res.named[name] for res in scalar
+            ]
+        assert batch.restored_ok == all(res.restored_ok for res in scalar)
 
     def test_inverse_after_netlist_gives_back_every_lane(self):
         """Staged random netlists and both adders at N=64, whose width is

@@ -268,7 +268,6 @@ class TestCells:
         for module, name in (
             (designs, "build_design"),
             (ledger, "build_design"),
-            (verify, "build_pdfa"),
             (verify, "build_skip_generator"),
         ):
             monkeypatch.setattr(module, name, no_build)
