@@ -104,12 +104,24 @@ def _sample_count(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose invalid-choice error names the value as
+    `errors.shown` does, so an oversized value cannot flood stderr."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {shown(value)} (choose from {choices})"
+            )
+
+
 # Built on the first main() call and reused: a parser costs about 1.5 ms
 # and leaves some hundred objects in reference cycles.  Every default is
 # immutable, so no parse can change what the next one sees.
 @lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revbcd",
         description="Reversible BCD adder toolkit",
     )

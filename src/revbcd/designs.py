@@ -41,19 +41,20 @@ engine can report the three-stage split.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 
 from .errors import InvalidArgumentError, InvalidBCDError
 from .gates import GateKind
 from .netlist import (
     ROLE_INPUT,
+    GateColumns,
     GateInstance,
     LineRole,
     Netlist,
+    OutputColumns,
+    RoleColumns,
     const_role,
-    gate_record,
     input_role,
-    role_record,
 )
 
 STAGE_ADDITION = "addition"
@@ -373,7 +374,8 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     constant count, for a constant or a threaded carry.  A threaded carry
     is the carry-in in digit 0 (both csk carry slots) and the previous
     digit's carry-out constant after it.  So each gate's pins over all
-    digits are ranges, zipped; gates and roles are laid out digit-major.
+    digits are ranges, zipped; gates and roles are laid out digit-major,
+    and each goes into the netlist as its columns.
 
     Input labels and output names carry the digit suffix ``.j`` unless
     `suffixed` is false (the single-digit pdfa); constant labels always do.
@@ -401,26 +403,20 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     suffixes = tags if suffixed else [""] * n
     labels = [f"{op}{i}{s}" for s in suffixes for op in "ab" for i in range(4)]
     labels.append("cin")
-    roles = list(map(role_record, zip(repeat(ROLE_INPUT), labels)))
-    roles += _digit_major(
-        map(role_record, zip(repeat(kind), map(prefix.__add__, tags)))
-        for kind, prefix in consts
+    const_kinds, prefixes = zip(*consts)
+    roles = RoleColumns(
+        (ROLE_INPUT,) * len(labels) + const_kinds * n,
+        labels + [prefix + tag for tag in tags for prefix in prefixes],
     )
-    gates = _digit_major(
-        map(
-            gate_record,
-            zip(repeat(kind), zip(*map(lines.__getitem__, pins)), repeat(stage)),
-        )
-        for kind, pins, stage in cell_gates
-    )
-    names = [[f"S{i}{s}" for s in suffixes] for i in range(4)]
-    outputs = list(_digit_major(zip(names[i], lines[sums[i]]) for i in range(4)))
-    outputs.append(("dC", lines[carries[0]][-1]))
+    kinds, cell_pins, stages = zip(*cell_gates)
+    pins = _digit_major(zip(*map(lines.__getitem__, p)) for p in cell_pins)
+    names = [f"S{i}{s}" for s in suffixes for i in range(4)]
+    ends = list(_digit_major(lines[sums[i]] for i in range(4)))
     return Netlist(
         width=base + n * c,
-        roles=tuple(roles),
-        gates=tuple(gates),
-        outputs=tuple(outputs),
+        roles=roles,
+        gates=GateColumns(kinds * n, pins, stages * n),
+        outputs=OutputColumns([*names, "dC"], [*ends, lines[carries[0]][-1]]),
         restored=frozenset(range(8 * n)),
     )
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import DecompositionError, MetricsUndefinedError
 from .gates import ALL_KINDS, gate_cost
@@ -27,7 +26,6 @@ from .netlist import Netlist
 # Per-kind quantum cost and delay, read once per gate by the sweeps below.
 _QC = {kind: gate_cost(kind)[0] for kind in ALL_KINDS}
 _DELAY = {kind: gate_cost(kind)[1] for kind in ALL_KINDS}
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def arrival_profile(netlist: Netlist) -> ArrivalProfile:
     completions = []
     via = []
     delay = _DELAY
-    for g, (kind, pins, _) in enumerate(netlist.gates):
+    for g, (kind, pins) in enumerate(zip(netlist.gates.kinds, netlist.gates.pins)):
         # The latest pin, the lowest position on a tie (strict >).
         t = -1
         for p in pins:
@@ -106,8 +104,8 @@ def structural_metrics(netlist: Netlist) -> MetricReport:
         gc=len(netlist.gates),
         ci=len(netlist.const_lines()),
         go=len(netlist.garbage_lines()),
-        qc=sum(map(_QC.__getitem__, map(_FIRST, netlist.gates))),
-        delay=max(map(final.__getitem__, map(_SECOND, netlist.outputs))),
+        qc=sum(map(_QC.__getitem__, netlist.gates.kinds)),
+        delay=max(map(final.__getitem__, netlist.outputs.lines)),
     )
 
 
@@ -127,7 +125,7 @@ def critical_path(netlist: Netlist) -> list[int]:
 def _walk(netlist: Netlist, profile: ArrivalProfile) -> list[int]:
     """`critical_path` of a netlist with outputs, read from its profile."""
     final, via = profile.final, profile.via
-    _, line = max(netlist.outputs, key=lambda output: final[output[1]])
+    line = max(netlist.outputs.lines, key=final.__getitem__)
     path: list[int] = []
     gate = profile.last[line]
     while gate >= 0:
@@ -150,9 +148,7 @@ def metric_decomposition(netlist: Netlist) -> dict[str, MetricReport]:
     """
     if not netlist.outputs:
         raise MetricsUndefinedError("decomposition needs designated outputs")
-    gates = netlist.gates
-    kinds = list(map(_FIRST, gates))
-    stages = list(map(_THIRD, gates))
+    kinds, stages = netlist.gates.kinds, netlist.gates.stages
     if None in stages:
         i = stages.index(None)
         raise DecompositionError(f"gate {i} ({kinds[i]}) has no stage tag")

@@ -13,11 +13,16 @@ Terminal lines fall into three classes:
     equals their initial value (pass-through), and
   * garbage, everything else.
 
-Netlists are immutable.  Lines, gates and outputs are plain records.
-Making a netlist first makes each entry its record, in one step that
-names an entry of the wrong shape; then `Netlist.validate` checks every
-rule of a netlist, value types included, on the records.  Each rule is
-written once, there; a line, gate or record rule is a column over the
+Netlists are immutable, and hold columns: the lines' role kinds and
+labels, the gates' kinds, pins (each gate's a tuple of ints) and stages,
+the outputs' names and lines, and the restored lines.  `roles`, `gates`
+and `outputs` are read-only sequence views over those columns, which
+make each line, gate or output record on access and cache nothing.  The
+adder builders and `deserialize` hand their columns straight in; lines,
+gates and outputs given as records are transposed into the same columns,
+in one step that names an entry of the wrong shape.  Then
+`Netlist.validate` checks every rule of a netlist, value types included,
+on the columns.  Each rule is written once, there, as a column over the
 entries that also names the first entry at fault (`_check`).  So every
 netlist serializes to a document that `deserialize` reads back equal.
 """
@@ -26,13 +31,14 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, itemgetter, not_, or_
-from typing import Iterable, Mapping, NamedTuple
+from operator import and_, eq, itemgetter, not_, or_
+from typing import NamedTuple
 
 from .errors import (
     ArityError,
@@ -50,6 +56,7 @@ ROLE_CONST0 = "const0"
 ROLE_CONST1 = "const1"
 _ROLES = (ROLE_INPUT, ROLE_CONST0, ROLE_CONST1)
 _ROLE_SET = frozenset(_ROLES)
+_INPUT = frozenset((ROLE_INPUT,))
 _ARITY = {kind: arity(kind) for kind in ALL_KINDS}
 # `_INT.issuperset(map(type, xs))`: every x is an int, and none a bool.
 _INT = frozenset((int,))
@@ -58,7 +65,6 @@ _STR = frozenset((str,))
 _STR_OR_NONE = frozenset((str, type(None)))
 # True when every item of an iterable is hashable; a TypeError otherwise.
 _HASHABLE = frozenset().isdisjoint
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class LineRole(NamedTuple):
@@ -105,18 +111,88 @@ class GateInstance(NamedTuple):
     stage: str | None = None
 
 
-# A record made in C from one ready (kind, pins, stage) or (kind, label)
-# tuple, without the NamedTuple constructor's Python frame: for code that
-# makes records in bulk.
-gate_record = partial(tuple.__new__, GateInstance)
-role_record = partial(tuple.__new__, LineRole)
-
-
 class _Output(NamedTuple):
     """One named output: a (name, line) pair."""
 
     name: str
     line: int
+
+
+class _Records(Sequence):
+    """A read-only sequence of records kept as columns: one tuple per
+    record field, all of one length, in the slots a subclass names.
+    Indexing or iterating makes each record on access, in C from its
+    fields (`_make`, `tuple.__new__` of the record type), and nothing is
+    cached.  A view equals a view or tuple of equal records, as a tuple
+    of its records would."""
+
+    __slots__ = ()
+
+    def __init__(self, *columns):
+        columns = tuple(map(tuple, columns))
+        if len(columns) != len(self.__slots__) or len(set(map(len, columns))) > 1:
+            raise InvalidArgumentError(
+                f"{type(self).__name__} takes {len(self.__slots__)} columns "
+                "of one length"
+            )
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, at):
+        fields = [column[at] for column in self.columns]
+        if isinstance(at, slice):
+            return tuple(map(self._make, zip(*fields)))
+        return self._make(fields)
+
+    def __iter__(self):
+        return map(self._make, zip(*self.columns))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.columns == other.columns
+        if isinstance(other, (_Records, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return type(self), self.columns
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class RoleColumns(_Records):
+    """A netlist's lines, in line order: role kinds and labels."""
+
+    __slots__ = ("kinds", "labels")
+    _make = partial(tuple.__new__, LineRole)
+
+
+class GateColumns(_Records):
+    """A netlist's gates, in order: kinds, pins (each gate's a tuple of
+    lines) and stages."""
+
+    __slots__ = ("kinds", "pins", "stages")
+    _make = partial(tuple.__new__, GateInstance)
+
+
+class OutputColumns(_Records):
+    """A netlist's named outputs: names and lines."""
+
+    __slots__ = ("names", "lines")
+    _make = partial(tuple.__new__, _Output)
 
 
 # The error for an entry that is no record, given its position and itself.
@@ -132,100 +208,105 @@ def _bad_output(i: int, output) -> str:
     return f"outputs[{i}]: {output!r} is not a (name, line) pair"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Netlist:
-    """Immutable reversible netlist over `width` indexed lines."""
+    """Immutable reversible netlist over `width` indexed lines.
+
+    `roles`, `gates` and `outputs` are column views (`RoleColumns`,
+    `GateColumns`, `OutputColumns`).  Each may be given as such a view,
+    which is kept as it is, or as records, plain tuples or lists, which
+    are transposed into one.  Equality and the hash go by value.
+    """
 
     width: int
-    roles: tuple[LineRole, ...]
-    gates: tuple[GateInstance, ...] = ()
-    outputs: tuple[tuple[str, int], ...] = ()
+    roles: RoleColumns
+    gates: GateColumns = ()
+    outputs: OutputColumns = ()
     restored: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
-        put("roles", _as_records(self.roles, "roles", LineRole, _BAD_ROLE))
-        put("gates", _as_records(self.gates, "gates", GateInstance, _BAD_GATE))
-        put("outputs", _as_records(self.outputs, "outputs", _Output, _bad_output))
-        put("restored", _as_records(self.restored, "restored"))
+        put("roles", _columns(self.roles, "roles", RoleColumns, _BAD_ROLE))
+        put("gates", _columns(self.gates, "gates", GateColumns, _BAD_GATE))
+        put("outputs", _columns(self.outputs, "outputs", OutputColumns, _bad_output))
+        put("restored", _entries(self.restored, "restored"))
         self.validate()
         put("restored", frozenset(self.restored))
+
+    def _key(self) -> tuple:
+        return (
+            self.width,
+            self.roles.columns,
+            self.gates.columns,
+            self.outputs.columns,
+            self.restored,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Check every netlist rule on the records, value types included;
+        """Check every netlist rule on the columns, value types included;
         raises a RevbcdError subclass naming the first violation.
 
-        The constructor has made every line, gate and output its record
-        by then, and named any entry of the wrong shape.  Width: an int
-        (not a bool) of at least 1, with one role per line.  Lines: a
-        known role and a label that is a str or None; a non-empty unique
-        label on every input, unique constant labels.  Gates: a known
-        kind whose pins are a tuple of as many distinct existing lines as
-        its arity, each an int (not a bool); a stage that is a str or
-        None.  Outputs: unique str names on int lines.  Restored lines:
-        ints.  Both on existing lines, each line designated once,
-        restored lines primary inputs that are not also named outputs.
+        The constructor has made every field its columns by then, and
+        named any entry of the wrong shape.  Width: an int (not a bool)
+        of at least 1, with one role per line.  Lines: a known role and a
+        label that is a str or None; a non-empty unique label on every
+        input, unique constant labels.  Gates: a known kind whose pins are
+        a tuple of as many distinct existing lines as its arity, each an
+        int (not a bool); a stage that is a str or None.  Outputs: unique
+        str names on int lines.  Restored lines: ints.  Both on existing
+        lines, each line designated once, restored lines primary inputs
+        that are not also named outputs.
 
-        Each line and gate rule is one column over the entries (`_check`),
-        and its fault is read from that same column: the first line or
-        gate at fault is named, and within it the first rule it breaks.
+        Each rule is one column over the entries (`_check`), and its fault
+        is read from that same column: the first line, gate, output or
+        restored line at fault is named, and within it the first rule it
+        breaks.
         """
         width = self.width
         if type(width) is not int or width < 1:
             raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
-        if len(self.roles) != width:
-            raise InvalidArgumentError(f"{len(self.roles)} lines for width {width}")
-        _check(self.roles, _line_rules(self.roles))
-        for rules in _gate_rules(self.gates, width):
-            _check(self.gates, rules)
-        names: set[str] = set()
-        named_lines: set[int] = set()
-        for name, line in self.outputs:
-            if type(name) is not str or type(line) is not int:
-                raise InvalidArgumentError(
-                    f"output {name!r} on line {line!r}: need a str name, an int line"
-                )
-            if name in names:
-                raise DesignationError(f"output name {name!r} used twice")
-            if not 0 <= line < width:
-                raise LineIndexError(f"output {name!r} on missing line {line}")
-            if line in named_lines:
-                raise DesignationError(f"line {line} designated twice")
-            names.add(name)
-            named_lines.add(line)
-        for line in self.restored:
-            if type(line) is not int:
-                raise InvalidArgumentError(f"restored line {line!r} must be an int")
-            if not 0 <= line < width:
-                raise LineIndexError(f"restored line {line} out of range")
-            if self.roles[line][0] != ROLE_INPUT:
-                raise DesignationError(f"restored line {line} is not a primary input")
-            if line in named_lines:
-                raise DesignationError(f"restored line {line} is also a named output")
+        roles, gates, outputs = self.roles, self.gates, self.outputs
+        if len(roles) != width:
+            raise InvalidArgumentError(f"{len(roles)} lines for width {width}")
+        _check(roles, _line_rules(roles.kinds, roles.labels))
+        for rules in _gate_rules(gates.kinds, gates.pins, gates.stages, width):
+            _check(gates, rules)
+        _check(outputs, _output_rules(outputs.names, outputs.lines, width))
+        restored = tuple(self.restored)
+        _check(restored, _restored_rules(restored, roles.kinds, outputs.lines, width))
 
     # -- derived views ---------------------------------------------------
 
     @property
     def output_map(self) -> dict[str, int]:
-        return dict(self.outputs)
+        return dict(zip(self.outputs.names, self.outputs.lines))
 
     def input_lines(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r.kind == ROLE_INPUT]
+        return [i for i, kind in enumerate(self.roles.kinds) if kind == ROLE_INPUT]
 
     def const_lines(self) -> list[int]:
         # A comprehension: under CPython 3.11 it runs faster here than
         # compress over a map of str comparisons.
-        return [i for i, r in enumerate(self.roles) if r.kind != ROLE_INPUT]
+        return [i for i, kind in enumerate(self.roles.kinds) if kind != ROLE_INPUT]
 
     def label_map(self) -> dict[str, int]:
         """Input label -> line index."""
-        return {r.label: i for i, r in enumerate(self.roles) if r.kind == ROLE_INPUT}
+        roles = enumerate(zip(self.roles.kinds, self.roles.labels))
+        return {label: i for i, (kind, label) in roles if kind == ROLE_INPUT}
 
     def garbage_lines(self) -> list[int]:
         """Terminal lines that are neither named outputs nor restored inputs."""
-        taken = {*map(_SECOND, self.outputs), *self.restored}
+        taken = {*self.outputs.lines, *self.restored}
         return list(filterfalse(taken.__contains__, range(self.width)))
 
 
@@ -235,36 +316,43 @@ def inverse(netlist: Netlist) -> Netlist:
     (`gates.undo_steps`) under its own stage.  A state run through
     `netlist` and then through this comes back unchanged.
     """
-    gates = [
-        gate_record((kind, tuple([pins[p] for p in positions]), stage))
-        for own, pins, stage in reversed(netlist.gates)
+    steps = [
+        (kind, tuple([pins[p] for p in positions]), stage)
+        for own, pins, stage in zip(*map(reversed, netlist.gates.columns))
         for kind, positions in undo_steps(own)
     ]
-    return Netlist(netlist.width, netlist.roles, tuple(gates))
+    return Netlist(netlist.width, netlist.roles, steps)
 
 
-def _as_records(value, field: str, record=None, bad=None) -> tuple:
-    """`value` as a tuple, each entry made a `record` when one is given.
-
-    A value that is not iterable, or an entry that does not unpack into
-    the record's fields, is a typed error: `bad(position, entry)` is its
-    message.  A tuple of records passes unchanged.  Other entries are
-    made as `record._make` makes them: `tuple.__new__`, then the length.
-    """
+def _entries(value, field: str) -> tuple:
+    """`value` as a tuple; a value that is not iterable is a typed error."""
     try:
-        items = tuple(value)
+        return tuple(value)
     except TypeError:
         raise InvalidArgumentError(f"{field} must be iterable, got {value!r}") from None
-    if record is None or frozenset((record,)).issuperset(map(type, items)):
-        return items
-    make, fits = partial(tuple.__new__, record), len(record._fields).__eq__
-    records = []
+
+
+def _columns(value, field: str, view: type, bad) -> _Records:
+    """`value` as a column `view`: a view of that type as it is, and
+    otherwise its entries, each read as a record of the view's fields,
+    transposed into the view's columns.
+
+    An entry that is no iterable of as many fields is a typed error:
+    `bad(position, entry)` is its message.  An entry is read as
+    `tuple(entry)` reads it, so an exact tuple is not copied.
+    """
+    if type(value) is view:
+        return value
+    items = _entries(value, field)
+    size = len(view.__slots__)
+    fits = size.__eq__
+    rows = []
     with suppress(TypeError):  # an entry that does not iterate
-        records.extend(map(make, items))
-    made = len(records) == len(items) and all(map(fits, map(len, records)))
-    rule = lambda end: map(fits, map(len, map(make, items[:end])))
-    _check(items, [(made, rule, InvalidArgumentError, bad)])
-    return tuple(records)
+        rows.extend(map(tuple, items))
+    if len(rows) < len(items) or not all(map(fits, map(len, rows))):
+        rule = lambda end: map(fits, map(len, map(tuple, items[:end])))
+        _check(items, [(False, rule, InvalidArgumentError, bad)])
+    return view(*zip(*rows)) if rows else view(*[()] * size)
 
 
 def _check(entries, rules: list) -> None:
@@ -291,44 +379,44 @@ def _check(entries, rules: list) -> None:
         raise error(message(end, entries[end]))
 
 
-def _line_rules(roles: tuple) -> list:
+def _first_use(column: tuple):
+    """A rule column: whether each entry's value is its first use."""
+    return lambda end: map(eq, map({}.setdefault, column[:end], count()), count())
+
+
+def _line_rules(kinds: tuple, labels: tuple) -> list:
     """The line rules of `Netlist.validate`, in a line's rule order."""
     known = plain = False
     with suppress(TypeError):  # an unhashable kind or label
-        known = _ROLE_SET.issuperset(map(_FIRST, roles))
-        seen = set(map(_SECOND, roles))
-        plain = len(seen) == len(roles) and "" not in seen and (
+        known = _ROLE_SET.issuperset(kinds)
+        seen = set(labels)
+        plain = len(seen) == len(labels) and "" not in seen and (
             _STR.issuperset(map(type, seen))
         )
-    kinds = lambda end: map(_FIRST, roles[:end])
-    labels = lambda end: map(_SECOND, roles[:end])
-    inputs = lambda end: map(eq, kinds(end), repeat(ROLE_INPUT))
+    inputs = lambda end: map(eq, kinds[:end], repeat(ROLE_INPUT))
 
     def first_use(end):  # no label, or its first use among inputs or among constants
-        firsts = map({}.setdefault, zip(inputs(end), labels(end)), count())
-        return map(or_, map(not_, labels(end)), map(eq, firsts, count()))
+        firsts = map({}.setdefault, zip(inputs(end), labels[:end]), count())
+        return map(or_, map(not_, labels[:end]), map(eq, firsts, count()))
 
     return [
-        (plain, lambda end: map(_STR_OR_NONE.__contains__, map(type, labels(end))),
+        (plain, lambda end: map(_STR_OR_NONE.__contains__, map(type, labels[:end])),
          InvalidArgumentError, "line {0}: label {1[1]!r} must be a str".format),
-        (known, lambda end: map(_ROLE_SET.__contains__, kinds(end)),
+        (known, lambda end: map(_ROLE_SET.__contains__, kinds[:end]),
          InvalidArgumentError, "line {0}: unknown role {1[0]!r}".format),
-        (plain, lambda end: map(or_, map(not_, inputs(end)), map(bool, labels(end))),
+        (plain, lambda end: map(or_, map(not_, inputs(end)), map(bool, labels[:end])),
          InvalidArgumentError, "line {0}: an input needs a label".format),
         (plain, first_use, InvalidArgumentError, lambda i, role: f"line {i}: duplicate "
          f"{'input' if role[0] == ROLE_INPUT else 'constant'} label"),
     ]
 
 
-def _gate_rules(gates: tuple, width: int) -> list:
+def _gate_rules(kinds: tuple, pins: tuple, stages: tuple, width: int) -> list:
     """The gate rules of `Netlist.validate`, as three passes over the
     gates, each in a gate's rule order: structure, int pins, stages."""
-    kinds = lambda end: map(_FIRST, gates[:end])
-    pins = list(map(_SECOND, gates))
-    stages = lambda end: map(type, map(_THIRD, gates[:end]))
     known = shaped = placed = False
     with suppress(TypeError):  # an unhashable kind or pin, or pins that do not iterate
-        wants = list(map(_ARITY.get, kinds(len(gates))))
+        wants = list(map(_ARITY.get, kinds))
         known = all(wants)
         shaped = known and _TUPLE.issuperset(map(type, pins)) and (
             wants == list(map(len, pins)) == list(map(len, map(set, pins)))
@@ -350,12 +438,12 @@ def _gate_rules(gates: tuple, width: int) -> list:
     unhashable = InvalidArgumentError, "gates[{0}]: unhashable kind or pin".format
     return [
         [
-            (known, lambda end: map(_HASHABLE, zip(kinds(end))), *unhashable),
-            (known, lambda end: map(_ARITY.__contains__, kinds(end)),
+            (known, lambda end: map(_HASHABLE, zip(kinds[:end])), *unhashable),
+            (known, lambda end: map(_ARITY.__contains__, kinds[:end]),
              InvalidArgumentError, "gates[{0}]: unknown kind {1[0]!r}".format),
             (shaped, lambda end: map(_TUPLE.__contains__, map(type, pins[:end])),
              InvalidArgumentError, "gates[{0}]: pins must be a tuple".format),
-            (shaped, lambda end: map(eq, sizes(end), map(_ARITY.get, kinds(end))),
+            (shaped, lambda end: map(eq, sizes(end), map(_ARITY.get, kinds[:end])),
              ArityError, arity),
             (placed, lambda end: map(_HASHABLE, pins[:end]), *unhashable),
             (shaped, lambda end: map(eq, map(len, map(set, pins[:end])), sizes(end)),
@@ -365,9 +453,48 @@ def _gate_rules(gates: tuple, width: int) -> list:
         ],
         [(placed, lambda end: map(_INT.issuperset, map(map, repeat(type), pins[:end])),
           InvalidArgumentError, "gates[{0}]: pins {1[1]} must be ints".format)],
-        [(_STR_OR_NONE.issuperset(stages(len(gates))),
-          lambda end: map(_STR_OR_NONE.__contains__, stages(end)),
+        [(_STR_OR_NONE.issuperset(map(type, stages)),
+          lambda end: map(_STR_OR_NONE.__contains__, map(type, stages[:end])),
           InvalidArgumentError, "gates[{0}]: stage {1[2]!r} not a str".format)],
+    ]
+
+
+def _output_rules(names: tuple, lines: tuple, width: int) -> list:
+    """The output rules of `Netlist.validate`, in an output's rule order."""
+    typed = _STR.issuperset(map(type, names)) and _INT.issuperset(map(type, lines))
+    placed = typed and 0 <= min(lines, default=0) and max(lines, default=0) < width
+    return [
+        (typed, lambda end: map(and_, map(_STR.__contains__, map(type, names[:end])),
+                                map(_INT.__contains__, map(type, lines[:end]))),
+         InvalidArgumentError,
+         "output {1[0]!r} on line {1[1]!r}: need a str name, an int line".format),
+        (typed and len(set(names)) == len(names), _first_use(names),
+         DesignationError, "output name {1[0]!r} used twice".format),
+        (placed, lambda end: map(range(width).__contains__, lines[:end]),
+         LineIndexError, "output {1[0]!r} on missing line {1[1]}".format),
+        (typed and len(set(lines)) == len(lines), _first_use(lines),
+         DesignationError, "line {1[1]} designated twice".format),
+    ]
+
+
+def _restored_rules(restored: tuple, kinds: tuple, named: tuple, width: int) -> list:
+    """The restored-line rules of `Netlist.validate`, in a line's rule
+    order, for valid line kinds and named output lines."""
+    ints = _INT.issuperset(map(type, restored))
+    placed = ints and 0 <= min(restored, default=0) and max(restored, default=0) < width
+    role = lambda end: map(kinds.__getitem__, restored[:end])
+    taken = frozenset(named)
+    return [
+        (ints, lambda end: map(_INT.__contains__, map(type, restored[:end])),
+         InvalidArgumentError, "restored line {1!r} must be an int".format),
+        (placed, lambda end: map(range(width).__contains__, restored[:end]),
+         LineIndexError, "restored line {1} out of range".format),
+        (placed and _INPUT.issuperset(role(len(restored))),
+         lambda end: map(eq, role(end), repeat(ROLE_INPUT)),
+         DesignationError, "restored line {1} is not a primary input".format),
+        (placed and taken.isdisjoint(restored),
+         lambda end: map(not_, map(taken.__contains__, restored[:end])),
+         DesignationError, "restored line {1} is also a named output".format),
     ]
 
 
@@ -420,7 +547,7 @@ def serialize(netlist: Netlist) -> str:
     lines = [
         f',\n    {{\n      "index": {i},\n      "role": {_ROLE_TEXT[kind]},'
         f'\n      "label": {_scalar(label)}\n    }}'
-        for i, (kind, label) in enumerate(netlist.roles)
+        for i, (kind, label) in enumerate(zip(*netlist.roles.columns))
     ]
     tails: dict[str | None, str] = {}
     gates = chain.from_iterable(
@@ -432,11 +559,11 @@ def serialize(netlist: Netlist) -> str:
                 stage, f'\n      ],\n      "stage": {_scalar(stage)}\n    }}'
             ),
         )
-        for kind, pins, stage in netlist.gates
+        for kind, pins, stage in zip(*netlist.gates.columns)
     )
     outputs = [
         f',\n    {{\n      "name": {_scalar(name)},\n      "line": {line}\n    }}'
-        for name, line in netlist.outputs
+        for name, line in zip(*netlist.outputs.columns)
     ]
     restored = [f",\n    {line}" for line in sorted(netlist.restored)]
     parts = ["{\n", f'  "width": {netlist.width}']
@@ -487,13 +614,17 @@ def _fields(entries: list, key: str, fields: tuple[str, ...]):
     return columns, [(shaped, objects, *fault("must be an object")), *rules]
 
 
-def _lines(entries: list) -> list[LineRole]:
-    """Each entry's role, placed by its index: an int in
-    0..len(entries) - 1 that no other entry has."""
+def _lines(entries: list) -> RoleColumns:
+    """Each entry's role and label, placed by its index: an int in
+    0..len(entries) - 1 that no other entry has.  Entries already in
+    index order, as `serialize` writes them, are not sorted."""
     size = len(entries)
     columns, rules = _fields(entries, "lines", ("index", "role"))
-    indices = columns[0] if columns else ()
-    placed = _INT.issuperset(map(type, indices)) and sorted(indices) == [*range(size)]
+    indices, kinds = columns or ((), ())
+    span = [*range(size)]
+    placed = _INT.issuperset(map(type, indices)) and (
+        indices == span or sorted(indices) == span
+    )
     index = lambda end: map(_INDEX, entries[:end])
 
     def outside(i, line):
@@ -508,12 +639,13 @@ def _lines(entries: list) -> list[LineRole]:
         (placed, lambda end: map(eq, map({}.setdefault, index(end), count()), count()),
          NetlistFormatError, "lines[{0}]: line {1[index]} defined twice".format),
     ])
-    entries = sorted(entries, key=_INDEX)
-    labels = map(dict.get, entries, repeat("label"))
-    return list(map(role_record, zip(map(_ROLE, entries), labels)))
+    if indices != span:
+        entries = sorted(entries, key=_INDEX)
+        kinds = map(_ROLE, entries)
+    return RoleColumns(kinds, map(dict.get, entries, repeat("label")))
 
 
-def _gates(entries: list) -> list[GateInstance]:
+def _gates(entries: list) -> GateColumns:
     """Each entry as a gate: a known kind name, and an array of pins."""
     columns, rules = _fields(entries, "gates", ("kind", "pins"))
     names, pins = columns or ((), ())
@@ -531,15 +663,16 @@ def _gates(entries: list) -> list[GateInstance]:
          NetlistFormatError, "gates[{0}]: pins must be an array".format),
     ])
     stages = map(dict.get, entries, repeat("stage"))
-    return list(map(gate_record, zip(kinds, map(tuple, pins), stages)))
+    return GateColumns(kinds, map(tuple, pins), stages)
 
 
 def deserialize(text: str) -> Netlist:
     """Parse the text format back into a netlist; inverse of serialize.
 
-    Maps the document to records and checks only what a record cannot
-    hold: the JSON syntax, the shape of each object, each line placed once
-    by its `index`, and gate kind names.  Each rule on the entries is a
+    Maps each array of the document to columns, with no record per
+    entry, and checks only what the columns cannot hold: the JSON syntax,
+    the shape of each object, each line placed once by its `index`, and
+    gate kind names.  Each rule on the entries is a
     column over an array that also names the first entry at fault
     (`_check`).  Every netlist rule, value types included, is left to
     `Netlist.validate`, whose errors come back as NetlistFormatError.
@@ -565,10 +698,9 @@ def deserialize(text: str) -> Netlist:
     entries = _require_list(doc, "outputs")
     outputs, rules = _fields(entries, "outputs", ("name", "line"))
     _check(entries, rules)
+    outputs = OutputColumns(*outputs)
     restored = _require_list(doc, "restored")
-
-    outputs = tuple(zip(*outputs))
     try:
-        return Netlist(width, tuple(roles), tuple(gates), outputs, restored)
+        return Netlist(width, roles, gates, outputs, restored)
     except RevbcdError as exc:
         raise NetlistFormatError(str(exc)) from exc

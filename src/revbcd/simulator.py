@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError
 from .gates import block
-from .netlist import GateInstance, Netlist, inverse
+from .netlist import ROLE_CONST1, GateColumns, Netlist, inverse
 
 EXHAUSTIVE_WIDTH_LIMIT = 20
 
@@ -58,26 +58,28 @@ class SimulationResult:
     restored_ok: bool
 
 
-def _block_end(gates: Sequence[GateInstance], start: int) -> int:
+def _block_end(gates: GateColumns, start: int) -> int:
     """Where the block that starts at gate `start` ends (exclusive)."""
-    first = gates[start].stage
-    stop = min(start + BLOCK_MAX, len(gates))
+    stages = gates.stages
+    first = stages[start]
+    stop = min(start + BLOCK_MAX, len(stages))
     for i in range(start + BLOCK_MIN, stop):
-        if gates[i].stage == first and gates[i - 1].stage != first:
+        if stages[i] == first and stages[i - 1] != first:
             return i
     return stop
 
 
-def _appliers(gates: Sequence[GateInstance]) -> list[Callable[[list[int]], None]]:
+def _appliers(gates: GateColumns) -> list[Callable[[list[int]], None]]:
     """One fused applier per block of `gates`, in order."""
     fns = []
     start = 0
-    while start < len(gates):
+    kinds, pins = gates.kinds, gates.pins
+    while start < len(kinds):
         end = _block_end(gates, start)
         slot: dict[int, int] = {}
         shape = tuple(
-            (g.kind, tuple([slot.setdefault(p, len(slot)) for p in g.pins]))
-            for g in gates[start:end]
+            (kind, tuple([slot.setdefault(p, len(slot)) for p in lines]))
+            for kind, lines in zip(kinds[start:end], pins[start:end])
         )
         fns.append(block(shape)(*slot))
         start = end
@@ -90,12 +92,9 @@ class CompiledNetlist:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self._fns = _appliers(netlist.gates)
-        base = []
-        for role in netlist.roles:
-            base.append(0 if role.is_input else role.const_value)
-        self.base_state = base
+        self.base_state = [int(kind == ROLE_CONST1) for kind in netlist.roles.kinds]
         self.label_to_line = netlist.label_map()
-        self.named = tuple(netlist.outputs)
+        self.named = tuple(zip(netlist.outputs.names, netlist.outputs.lines))
         self.restored = tuple(sorted(netlist.restored))
         self.inputs = tuple(netlist.input_lines())
 

@@ -421,6 +421,25 @@ class TestHostileArguments:
             2,
             "invalid int value: a 50000-character value",
         ),
+        "simulate-cin-choice": (
+            ("simulate", "--a", "1", "--b", "2", "--cin", "9" * 4000),
+            2,
+            "invalid choice: a 4000-character value (choose from 0, 1)",
+        ),
+        "verify-scope": (
+            ("verify", "--scope", "x" * 50_000), 2, "invalid choice: a 50000-character"
+        ),
+        "build-design": (
+            ("build", "--design", "x" * 50_000), 2, "invalid choice: a 50000-character"
+        ),
+        "compare-metric": (
+            ("compare", "--metric", "x" * 50_000), 2, "invalid choice: a 50000-character"
+        ),
+        "metrics-format": (
+            ("metrics", "--design", "pdfa", "--format", "x" * 50_000),
+            2,
+            "invalid choice: a 50000-character",
+        ),
         "ledger-delimiter": (
             (*LEDGER, "--delimiter", ";" * 50_000),
             2,

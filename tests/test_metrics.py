@@ -57,7 +57,7 @@ _AB = (input_role("a"), input_role("b"))
 
 def with_fg(nl, pins):
     """`nl` with one untagged Feynman gate appended."""
-    return replace(nl, gates=nl.gates + (GateInstance(GateKind.FG, pins),))
+    return replace(nl, gates=(*nl.gates, GateInstance(GateKind.FG, pins)))
 
 
 class TestStructural:

@@ -6,7 +6,9 @@ always written and reloads to the same netlist.  The constructor's rule
 columns and the loader's entry columns raise the error type and message
 that the entry-by-entry loops below, the reference, raise: the first
 entry at fault, and within it the first rule it breaks.  The line and
-gate columns alone agree with the line and gate loops.
+gate columns alone agree with the line and gate loops.  A netlist made
+from columns (an adder's stamp, a loaded document) is the netlist made
+from the same records.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from revbcd.designs import build_design
 from revbcd.errors import (
     ArityError,
     DesignationError,
@@ -136,6 +139,50 @@ def _check_records(args) -> bool:
 @given(near_valid_netlist_args())
 def test_records_make_a_netlist_that_reloads_or_fail_typed(args):
     _check_records(args)
+
+
+# -- one netlist, whichever path made it ---------------------------------------
+
+
+@st.composite
+def adders(draw):
+    design = draw(st.sampled_from(("pdfa", "dec-rca", "dec-csk")))
+    return build_design(design, 1 if design == "pdfa" else draw(st.integers(1, 6)))
+
+
+def _assert_one_netlist(columns, records):
+    """A netlist made from columns and one made from records are the same
+    netlist: equal, hashed equal, with the same records of the same types
+    in `roles`, `gates` and `outputs`, and the same serialized bytes."""
+    assert columns == records and hash(columns) == hash(records)
+    for field in ("roles", "gates", "outputs"):
+        made, given = [*getattr(columns, field)], [*getattr(records, field)]
+        assert made == given and [*map(type, made)] == [*map(type, given)]
+    assert serialize(columns) == serialize(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(adders())
+def test_built_columns_make_the_records_netlist(built):
+    """An adder's stamped columns (`designs._adder`) against its records
+    handed to the constructor as lists."""
+    records = Netlist(
+        built.width, [*built.roles], [*built.gates], [*built.outputs],
+        [*built.restored],
+    )
+    _assert_one_netlist(built, records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_records(), st.randoms(use_true_random=False))
+def test_loaded_columns_make_the_records_netlist(fields, rng):
+    """A document's columns (`deserialize`), its lines shuffled or not,
+    against the records the document was written from."""
+    records = Netlist(**fields)
+    doc = json.loads(serialize(records))
+    if rng.random() < 0.5:
+        rng.shuffle(doc["lines"])
+    _assert_one_netlist(deserialize(json.dumps(doc)), records)
 
 
 # -- the reference: the rules as entry-by-entry loops -------------------------
@@ -303,8 +350,13 @@ def test_constructor_errors_match_the_reference_loops(args):
         assert made == want
 
 
+def _columns(records, fields):
+    """The records' columns, as `Netlist` holds them."""
+    return tuple(zip(*records)) or ((),) * fields
+
+
 def _check_gates(gates, width):
-    for rules in _gate_rules(gates, width):
+    for rules in _gate_rules(*_columns(gates, 3), width):
         _check(gates, rules)
 
 
@@ -330,7 +382,7 @@ def test_line_columns_imply_the_line_loop(args):
     """Where the line columns pass, the per-line loop, the reference,
     finds no fault; where they fail, it raises the same error."""
     roles = args["roles"]
-    assert _outcome(lambda: _check(roles, _line_rules(roles))) == _outcome(
+    assert _outcome(lambda: _check(roles, _line_rules(*_columns(roles, 2)))) == _outcome(
         lambda: reference_lines(roles)
     )
 
@@ -344,7 +396,7 @@ def test_line_columns_reject_what_the_loop_accepts():
         (LineRole("input", "a"), LineRole("const0", None)),
         (LineRole("input", "a"), LineRole("const1", "a")),
     ):
-        rules = _line_rules(roles)
+        rules = _line_rules(*_columns(roles, 2))
         assert not all(settled for settled, *_ in rules)
         _check(roles, rules)
         reference_lines(roles)

@@ -81,7 +81,7 @@ def one_gate(kind):
 
 def with_fg(nl, pins):
     """`nl` with one Feynman gate appended."""
-    return replace(nl, gates=nl.gates + (GateInstance(GateKind.FG, pins),))
+    return replace(nl, gates=(*nl.gates, GateInstance(GateKind.FG, pins)))
 
 
 def random_netlist(rng, width, gates, prefix="x"):
