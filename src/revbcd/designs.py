@@ -379,6 +379,11 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
 
     Input labels and output names carry the digit suffix ``.j`` unless
     `suffixed` is false (the single-digit pdfa); constant labels always do.
+
+    The operand layout is `ledger.AdderPort`'s contract: a0..a3 then
+    b0..b3 of digit j on lines 8j..8j+7, the carry-in on line 8n, and the
+    restored lines exactly 0..8n-1.  The port checks it once and then
+    writes and checks the operands as one slice of the line state.
     """
     if n < 1:
         raise InvalidArgumentError("digit count must be at least 1")

@@ -13,8 +13,9 @@ import csv
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import itemgetter, or_, xor
 from pathlib import Path
 from typing import Sequence
 
@@ -67,9 +68,12 @@ def decimal_text(amount: int) -> str:
 
 def encode(amount: int, width: int) -> str:
     """`amount` as `width` decimal digits, most significant first, zero
-    padded: the scalar operand of AdderPort and bcd_add."""
+    padded: the scalar operand of AdderPort and bcd_add.  An amount that
+    is not an int, or is a bool, is an InvalidArgumentError."""
     if width < 1:
         raise InvalidArgumentError("width must be at least 1")
+    if not isinstance(amount, int) or isinstance(amount, bool):
+        raise InvalidArgumentError(f"amount must be an int, got {shown(amount)}")
     if amount < 0 or amount >= 10**width:
         named = _shown_amount(amount)
         raise CapacityError(f"{named} does not fit in {width} BCD digits")
@@ -83,7 +87,10 @@ def _shown_amount(amount: int) -> str:
 
 
 def decode(text: str) -> int:
-    """The value of a digit string such as encode returns."""
+    """The value of a digit string such as encode returns.  Text that is
+    not ASCII digits is an InvalidArgumentError."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise InvalidArgumentError(f"not a digit string: {shown(text)}")
     return _text_value(text)
 
 
@@ -132,9 +139,20 @@ def text_lanes(text: str, width: int) -> list[int]:
     return [column >> i & mask for column in columns for i in range(4)]
 
 
-# An ASCII digit's byte is 0x30 | its BCD nibble, so bits 0..3 of the byte
-# are the digit's four bits.  Indexed by byte value.
-_NIBBLES = tuple(tuple(byte >> i & 1 for i in range(4)) for byte in range(58))
+# Bit strings as one byte per bit, and back.
+_BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")
+_BIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bcd_digits(bits: str | bytes) -> str:
+    """The digit string of 4N bits written most significant first: read
+    as one binary number, its hex digits are the decimal digits.  A
+    nibble above 9 raises InvalidBCDError, naming the lowest such."""
+    digits = format(int(bits, 2), "x").zfill(len(bits) // 4)
+    if not digits.isdigit():
+        bad = next(c for c in reversed(digits) if c > "9")
+        raise InvalidBCDError(f"digit {int(bad, 16)} outside 0..9")
+    return digits
 
 
 class AdderPort:
@@ -144,45 +162,73 @@ class AdderPort:
     sum bit i the output ``S{i}.{j}`` (no ``.{j}`` on the single-digit
     pdfa); ``cin`` and ``dC`` are the carries.  A netlist that lacks one
     of these lines is not an adder, and InvalidArgumentError names the
-    first one missing.  Scalar operands and sums are digit strings as
-    encode returns them.
+    first one missing.  The operands must lie as ``designs._adder`` lays
+    them out, and InvalidArgumentError names the first line that does
+    not: a0..a3 then b0..b3 of digit j on lines 8j..8j+7, ``cin`` on line
+    8N, and the restored lines exactly 0..8N-1.  So the 8N operand bits
+    are one slice of the line state, written and checked whole.  Scalar
+    operands and sums are digit strings as encode returns them.
     """
 
     def __init__(self, compiled: CompiledNetlist):
         self.compiled = compiled
         labels, named = compiled.label_to_line, dict(compiled.named)
-        self.width = max(1, len(labels) // 8)  # eight operand bits a digit, plus cin
-        digits = [""] if "a0" in labels else [f".{j}" for j in range(self.width)]
+        n = self.width = max(1, len(labels) // 8)  # eight bits a digit, plus cin
+        digits = [""] if "a0" in labels else [f".{j}" for j in range(n)]
 
-        def quads(lines, stem):
-            return [[lines[f"{stem}{i}{d}"] for i in range(4)] for d in digits]
+        # The label sequences are made again for each pass, not held: at
+        # N=1024, held as lists, they raised the constructor's peak memory
+        # from 0.5 to 1.2 MB.
+        def layout():  # the input labels in line order
+            ops = (f"{op}{i}{d}" for d in digits for op in "ab" for i in range(4))
+            return chain(ops, ["cin"])
 
-        try:  # in this order, so the first missing line is named
-            self._a_lines, self._b_lines = quads(labels, "a"), quads(labels, "b")
-            self._cin_line = labels["cin"]
-            self._sum_lines = quads(named, "S")
-            self._carry_line = named["dC"]
-        except KeyError as exc:
-            raise InvalidArgumentError(f"not a BCD adder: no line {exc}") from None
-        self._restored = compiled.restored
+        def sums():  # the sum names in lane order: bit i of digit j at 4j+i
+            return (f"S{i}{d}" for d in digits for i in range(4))
+
+        for lines, wanted in ((labels, layout()), (named, chain(sums(), ["dC"]))):
+            missing = next((key for key in wanted if key not in lines), None)
+            if missing is not None:
+                raise InvalidArgumentError(f"not a BCD adder: no line {missing!r}")
+        for line, label in enumerate(layout()):
+            if labels[label] != line:
+                raise InvalidArgumentError(
+                    f"not a BCD adder: input {label!r} on line {labels[label]}, "
+                    f"not {line}"
+                )
+        # Sorted and distinct, so 8N of them ending at 8N-1 are 0..8N-1.
+        restored = compiled.restored
+        if len(restored) != 8 * n or restored[-1] != 8 * n - 1:
+            line = min(set(restored) ^ set(range(8 * n)))
+            raise InvalidArgumentError(
+                f"not a BCD adder: line {line} is "
+                + ("not restored" if line < 8 * n else "restored")
+            )
+        sum_lines = list(map(named.__getitem__, sums()))
+        self._sum_lines = [sum_lines[4 * j : 4 * j + 4] for j in range(n)]
+        self._carry_line = named["dC"]
+        # The sum bits in lane order; reversed, one binary number whose hex
+        # digits are the sum's decimal digits.
+        self._sums = itemgetter(*sum_lines)
+        self._constants = compiled.base_state[8 * n + 1 :]  # the lines past cin
 
     def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
         """A fresh line state holding the operands and the carry-in."""
         if type(cin) not in (int, bool) or cin not in (0, 1):
             raise InvalidArgumentError(f"carry-in must be 0 or 1, got {cin!r}")
-        for text in (a, b):
-            if len(text) != self.width or not (text.isascii() and text.isdecimal()):
-                raise InvalidArgumentError(
-                    f"operands must be strings of {self.width} ASCII digits"
-                )
-        state = self.compiled.fresh_state()
-        for (a0, a1, a2, a3), (b0, b1, b2, b3), da, db in zip(
-            self._a_lines, self._b_lines, a.encode()[::-1], b.encode()[::-1]
+        if len(a) != self.width or len(b) != self.width or not (
+            (a + b).isascii() and (a + b).isdecimal()
         ):
-            state[a0], state[a1], state[a2], state[a3] = _NIBBLES[da]
-            state[b0], state[b1], state[b2], state[b3] = _NIBBLES[db]
-        state[self._cin_line] = cin
-        return state
+            raise InvalidArgumentError(
+                f"operands must be strings of {self.width} ASCII digits"
+            )
+        # An ASCII digit read in base 16 is its BCD nibble, so the digits
+        # paired b, a from the most significant read as one number whose
+        # byte j holds a0..a3 then b0..b3 of digit j, from its low bit.
+        pairs = bytearray(2 * self.width)
+        pairs[0::2], pairs[1::2] = b.encode(), a.encode()
+        bits = format(int(pairs, 16), "b").zfill(8 * self.width)
+        return [*bits[::-1].encode().translate(_BYTE_OF_BIT), cin, *self._constants]
 
     def add_lanes(
         self, a: Sequence[int], b: Sequence[int], cin: int, mask: int
@@ -198,18 +244,16 @@ class AdderPort:
             raise InvalidArgumentError(
                 f"lane counts {len(a)}, {len(b)} != {4 * self.width}"
             )
+        n8 = 8 * self.width
+        initial = [0] * n8
+        for i in range(4):  # bit i of every digit at once
+            initial[i::8], initial[4 + i :: 8] = a[i::4], b[i::4]
         state = self.compiled.fresh_state(mask)
-        for quads, lanes in ((self._a_lines, a), (self._b_lines, b)):
-            for line, lane in zip(chain.from_iterable(quads), lanes):
-                state[line] = lane
-        state[self._cin_line] = cin
-        initial = [state[line] for line in self._restored]
+        state[:n8] = initial
+        state[n8] = cin
         self.compiled.run_state(state, mask)
-        moved = 0
-        for line, before in zip(self._restored, initial):
-            moved |= state[line] ^ before
-        sums = [state[line] for line in chain.from_iterable(self._sum_lines)]
-        return sums, state[self._carry_line], moved
+        moved = reduce(or_, map(xor, state[:n8], initial), 0)
+        return list(self._sums(state)), state[self._carry_line], moved
 
     def add(self, a: str, b: str, cin: int = 0) -> tuple[str, int, bool]:
         """Simulate one addition; returns (sum, carry, restored_ok).
@@ -218,20 +262,11 @@ class AdderPort:
         nibble is above 9.
         """
         state = self.pack(a, b, cin)
-        initial = [state[line] for line in self._restored]
+        n8 = 8 * self.width
+        initial = state[:n8]
         self.compiled.run_state(state)
-        total = bytes([  # least significant digit first
-            0x30 | state[s0] | state[s1] << 1 | state[s2] << 2 | state[s3] << 3
-            for s0, s1, s2, s3 in self._sum_lines
-        ])
-        if max(total) > 0x39:
-            bad = next(byte for byte in total if byte > 0x39)
-            raise InvalidBCDError(f"digit {bad & 15} outside 0..9")
-        ok = [state[line] for line in self._restored] == initial
-        return total[::-1].decode(), state[self._carry_line], ok
-
-    # Reversed, a 4-per-digit bit string is one binary number whose hex
-    # digits are the decimal digits, most significant first.
+        bits = bytes(self._sums(state))[::-1].translate(_BIT_OF_BYTE)
+        return _bcd_digits(bits), state[self._carry_line], state[:n8] == initial
 
     @staticmethod
     def from_bits(text: str) -> str:
@@ -239,11 +274,7 @@ class AdderPort:
         digit, least significant digit first."""
         if not text or len(text) % 4 or set(text) - {"0", "1"}:
             raise InvalidArgumentError(f"not a 4-per-digit bit string: {shown(text)}")
-        digits = format(int(text[::-1], 2), "x").zfill(len(text) // 4)
-        if not digits.isdigit():
-            bad = next(c for c in reversed(digits) if c > "9")
-            raise InvalidBCDError(f"digit {int(bad, 16)} outside 0..9")
-        return digits
+        return _bcd_digits(text[::-1])
 
     @staticmethod
     def to_bits(text: str) -> str:
@@ -308,19 +339,18 @@ class IngestDiagnostics:
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
-_AMOUNT_RE = re.compile(r"^(-)?\$?(-)?(\d{1,3}(?:,\d{3})*|\d+)(?:\.(\d{1,2}))?$")
+_AMOUNT_RE = re.compile(r"(-?)\$?(-?)(\d{1,3}(?:,\d{3})*|\d+)(?:\.(\d{1,2}))?")
 
 
 def parse_amount(text: str) -> int:
     """Parse "$12.34", "12.34", "-5.00", "1,234.5" to signed cents."""
-    m = _AMOUNT_RE.match(text.strip())
-    if not m or m[1] and m[2]:  # one minus sign at most
+    m = _AMOUNT_RE.fullmatch(text.strip())
+    if m is None or m[1] and m[2]:  # one minus sign at most
         raise LedgerFormatError(f"malformed amount {shown(text)}")
     neg1, neg2, whole, frac = m.groups()
-    cents = _text_value(whole.replace(",", "")) * 100
-    if frac:
-        cents += int(frac.ljust(2, "0"))
-    return -cents if (neg1 or neg2) else cents
+    # The whole units then two cents digits: the amount in cents.
+    cents = _text_value(whole.replace(",", "") + (frac or "").ljust(2, "0"))
+    return -cents if neg1 or neg2 else cents
 
 
 def ingest_csv(
@@ -328,10 +358,11 @@ def ingest_csv(
 ) -> tuple[list[LedgerRecord], IngestDiagnostics]:
     """Parse ledger rows from a CSV file with a required header.
 
+    The header must name the group and amount columns once each.
     Strict mode aborts at the first bad row; lenient mode skips bad rows
-    and counts them in the diagnostics, with 1-based data row numbers.
-    A file that is not UTF-8 or that csv cannot split is an error in
-    either mode.
+    and counts them in the diagnostics, with 1-based data row numbers;
+    blank lines are skipped and not numbered.  A file that is not UTF-8
+    or that csv cannot split is an error in either mode.
     """
     path = Path(path)
     diags = IngestDiagnostics()
@@ -340,30 +371,36 @@ def ingest_csv(
     # NUL byte) end the read in lenient mode too: no later row is trusted.
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle, delimiter=config.delimiter)
-            header = reader.fieldnames
+            reader = csv.reader(handle, delimiter=config.delimiter)
+            header = next(reader, None)
             if header is None:
                 raise LedgerFormatError("file has no header row")
             for col in (config.group_column, config.amount_column):
-                if col not in header:
+                count = header.count(col)
+                if count != 1:
+                    place = f"named {count} times in" if count else "not in"
                     raise LedgerFormatError(
-                        f"column {shown(col)} not in header {shown(header)}"
+                        f"column {shown(col)} {place} header {shown(header)}"
                     )
-            for row_no, row in enumerate(reader, start=1):
-                diags.rows_read += 1
+            group_at = header.index(config.group_column)
+            amount_at = header.index(config.amount_column)
+            # Blank lines read as empty rows; they are skipped, not numbered.
+            row_no = 0
+            for row_no, row in enumerate(filter(None, reader), start=1):
                 try:
-                    group = (row[config.group_column] or "").strip()
+                    group = row[group_at].strip() if group_at < len(row) else ""
                     if not group:
                         raise LedgerFormatError("empty group key")
-                    raw = row[config.amount_column]
-                    if raw is None:
+                    if amount_at >= len(row):
                         raise LedgerFormatError("missing amount field")
-                    records.append(LedgerRecord(group, abs(parse_amount(raw))))
-                    diags.rows_kept += 1
+                    amount = abs(parse_amount(row[amount_at]))
+                    records.append(LedgerRecord(group, amount))
                 except LedgerFormatError as exc:  # raised without a row
                     if config.strict:
                         raise LedgerFormatError(str(exc), row_no) from exc
                     diags.skipped.append((row_no, str(exc)))
+            diags.rows_read = row_no
+            diags.rows_kept = len(records)
     except UnicodeDecodeError as exc:
         # The reader decodes in chunks, so exc.start counts from the start
         # of one; decoding the whole file again names the absolute byte.

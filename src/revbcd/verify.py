@@ -9,10 +9,10 @@ parse of a digit column gives its four bit lanes).  Adder vectors are
 checked in lane batches (one simulator pass per design and batch of up
 to 2^14 vectors) against native integer addition, and a failing check
 names its first failing vector.  The oracle adds a whole batch at once:
-every vector's operands sit in decimal fields behind a zero guard digit,
-so one int addition covers many vectors and no carry crosses a field
-(Lamport's guarded field packing, in base 10); no Python step of the
-check runs per vector.
+every vector's operands sit in BCD fields behind a zero guard digit,
+read as hexadecimal, so one binary addition covers every vector and no
+carry crosses a field (Lamport's guarded field packing); no Python step
+of the check runs per vector.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class DigitStream:
 # A carry-in digit's parity as an ASCII digit: 0 for an even digit, 1 for odd.
 _PARITY = bytes.maketrans(b"0123456789", b"0101010101")
 
-# Digits per int in _native_sums: CPython converts int <-> str in time
-# quadratic in the length, so chunks of a few hundred digits add fastest.
-_CHUNK_DIGITS = 256
-
-
 def _native_sums(records: str, n: int) -> str:
     """Native addition of a batch of digit records, as one decimal text.
 
@@ -108,25 +103,29 @@ def _native_sums(records: str, n: int) -> str:
     field k is str(a + b + cin).zfill(n + 1).
 
     Each operand is written into an (n+1)-digit field behind a zero guard
-    digit, and whole runs of fields are added as one int: a field's sum
-    is at most 2*10^n - 1, so no carry crosses into the next field.
+    digit, and the fields are read as hexadecimal, one nibble a digit, and
+    added as three ints: BCD addition in binary.  Every nibble of a is
+    biased by 6 first, so a digit sum of ten or more carries out of its
+    nibble; each nibble that sent no carry has the 6 taken back.  The
+    guard nibble never carries, so no carry crosses into the next field.
+    Every step is linear in the batch size.
     """
     stride, field = 2 * n + 1, n + 1
     raw = records.encode()
     size = len(raw) // stride * field
+    if not size:
+        return ""
     a, b, c = (bytearray(b"0" * size) for _ in range(3))
     for j in range(n):
         a[1 + j :: field] = raw[j::stride]
         b[1 + j :: field] = raw[n + j :: stride]
     c[n::field] = raw[2 * n :: stride].translate(_PARITY)
-    chunk = max(1, _CHUNK_DIGITS // field) * field
-    return "".join(
-        [
-            str(int(a[i : i + chunk]) + int(b[i : i + chunk]) + int(c[i : i + chunk]))
-            .zfill(min(chunk, size - i))
-            for i in range(0, size, chunk)
-        ]
-    )
+    nibbles = lane_mask(size)  # 1 in every nibble
+    biased, addend = int(a, 16) + 6 * nibbles, int(b, 16) + int(c, 16)
+    total = biased + addend
+    # The carries into each bit; bit 4j+4 is the carry out of nibble j.
+    carried = (total ^ biased ^ addend) >> 4 & nibbles
+    return format(total - 6 * (nibbles ^ carried), "x").zfill(size)
 
 
 def _check_additions(

@@ -725,6 +725,19 @@ class TestLedger:
         )
         assert code == 3
 
+    def test_amount_column_named_twice_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "tx.csv"
+        path.write_text("client_id,amount,amount\nu1,1.00,2.00\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "ledger", "--csv", str(path), "--group-col", "client_id",
+            "--amount-col", "amount", capsys=capsys,
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "error: column 'amount' named 2 times in header "
+            "['client_id', 'amount', 'amount']\n"
+        )
+
     @pytest.mark.parametrize("delimiter", ("", ";;"))
     def test_delimiter_not_one_character_usage_error(self, tmp_path, capsys, delimiter):
         path = tmp_path / "tx.csv"

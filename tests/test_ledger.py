@@ -99,6 +99,20 @@ class TestCodec:
             encode(amount, 1)
         assert str(info.value) == f"{want} does not fit in 1 BCD digits"
 
+    @pytest.mark.parametrize("amount", (True, False, 1.5, 1e30, -1.0, None, "12"), ids=repr)
+    def test_encode_rejects_what_is_not_an_int(self, amount):
+        with pytest.raises(InvalidArgumentError, match="^amount must be an int, got "):
+            encode(amount, 3)
+
+    @pytest.mark.parametrize("text", ("1_0", " 12", "+7", "12 ", "", "\u0663", "1.0"))
+    def test_decode_rejects_what_is_not_ascii_digits(self, text):
+        with pytest.raises(InvalidArgumentError, match="^not a digit string: "):
+            decode(text)
+
+    def test_decode_rejects_a_non_string(self):
+        with pytest.raises(InvalidArgumentError, match="^not a digit string: 12$"):
+            decode(12)
+
     @pytest.mark.parametrize("amount", (0, 7, -7, 10**20, -(10**999), 10**1000 + 5))
     def test_decimal_text_equals_str(self, amount):
         assert decimal_text(amount) == str(amount)
@@ -409,6 +423,30 @@ class TestIngest:
         path = self.write(tmp_path, "user;amount\nu1;4.50\n")
         records, _ = ingest_csv(path, self.config(delimiter=";"))
         assert records == [LedgerRecord("u1", 450)]
+
+    @pytest.mark.parametrize("header", ("user,amount,amount", "user,amount,user"))
+    @pytest.mark.parametrize("strict", (True, False))
+    def test_column_named_twice_rejected(self, tmp_path, header, strict):
+        """A header that names the group or amount column twice says which
+        column, in either mode, rather than reading one of the two."""
+        path = self.write(tmp_path, f"{header}\nu1,1.00,2.00\n")
+        col = header.rsplit(",", 1)[1]
+        with pytest.raises(LedgerFormatError) as info:
+            ingest_csv(path, self.config(strict=strict))
+        assert str(info.value) == (
+            f"column {col!r} named 2 times in header {header.split(',')!r}"
+        )
+        assert info.value.row is None
+
+    def test_other_columns_may_repeat(self, tmp_path):
+        path = self.write(tmp_path, "note,user,note,amount\nx,u1,y,1.00\n")
+        records, _ = ingest_csv(path, self.config())
+        assert records == [LedgerRecord("u1", 100)]
+
+    def test_one_column_for_group_and_amount(self, tmp_path):
+        path = self.write(tmp_path, "user\n12\n")
+        records, _ = ingest_csv(path, CsvConfig("user", "user"))
+        assert records == [LedgerRecord("12", 1200)]
 
 
 class TestSumLedger:

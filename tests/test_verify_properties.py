@@ -1,7 +1,8 @@
 """Property tests for verify's native-addition oracle (needs hypothesis).
 
-`verify._native_sums` adds a batch of digit records as guarded decimal
-fields; each field must read as the vector's own sum, carry digit first.
+`verify._native_sums` adds a batch of digit records as guarded BCD
+fields in one binary addition; each field must read as the vector's own
+sum, carry digit first.
 """
 
 import pytest
