@@ -11,7 +11,7 @@ csv_path = generate_synthetic_csv(workdir / "transactions.csv",
                                   rows=2000, groups=800, seed=1)
 print(f"synthesized {csv_path}")
 print("sample rows:")
-for line in csv_path.read_text().splitlines()[:4]:
+for line in csv_path.read_text(encoding="utf-8").splitlines()[:4]:
     print("  " + line)
 
 config = CsvConfig(group_column="client_id", amount_column="amount")

@@ -26,6 +26,7 @@ from .errors import (
     LedgerFormatError,
     NetlistFormatError,
     RevbcdError,
+    positive,
     shown,
 )
 from .ledger import (
@@ -240,9 +241,7 @@ def _parse_operands(args) -> tuple[str, str, int]:
 
 def cmd_simulate(args) -> int:
     a, b, fitted = _parse_operands(args)
-    n = fitted if args.digits is None else args.digits
-    if n < 1:
-        raise InvalidArgumentError("width must be at least 1")
+    n = positive(fitted if args.digits is None else args.digits, "width")
     if n > MAX_DIGITS:
         raise InvalidArgumentError(
             f"operands of {n} digits exceed the limit of {MAX_DIGITS}"

@@ -25,7 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import designs
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, positive, shown
 from .metrics import MetricReport, metric_decomposition, total
 
 METRICS = ("ci", "go", "qc", "delay")
@@ -76,11 +76,10 @@ def display_name(name: str) -> str:
 def metric_value(name: str, metric: str, n: int) -> int:
     """One metric of a named model at digit count n."""
     if name not in MODELS:
-        raise InvalidArgumentError(f"unknown design {name!r}")
-    if n < 1:
-        raise InvalidArgumentError("digit count must be at least 1")
+        raise InvalidArgumentError(f"unknown design {shown(name)}")
+    positive(n, "digit count")
     if metric not in METRICS:
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
+        raise InvalidArgumentError(f"unknown metric {shown(metric)}")
     slope, intercept = MODELS[name][metric]
     return slope * n + intercept
 
@@ -118,7 +117,7 @@ def improvement(
         raise InvalidArgumentError("need at least one digit count")
     if len(set(ns)) != len(ns):
         raise InvalidArgumentError(
-            f"each digit count must appear once, got {list(ns)}"
+            f"each digit count must appear once, got {shown(list(ns))}"
         )
     per_n: dict[int, Fraction] = {}
     for n in ns:
@@ -167,8 +166,6 @@ class CostTable:
 
 
 def cost_table(metric: str, ns: tuple[int, ...] = TABLE_NS) -> CostTable:
-    if not ns:
-        raise InvalidArgumentError("need at least one digit count")
     ns = tuple(ns)
     cells = {(c, n): metric_value(c, metric, n) for c in TABLE_COLUMNS for n in ns}
     improvements = {p: improvement(p, ns, metric) for p in PROPOSED}

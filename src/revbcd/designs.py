@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .errors import InvalidArgumentError, InvalidBCDError
+from .errors import InvalidArgumentError, InvalidBCDError, positive, shown
 from .gates import GateKind
 from .netlist import (
     ROLE_INPUT,
@@ -88,7 +88,7 @@ def decimal_propagate(da: int, db: int) -> int:
     """
     for d in (da, db):
         if not 0 <= d <= 9:
-            raise InvalidBCDError(f"digit {d!r} outside 0..9")
+            raise InvalidBCDError(f"digit {shown(d)} outside 0..9")
     p = da ^ db
     g = da & db
     p0 = p & 1
@@ -385,8 +385,7 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     restored lines exactly 0..8n-1.  The port checks it once and then
     writes and checks the operands as one slice of the line state.
     """
-    if n < 1:
-        raise InvalidArgumentError("digit count must be at least 1")
+    positive(n, "digit count")
     consts, cell_gates, sums, carries = _cell(digit, threads)
     c = len(consts)
     base = 8 * n + 1  # digit 0's first constant; the carry-in is base - 1
@@ -460,10 +459,10 @@ def build_design(name: str, digits: int = 1) -> Netlist:
         builder = DESIGN_BUILDERS[name]
     except KeyError:
         raise InvalidArgumentError(
-            f"unknown design {name!r}; known: {', '.join(sorted(DESIGN_BUILDERS))}"
+            f"unknown design {shown(name)}; known: {', '.join(sorted(DESIGN_BUILDERS))}"
         )
     if name in ADDER_DESIGNS:
         return builder(digits)
-    if digits != 1:
-        raise InvalidArgumentError(f"design {name!r} is single-digit only")
+    if positive(digits, "digit count") != 1:
+        raise InvalidArgumentError(f"design {shown(name)} is single-digit only")
     return builder()

@@ -1,11 +1,31 @@
-"""Exception types shared across the toolkit, and how an error names a value."""
+"""Exception types shared across the toolkit, how an error names a value,
+and the one rule for a count."""
 
 
-def shown(value: object) -> str:
-    """`value` as an error names it: its repr (a text quoted), or past 40
-    characters of text by that length, so a huge value cannot flood stderr."""
-    text = str(value)
-    return repr(value) if len(text) <= 40 else f"a {len(text)}-character value"
+def shown(value: object, form=repr) -> str:
+    """`value` as an error names it: `form(value)` (repr: a text quoted),
+    or past 40 characters by that length, an int by its digits (counted
+    without str()), so a huge value cannot flood stderr."""
+    if isinstance(value, int) and not -(10**39) < value < 10**40:
+        size = abs(value)
+        digits = size.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
+        while size < 10 ** (digits - 1):
+            digits -= 1
+        return f"a {digits + (value < 0)}-digit value"
+    try:
+        text = str(value)
+    except ValueError:  # say, a tuple that holds an int past str()'s limit
+        return "a value too large to show"
+    return form(value) if len(text) <= 40 else f"a {len(text)}-character value"
+
+
+def positive(value: object, what: str) -> int:
+    """`value` as a count: an int, not a bool, of at least 1."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{what} must be an int, got {shown(value)}")
+    if value < 1:
+        raise InvalidArgumentError(f"{what} must be at least 1")
+    return value
 
 
 class RevbcdError(Exception):

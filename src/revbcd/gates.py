@@ -51,7 +51,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from .errors import ArityError
+from .errors import ArityError, shown
 
 
 class GateKind(str, Enum):
@@ -154,7 +154,7 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
     if len(bits) != want:
         raise ArityError(f"{kind} expects {want} bits, got {len(bits)}")
     if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
-        raise ArityError(f"{kind} input must be 0/1 bits: {bits!r}")
+        raise ArityError(f"{kind} input must be 0/1 bits: {shown(bits)}")
     state = [*bits, 1]  # mask 1: one vector
     pins = tuple(range(want))
     block(((kind, pins),))(*pins)(state)

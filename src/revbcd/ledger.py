@@ -25,9 +25,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidBCDError,
     LedgerFormatError,
+    positive,
     shown,
 )
-from .simulator import CompiledNetlist, compile_netlist
+from .simulator import _BYTE_OF_BIT, CompiledNetlist, compile_netlist
 
 DEFAULT_WIDTH = 16  # digits; headroom for folded sums of thousands of rows
 
@@ -70,20 +71,12 @@ def encode(amount: int, width: int) -> str:
     """`amount` as `width` decimal digits, most significant first, zero
     padded: the scalar operand of AdderPort and bcd_add.  An amount that
     is not an int, or is a bool, is an InvalidArgumentError."""
-    if width < 1:
-        raise InvalidArgumentError("width must be at least 1")
+    positive(width, "width")
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise InvalidArgumentError(f"amount must be an int, got {shown(amount)}")
     if amount < 0 or amount >= 10**width:
-        named = _shown_amount(amount)
-        raise CapacityError(f"{named} does not fit in {width} BCD digits")
+        raise CapacityError(f"{shown(amount)} does not fit in {width} BCD digits")
     return _padded_text(amount, width)
-
-
-def _shown_amount(amount: int) -> str:
-    """`amount` in decimal, or past 40 digits by its count (errors.shown)."""
-    text = decimal_text(amount)
-    return text if len(text) <= 40 else f"a {len(text)}-digit value"
 
 
 def decode(text: str) -> int:
@@ -122,8 +115,7 @@ def text_lanes(text: str, width: int) -> list[int]:
     that is not ASCII digits or not whole operands, raise
     InvalidArgumentError.
     """
-    if width < 1:
-        raise InvalidArgumentError("width must be at least 1")
+    positive(width, "width")
     if len(text) % width:
         raise InvalidArgumentError(
             f"{len(text)} digits are not whole {width}-digit records"
@@ -139,8 +131,6 @@ def text_lanes(text: str, width: int) -> list[int]:
     return [column >> i & mask for column in columns for i in range(4)]
 
 
-# Bit strings as one byte per bit, and back.
-_BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")
 _BIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -204,18 +194,16 @@ class AdderPort:
                 f"not a BCD adder: line {line} is "
                 + ("not restored" if line < 8 * n else "restored")
             )
-        sum_lines = list(map(named.__getitem__, sums()))
-        self._sum_lines = [sum_lines[4 * j : 4 * j + 4] for j in range(n)]
         self._carry_line = named["dC"]
         # The sum bits in lane order; reversed, one binary number whose hex
         # digits are the sum's decimal digits.
-        self._sums = itemgetter(*sum_lines)
+        self._sums = itemgetter(*map(named.__getitem__, sums()))
         self._constants = compiled.base_state[8 * n + 1 :]  # the lines past cin
 
     def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
         """A fresh line state holding the operands and the carry-in."""
         if type(cin) not in (int, bool) or cin not in (0, 1):
-            raise InvalidArgumentError(f"carry-in must be 0 or 1, got {cin!r}")
+            raise InvalidArgumentError(f"carry-in must be 0 or 1, got {shown(cin)}")
         if len(a) != self.width or len(b) != self.width or not (
             (a + b).isascii() and (a + b).isdecimal()
         ):
@@ -282,7 +270,7 @@ class AdderPort:
         return format(int(text, 16), "b").zfill(4 * len(text))[::-1]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def cached_adder(design: str, width: int) -> AdderPort:
     """The port of the compiled `design` adder at `width` digits, built once.
 
@@ -455,14 +443,12 @@ def sum_ledger(
     Raises CapacityError naming the group if a fold overflows the digit
     width; group order in the report is sorted by key.
     """
-    if width < 1:
-        raise InvalidArgumentError("width must be at least 1")
-    limit = 10**width
+    limit = 10 ** positive(width, "width")
     grouped: dict[str, list[int]] = {}
     for rec in records:
         if rec.amount_cents >= limit:
             raise CapacityError(
-                f"group {shown(rec.group)}: amount {_shown_amount(rec.amount_cents)} "
+                f"group {shown(rec.group)}: amount {shown(rec.amount_cents)} "
                 f"exceeds {width} digits"
             )
         grouped.setdefault(rec.group, []).append(rec.amount_cents)

@@ -30,6 +30,7 @@ netlist serializes to a document that `deserialize` reads back equal.
 from __future__ import annotations
 
 import json
+import string
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import suppress
@@ -48,6 +49,7 @@ from .errors import (
     LineIndexError,
     NetlistFormatError,
     RevbcdError,
+    shown,
 )
 from .gates import ALL_KINDS, GateKind, arity, undo_steps
 
@@ -81,14 +83,6 @@ class LineRole(NamedTuple):
     def is_input(self) -> bool:
         return self.kind == ROLE_INPUT
 
-    @property
-    def const_value(self) -> int:
-        if self.kind == ROLE_CONST0:
-            return 0
-        if self.kind == ROLE_CONST1:
-            return 1
-        raise InvalidArgumentError(f"line role {self.kind!r} is not a constant")
-
 
 def input_role(label: str) -> LineRole:
     return LineRole(ROLE_INPUT, label)
@@ -96,7 +90,7 @@ def input_role(label: str) -> LineRole:
 
 def const_role(bit: int, label: str | None = None) -> LineRole:
     if bit not in (0, 1):
-        raise InvalidArgumentError(f"constant must be 0 or 1, got {bit!r}")
+        raise InvalidArgumentError(f"constant must be 0 or 1, got {shown(bit)}")
     return LineRole(ROLE_CONST0 if bit == 0 else ROLE_CONST1, label)
 
 
@@ -195,9 +189,18 @@ class OutputColumns(_Records):
     _make = partial(tuple.__new__, _Output)
 
 
+class _Naming(string.Formatter):
+    def convert_field(self, value, conversion):  # the messages use `!r` only
+        return shown(value) if conversion == "r" else value
+
+
+# A rule's message: `_says(template, **fields)(i, entry)` fills `template`,
+# each `!r` field named by `errors.shown`.
+_says = partial(partial, _Naming().format)
+
 # The error for an entry that is no record, given its position and itself.
-_BAD_ROLE = "line {}: {!r} is not a (kind, label) record".format
-_BAD_GATE = "gates[{}]: {!r} is not a (kind, pins, stage) record".format
+_BAD_ROLE = _says("line {}: {!r} is not a (kind, label) record")
+_BAD_GATE = _says("gates[{}]: {!r} is not a (kind, pins, stage) record")
 
 
 def _bad_output(i: int, output) -> str:
@@ -205,7 +208,7 @@ def _bad_output(i: int, output) -> str:
     iterates is shown as the tuple it was read as."""
     with suppress(TypeError):
         output = tuple(output)
-    return f"outputs[{i}]: {output!r} is not a (name, line) pair"
+    return f"outputs[{i}]: {shown(output)} is not a (name, line) pair"
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +277,11 @@ class Netlist:
         """
         width = self.width
         if type(width) is not int or width < 1:
-            raise InvalidArgumentError(f"width must be a positive int, got {width!r}")
+            got = shown(width)
+            raise InvalidArgumentError(f"width must be a positive int, got {got}")
         roles, gates, outputs = self.roles, self.gates, self.outputs
         if len(roles) != width:
-            raise InvalidArgumentError(f"{len(roles)} lines for width {width}")
+            raise InvalidArgumentError(f"{len(roles)} lines for width {shown(width)}")
         _check(roles, _line_rules(roles.kinds, roles.labels))
         for rules in _gate_rules(gates.kinds, gates.pins, gates.stages, width):
             _check(gates, rules)
@@ -329,7 +333,8 @@ def _entries(value, field: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise InvalidArgumentError(f"{field} must be iterable, got {value!r}") from None
+        got = shown(value)
+        raise InvalidArgumentError(f"{field} must be iterable, got {got}") from None
 
 
 def _columns(value, field: str, view: type, bad) -> _Records:
@@ -401,9 +406,9 @@ def _line_rules(kinds: tuple, labels: tuple) -> list:
 
     return [
         (plain, lambda end: map(_STR_OR_NONE.__contains__, map(type, labels[:end])),
-         InvalidArgumentError, "line {0}: label {1[1]!r} must be a str".format),
+         InvalidArgumentError, _says("line {0}: label {1[1]!r} must be a str")),
         (known, lambda end: map(_ROLE_SET.__contains__, kinds[:end]),
-         InvalidArgumentError, "line {0}: unknown role {1[0]!r}".format),
+         InvalidArgumentError, _says("line {0}: unknown role {1[0]!r}")),
         (plain, lambda end: map(or_, map(not_, inputs(end)), map(bool, labels[:end])),
          InvalidArgumentError, "line {0}: an input needs a label".format),
         (plain, first_use, InvalidArgumentError, lambda i, role: f"line {i}: duplicate "
@@ -433,29 +438,29 @@ def _gate_rules(kinds: tuple, pins: tuple, stages: tuple, width: int) -> list:
 
     def outside(i, gate):
         pin = next(filterfalse(lines().__contains__, gate[1]))
-        return f"gates[{i}]: pin {pin} outside 0..{width - 1}"
+        return f"gates[{i}]: pin {shown(pin, str)} outside 0..{width - 1}"
 
     unhashable = InvalidArgumentError, "gates[{0}]: unhashable kind or pin".format
     return [
         [
             (known, lambda end: map(_HASHABLE, zip(kinds[:end])), *unhashable),
             (known, lambda end: map(_ARITY.__contains__, kinds[:end]),
-             InvalidArgumentError, "gates[{0}]: unknown kind {1[0]!r}".format),
+             InvalidArgumentError, _says("gates[{0}]: unknown kind {1[0]!r}")),
             (shaped, lambda end: map(_TUPLE.__contains__, map(type, pins[:end])),
              InvalidArgumentError, "gates[{0}]: pins must be a tuple".format),
             (shaped, lambda end: map(eq, sizes(end), map(_ARITY.get, kinds[:end])),
              ArityError, arity),
             (placed, lambda end: map(_HASHABLE, pins[:end]), *unhashable),
             (shaped, lambda end: map(eq, map(len, map(set, pins[:end])), sizes(end)),
-             FanInError, "gates[{0}]: {1[0]} pins {1[1]} repeat a line".format),
+             FanInError, _says("gates[{0}]: {1[0]} pins {1[1]!r} repeat a line")),
             (placed, lambda end: map(lines().issuperset, pins[:end]),
              LineIndexError, outside),
         ],
         [(placed, lambda end: map(_INT.issuperset, map(map, repeat(type), pins[:end])),
-          InvalidArgumentError, "gates[{0}]: pins {1[1]} must be ints".format)],
+          InvalidArgumentError, _says("gates[{0}]: pins {1[1]!r} must be ints"))],
         [(_STR_OR_NONE.issuperset(map(type, stages)),
           lambda end: map(_STR_OR_NONE.__contains__, map(type, stages[:end])),
-          InvalidArgumentError, "gates[{0}]: stage {1[2]!r} not a str".format)],
+          InvalidArgumentError, _says("gates[{0}]: stage {1[2]!r} not a str"))],
     ]
 
 
@@ -467,13 +472,13 @@ def _output_rules(names: tuple, lines: tuple, width: int) -> list:
         (typed, lambda end: map(and_, map(_STR.__contains__, map(type, names[:end])),
                                 map(_INT.__contains__, map(type, lines[:end]))),
          InvalidArgumentError,
-         "output {1[0]!r} on line {1[1]!r}: need a str name, an int line".format),
+         _says("output {1[0]!r} on line {1[1]!r}: need a str name, an int line")),
         (typed and len(set(names)) == len(names), _first_use(names),
-         DesignationError, "output name {1[0]!r} used twice".format),
+         DesignationError, _says("output name {1[0]!r} used twice")),
         (placed, lambda end: map(range(width).__contains__, lines[:end]),
-         LineIndexError, "output {1[0]!r} on missing line {1[1]}".format),
+         LineIndexError, _says("output {1[0]!r} on missing line {1[1]!r}")),
         (typed and len(set(lines)) == len(lines), _first_use(lines),
-         DesignationError, "line {1[1]} designated twice".format),
+         DesignationError, _says("line {1[1]!r} designated twice")),
     ]
 
 
@@ -486,15 +491,15 @@ def _restored_rules(restored: tuple, kinds: tuple, named: tuple, width: int) -> 
     taken = frozenset(named)
     return [
         (ints, lambda end: map(_INT.__contains__, map(type, restored[:end])),
-         InvalidArgumentError, "restored line {1!r} must be an int".format),
+         InvalidArgumentError, _says("restored line {1!r} must be an int")),
         (placed, lambda end: map(range(width).__contains__, restored[:end]),
-         LineIndexError, "restored line {1} out of range".format),
+         LineIndexError, _says("restored line {1!r} out of range")),
         (placed and _INPUT.issuperset(role(len(restored))),
          lambda end: map(eq, role(end), repeat(ROLE_INPUT)),
-         DesignationError, "restored line {1} is not a primary input".format),
+         DesignationError, _says("restored line {1!r} is not a primary input")),
         (placed and taken.isdisjoint(restored),
          lambda end: map(not_, map(taken.__contains__, restored[:end])),
-         DesignationError, "restored line {1} is also a named output".format),
+         DesignationError, _says("restored line {1!r} is also a named output")),
     ]
 
 
@@ -626,10 +631,7 @@ def _lines(entries: list) -> RoleColumns:
         indices == span or sorted(indices) == span
     )
     index = lambda end: map(_INDEX, entries[:end])
-
-    def outside(i, line):
-        return f"lines[{i}]: index {line['index']!r} outside 0..{size - 1}"
-
+    outside = _says("lines[{0}]: index {1[index]!r} outside 0..{last}", last=size - 1)
     _check(entries, [
         *rules,
         (placed, lambda end: map(_INT.__contains__, map(type, index(end))),
@@ -637,7 +639,7 @@ def _lines(entries: list) -> RoleColumns:
         (placed, lambda end: map(range(size).__contains__, index(end)),
          NetlistFormatError, outside),
         (placed, lambda end: map(eq, map({}.setdefault, index(end), count()), count()),
-         NetlistFormatError, "lines[{0}]: line {1[index]} defined twice".format),
+         NetlistFormatError, _says("lines[{0}]: line {1[index]!r} defined twice")),
     ])
     if indices != span:
         entries = sorted(entries, key=_INDEX)
@@ -658,7 +660,7 @@ def _gates(entries: list) -> GateColumns:
     _check(entries, [
         *rules,
         (known, lambda end: map(_KIND_BY_NAME.__contains__, map(_KIND, entries[:end])),
-         NetlistFormatError, "gates[{0}]: unknown gate kind {1[kind]!r}".format),
+         NetlistFormatError, _says("gates[{0}]: unknown gate kind {1[kind]!r}")),
         (arrays, lambda end: map(_LIST.__contains__, map(type, pins_of(end))),
          NetlistFormatError, "gates[{0}]: pins must be an array".format),
     ])

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import AssignmentError, CapacityError
+from .errors import AssignmentError, CapacityError, shown
 from .gates import block
 from .netlist import ROLE_CONST1, GateColumns, Netlist, inverse
 
@@ -117,8 +117,6 @@ class CompiledNetlist:
 
     def fresh_state(self, mask: int = 1) -> list[int]:
         """Inputs 0 and constants at their value in every lane of `mask`."""
-        if mask == 1:
-            return self.base_state.copy()
         return [mask * bit for bit in self.base_state]
 
     def run_labels(self, inputs: Mapping[str, int], mask: int = 1) -> SimulationResult:
@@ -129,10 +127,10 @@ class CompiledNetlist:
         """
         unknown = set(inputs) - set(self.label_to_line)
         if unknown:
-            raise AssignmentError(f"unknown input label(s): {sorted(unknown)}")
+            raise AssignmentError(f"unknown input label(s): {shown(sorted(unknown))}")
         missing = set(self.label_to_line) - set(inputs)
         if missing:
-            raise AssignmentError(f"unassigned input label(s): {sorted(missing)}")
+            raise AssignmentError(f"unassigned input label(s): {shown(sorted(missing))}")
         state = self.fresh_state(mask)
         for label, lane in inputs.items():
             if not isinstance(lane, int) or lane & ~mask:

@@ -29,7 +29,7 @@ from .designs import (
     decimal_propagate,
     skip_carry,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, positive, shown
 from .gates import ALL_KINDS, is_bijective
 from .ledger import AdderPort, cached_adder, decode, encode, lane_mask, text_lanes
 from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist, counting_lanes
@@ -249,8 +249,7 @@ def verify_adders(seed: int = 0, samples: int = 1000) -> VerifyResult:
     The vectors depend on the seed (and the Python version's random
     module), not on BATCH_BITS.
     """
-    if samples < 1:
-        raise InvalidArgumentError(f"samples must be at least 1, got {samples}")
+    positive(samples, "samples")
     stream = DigitStream(seed)
     failures = 0
     checked = 0
@@ -316,7 +315,7 @@ def run_scope(scope: str, seed: int = 0, samples: int = 1000) -> list[VerifyResu
     else:
         choices = ", ".join(SCOPES)
         raise InvalidArgumentError(
-            f"unknown verify scope {scope!r}; expected all or one of {choices}"
+            f"unknown verify scope {shown(scope)}; expected all or one of {choices}"
         )
     results = []
     for name in names:

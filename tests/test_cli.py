@@ -15,6 +15,8 @@ from revbcd.ledger import decode, generate_synthetic_csv
 from revbcd.netlist import deserialize
 from revbcd.verify import SCOPES
 
+from test_netlist import HOSTILE_DOCUMENTS
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -41,7 +43,7 @@ class TestBuild:
             "--out", str(out_path), capsys=capsys,
         )
         assert code == 0
-        nl = deserialize(out_path.read_text())
+        nl = deserialize(out_path.read_text(encoding="utf-8"))
         assert nl.width == 16 * 2 + 1
 
     def test_unknown_design_usage_error(self, capsys):
@@ -249,10 +251,21 @@ class TestMetrics:
         """JSON nested past the parser's recursion limit is a format error,
         not a traceback."""
         path = tmp_path / "n.json"
-        path.write_text("[" * 1000)
+        path.write_text("[" * 1000, encoding="utf-8")
         code, out, err = run_cli("metrics", "--netlist", str(path), capsys=capsys)
         assert code == 2 and out == ""
         assert err == "error: JSON nested too deeply to parse\n"
+
+    @pytest.mark.parametrize("name", HOSTILE_DOCUMENTS)
+    def test_hostile_netlist_one_short_line(self, name, tmp_path, capsys):
+        """A 4,000-digit value or 5,000-character text in a netlist file is
+        named by its length on one short stderr line."""
+        text, named = HOSTILE_DOCUMENTS[name]
+        path = tmp_path / "n.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli("metrics", "--netlist", str(path), capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and named in err and len(err) <= 130
 
     def test_netlist_file(self, tmp_path, capsys):
         path = tmp_path / "n.json"
@@ -295,7 +308,7 @@ class TestMetrics:
             outputs=tuple(outputs.items()),
         )
         path = tmp_path / "n.json"
-        path.write_text(serialize(nl))
+        path.write_text(serialize(nl), encoding="utf-8")
         code, _, err = run_cli("metrics", "--netlist", str(path), *flags, capsys=capsys)
         assert code == 2
         assert err.startswith("error: ") and message in err
@@ -347,7 +360,7 @@ class TestDigitLimit:
         from revbcd.cli import MAX_DIGITS
 
         path = tmp_path / "t.csv"
-        path.write_text("g,a\nx,1.00\nx,2.00\n")
+        path.write_text("g,a\nx,1.00\nx,2.00\n", encoding="utf-8")
         code, out, err = run_cli(
             "ledger", "--csv", str(path), "--group-col", "g", "--amount-col", "a",
             "--width", str(MAX_DIGITS + 1), capsys=capsys,
@@ -360,7 +373,7 @@ class TestDigitLimit:
         from revbcd.cli import MAX_DIGITS
 
         path = tmp_path / "t.csv"
-        path.write_text("g,a\nx,1.00\nx,2.00\n")
+        path.write_text("g,a\nx,1.00\nx,2.00\n", encoding="utf-8")
         argv = {
             "--digits": ("build", "--design", "dec-csk"),
             "--width": ("ledger", "--csv", str(path), "--group-col", "g",
@@ -424,7 +437,7 @@ class TestHostileArguments:
         "simulate-cin-choice": (
             ("simulate", "--a", "1", "--b", "2", "--cin", "9" * 4000),
             2,
-            "invalid choice: a 4000-character value (choose from 0, 1)",
+            "invalid choice: a 4000-digit value (choose from 0, 1)",
         ),
         "verify-scope": (
             ("verify", "--scope", "x" * 50_000), 2, "invalid choice: a 50000-character"
@@ -484,7 +497,7 @@ class TestHostileArguments:
             ),
         }
         for name, text in texts.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
         return {name: str(tmp_path / name) for name in texts}
 
     @pytest.mark.parametrize("row", ROWS)

@@ -20,6 +20,7 @@ def test_demo_runs(demo, tmp_path):
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -256,12 +256,13 @@ class TestAdderPort:
         compiled = compile_netlist(dec_rca8)
         port = AdderPort(compiled)
         run_state = compiled.run_state
+        named = dict(compiled.named)
 
         def broken(state, mask=1):
             run_state(state, mask)
             for j, value in ((2, 12), (5, 10)):
-                for i, line in enumerate(port._sum_lines[j]):
-                    state[line] = value >> i & 1
+                for i in range(4):
+                    state[named[f"S{i}.{j}"]] = value >> i & 1
 
         monkeypatch.setattr(compiled, "run_state", broken)
         with pytest.raises(InvalidBCDError, match="^digit 12 outside 0..9$"):

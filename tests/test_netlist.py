@@ -18,6 +18,7 @@ from revbcd.errors import (
     InvalidArgumentError,
     LineIndexError,
     NetlistFormatError,
+    RevbcdError,
 )
 from revbcd.gates import GateKind
 from revbcd.netlist import (
@@ -336,6 +337,53 @@ class TestDeserializeBoundary:
     def test_gate_structure_rejected(self, gate):
         with pytest.raises(NetlistFormatError):
             deserialize(_doc(gates=[gate]))
+
+
+# Documents with one 4,000-digit int or 5,000-character text where a value
+# goes, and how the error names that value.
+_BIG = 10**3999
+HOSTILE_DOCUMENTS = {
+    "width": (_doc(width=_BIG), "a 4000-digit value"),
+    "pin": (_doc(gates=[{"kind": "FG", "pins": [0, _BIG]}]), "a 4000-digit value"),
+    "label": (_doc(lines=[dict(_LINE_A, label=_BIG), _LINE_K]), "a 4000-digit value"),
+    "index": (_doc(lines=[_LINE_A, dict(_LINE_K, index=_BIG)]), "a 4000-digit value"),
+    "restored": (_doc(restored=[_BIG]), "a 4000-digit value"),
+    "output-line": (
+        _doc(outputs=[{"name": "out", "line": _BIG}]), "a 4000-digit value"
+    ),
+    "gate-kind": (
+        _doc(gates=[{"kind": "K" * 5000, "pins": [0, 1]}]), "a 5000-character value"
+    ),
+    "role": (
+        _doc(lines=[dict(_LINE_A, role="r" * 5000), _LINE_K]), "a 5000-character value"
+    ),
+}
+
+
+class TestHostileValues:
+    """A huge value is named by its length, in a short typed error."""
+
+    @pytest.mark.parametrize("name", HOSTILE_DOCUMENTS)
+    def test_document_value_named_by_its_length(self, name):
+        text, named = HOSTILE_DOCUMENTS[name]
+        with pytest.raises(NetlistFormatError) as info:
+            deserialize(text)
+        assert named in str(info.value) and len(str(info.value)) <= 120
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(width=10**5000, roles=[]),
+            dict(width=2, roles=_TWO_LINES, gates=[(GateKind.FG, (0, 10**5000))]),
+            dict(width=2, roles=_TWO_LINES,
+                 gates=[(GateKind.FG, (10**5000, 10**5000))]),
+        ],
+        ids=["width", "pin", "repeated-pin"],
+    )
+    def test_huge_int_is_a_typed_error(self, fields):
+        with pytest.raises(RevbcdError) as info:
+            Netlist(**fields)
+        assert len(str(info.value)) <= 120
 
 
 _THREE_LINES = (input_role("a"), input_role("b"), const_role(0))

@@ -53,10 +53,11 @@ def scalar_failures(seed, samples):
                 state = port.pack(encode(a, n), encode(b, n), cin)
                 before = [state[line] for line in port.compiled.restored]
                 port.compiled.run_state(state)
+                named = dict(port.compiled.named)
                 got = (
                     tuple(
-                        sum(state[line] << i for i, line in enumerate(quad))
-                        for quad in port._sum_lines
+                        sum(state[named[f"S{i}.{j}"]] << i for i in range(4))
+                        for j in range(n)
                     ),
                     state[port._carry_line],
                 )
