@@ -64,9 +64,8 @@ def _default_seed() -> int:
 
 def _bounded(value: int) -> int:
     if value > MAX_DIGITS:
-        count = value if value < 10**40 else f"a {len(str(value))}-digit count of"
         raise argparse.ArgumentTypeError(
-            f"{count} digits exceeds the limit of {MAX_DIGITS}"
+            f"{shown(value)} exceeds the limit of {MAX_DIGITS} digits"
         )
     return value
 

@@ -19,9 +19,11 @@ Each gate's semantics are written once, as the statement template in its
 (`undo_steps`): the gates, each of the undone gate's own kind, that undo
 it.  NOT, FG, BJN and DFG undo themselves, MF is undone by MF(A, C, B),
 and PG and HNG, both of order 4, by three copies of themselves.  `block`
-turns a run of gates into one fused applier, and the simulator and
-`gate_semantics` (a block of one gate) both run such appliers; no
-per-gate engine exists beside them.
+turns a run of gates into one fused applier, and the simulator,
+`gate_semantics` (a block of one gate on one vector) and
+`gate_truth_table` (a block of one gate on all 2^arity vectors at once,
+`counting_lanes`) all run such appliers; no per-gate engine exists
+beside them.
 
 A block's shape is its (kind, slots) list, with its lines renamed to slots
 in first-use order, so every copy of a repeated digit cell has the same
@@ -161,14 +163,40 @@ def gate_semantics(kind: GateKind, bits: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(state[:-1])
 
 
+def counting_lanes(count: int) -> list[int]:
+    """Lanes of `count` lines that hold all 2^count assignments.
+
+    Bit k of lane i is bit i of k, so vector k is the assignment whose
+    little-endian value is k.
+    """
+    total = 1 << count
+    lanes = []
+    for i in range(count):
+        span = 1 << i
+        lane = ((1 << span) - 1) << span  # one period: span zeros, span ones
+        period = span << 1
+        while period < total:
+            lane |= lane << period
+            period <<= 1
+        lanes.append(lane)
+    return lanes
+
+
 def gate_truth_table(kind: GateKind) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exhaustive (input, output) rows, inputs enumerated little-endian."""
+    """Exhaustive (input, output) rows, inputs enumerated little-endian.
+
+    The gate runs once, as a one-gate block over counting lanes under the
+    mask of all 2^arity vectors; row k is read off bit k of its lanes.
+    """
     n = arity(kind)
-    rows = []
-    for value in range(1 << n):
-        inp = tuple((value >> i) & 1 for i in range(n))
-        rows.append((inp, gate_semantics(kind, inp)))
-    return rows
+    pins, inputs = tuple(range(n)), counting_lanes(n)
+    state = [*inputs, (1 << (1 << n)) - 1]
+    block(((kind, pins),))(*pins)(state)
+    outputs = state[:-1]
+    return [
+        (tuple(a >> k & 1 for a in inputs), tuple(z >> k & 1 for z in outputs))
+        for k in range(1 << n)
+    ]
 
 
 def is_bijective(kind: GateKind) -> bool:

@@ -105,15 +105,15 @@ def to_lanes(amounts: Sequence[int], width: int) -> list[int]:
     return text_lanes("".join([encode(amount, width) for amount in amounts]), width)
 
 
-def text_lanes(text: str, width: int) -> list[int]:
-    """The 4*width digit-bit lanes of a batch of operands written as ASCII
+def text_columns(text: str, width: int) -> list[int]:
+    """The `width` digit columns of a batch of operands written as ASCII
     digits: `text` holds one `width`-digit operand per vector, in vector
     order, each most significant digit first.
 
-    Lane 4j+i holds bit i of digit j of vector k at bit 4k, so every lane
-    lies inside lane_mask(len(text) // width).  A width below 1, and text
-    that is not ASCII digits or not whole operands, raise
-    InvalidArgumentError.
+    Column j holds digit j of vector k (least significant first) in
+    nibble k, so its four bit lanes are its bits 4k+i (text_lanes).  A
+    width below 1, and text that is not ASCII digits or not whole
+    operands, raise InvalidArgumentError.
     """
     positive(width, "width")
     if len(text) % width:
@@ -122,13 +122,30 @@ def text_lanes(text: str, width: int) -> list[int]:
         )
     if text and not (text.isascii() and text.encode().isdigit()):
         raise InvalidArgumentError("operand text must be ASCII digits")
-    mask = lane_mask(len(text) // width)
     # Reversed, the last operand comes first, so each strided column read
     # in base 16 holds vector k's digit in nibble k, and digit j of the
     # operand sits j places into it.
     backward = text[::-1]
-    columns = [int(backward[j::width] or "0", 16) for j in range(width)]
+    return [int(backward[j::width] or "0", 16) for j in range(width)]
+
+
+def column_lanes(columns: Sequence[int], mask: int) -> list[int]:
+    """The bit split of digit columns: lane 4j+i is bit i of every digit
+    of column j, vector k's at bit 4k, under the batch's lane_mask."""
     return [column >> i & mask for column in columns for i in range(4)]
+
+
+def text_lanes(text: str, width: int) -> list[int]:
+    """The 4*width digit-bit lanes of a batch of operands written as ASCII
+    digits, as text_columns reads them: the bit split of their columns.
+
+    Lane 4j+i holds bit i of digit j of vector k at bit 4k, so every lane
+    lies inside lane_mask(len(text) // width).  A width below 1, and text
+    that is not ASCII digits or not whole operands, raise
+    InvalidArgumentError.
+    """
+    columns = text_columns(text, width)
+    return column_lanes(columns, lane_mask(len(text) // width))
 
 
 _BIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")

@@ -79,10 +79,6 @@ class LineRole(NamedTuple):
     kind: str
     label: str | None = None
 
-    @property
-    def is_input(self) -> bool:
-        return self.kind == ROLE_INPUT
-
 
 def input_role(label: str) -> LineRole:
     return LineRole(ROLE_INPUT, label)
@@ -290,10 +286,6 @@ class Netlist:
         _check(restored, _restored_rules(restored, roles.kinds, outputs.lines, width))
 
     # -- derived views ---------------------------------------------------
-
-    @property
-    def output_map(self) -> dict[str, int]:
-        return dict(zip(self.outputs.names, self.outputs.lines))
 
     def input_lines(self) -> list[int]:
         return [i for i, kind in enumerate(self.roles.kinds) if kind == ROLE_INPUT]

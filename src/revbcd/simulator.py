@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import AssignmentError, CapacityError, shown
-from .gates import block
+from .gates import block, counting_lanes
 from .netlist import ROLE_CONST1, GateColumns, Netlist, inverse
 
 EXHAUSTIVE_WIDTH_LIMIT = 20
@@ -151,25 +151,6 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 def run(netlist: Netlist, inputs: Mapping[str, int]) -> SimulationResult:
     """Evaluate the netlist on one assignment of the primary inputs."""
     return compile_netlist(netlist).run_labels(inputs)
-
-
-def counting_lanes(count: int) -> list[int]:
-    """Lanes of `count` lines that hold all 2^count assignments.
-
-    Bit k of lane i is bit i of k, so vector k is the assignment whose
-    little-endian value is k.
-    """
-    total = 1 << count
-    lanes = []
-    for i in range(count):
-        span = 1 << i
-        lane = ((1 << span) - 1) << span  # one period: span zeros, span ones
-        period = span << 1
-        while period < total:
-            lane |= lane << period
-            period <<= 1
-        lanes.append(lane)
-    return lanes
 
 
 _BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")

@@ -4,15 +4,19 @@ Each check returns a VerifyResult; run_scope drives the named scope with a
 fixed seed so every randomized pass is reproducible bit-for-bit.  The
 sampled adder vectors are drawn as decimal digit text from one seeded
 byte stream (DigitStream), and their operand lanes are built straight
-from that text (ledger.text_lanes: vector k at bit 4k, so one base-16
-parse of a digit column gives its four bit lanes).  Adder vectors are
+from that text: one base-16 parse of each digit column
+(ledger.text_columns, vector k's digit in nibble k), split into its four
+bit lanes (vector k at bit 4k).  Adder vectors are
 checked in lane batches (one simulator pass per design and batch of up
 to 2^14 vectors) against native integer addition, and a failing check
-names its first failing vector.  The oracle adds a whole batch at once:
-every vector's operands sit in BCD fields behind a zero guard digit,
-read as hexadecimal, so one binary addition covers every vector and no
-carry crosses a field (Lamport's guarded field packing); no Python step
-of the check runs per vector.
+names its first failing vector.  The oracle adds a whole batch at once,
+on the digit columns the operand lanes come from (ledger.text_columns):
+one BCD addition per digit position over whole columns, with the even
+and the odd vectors' nibbles apart so that each vector's sum has a byte
+of its own and no carry crosses into a neighbour (Lamport's guarded
+field packing, in base 10); no Python step of the check runs per vector.
+The gate laws run each gate once over all its inputs, as one lane batch
+(gates.gate_truth_table).
 """
 
 from __future__ import annotations
@@ -30,9 +34,18 @@ from .designs import (
     skip_carry,
 )
 from .errors import InvalidArgumentError, positive, shown
-from .gates import ALL_KINDS, is_bijective
-from .ledger import AdderPort, cached_adder, decode, encode, lane_mask, text_lanes
-from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist, counting_lanes
+from .gates import ALL_KINDS, counting_lanes, is_bijective
+from .ledger import (
+    AdderPort,
+    cached_adder,
+    column_lanes,
+    decode,
+    encode,
+    lane_mask,
+    text_columns,
+    text_lanes,
+)
+from .simulator import BATCH_BITS, CompiledNetlist, compile_netlist
 
 
 @dataclass(frozen=True)
@@ -91,41 +104,38 @@ class DigitStream:
         return data[:count].decode()
 
 
-# A carry-in digit's parity as an ASCII digit: 0 for an even digit, 1 for odd.
-_PARITY = bytes.maketrans(b"0123456789", b"0101010101")
+def _column_sums(columns: list[int], n: int, count: int) -> tuple[list[int], int]:
+    """Native addition of a batch of `count` digit records, read as their
+    digit columns; returns (sum lanes, carry lane) in the layout of
+    ledger.text_lanes, so they equal text_lanes of the fields
+    str(a + b + cin).zfill(n + 1), split into their 4n sum lanes and the
+    carry digit's lane 4n.
 
-def _native_sums(records: str, n: int) -> str:
-    """Native addition of a batch of digit records, as one decimal text.
-
-    `records` holds 2n+1 ASCII digits per vector: a, b, and a digit whose
-    parity is the carry-in.  The result holds one field of n+1 digits per
-    vector, in vector order: the carry digit, then the n-digit sum, so
-    field k is str(a + b + cin).zfill(n + 1).
-
-    Each operand is written into an (n+1)-digit field behind a zero guard
-    digit, and the fields are read as hexadecimal, one nibble a digit, and
-    added as three ints: BCD addition in binary.  Every nibble of a is
-    biased by 6 first, so a digit sum of ten or more carries out of its
-    nibble; each nibble that sent no carry has the 6 taken back.  The
-    guard nibble never carries, so no carry crosses into the next field.
-    Every step is linear in the batch size.
+    `columns` are ledger.text_columns of records of 2n+1 digits: column 0
+    the carry-in digit (its parity is the carry-in), columns 1..n the
+    digits of b and n+1..2n those of a, least significant first.  The
+    even and the odd vectors' nibbles are added apart, each vector in a
+    byte of its own, so a digit sum of up to 19 carries into no
+    neighbour: per digit position, t = a + b + carry, carry = (t + 6) >> 4
+    and digit = t - 10 * carry in every byte at once.  That is 2n
+    whole-batch steps; no Python step runs per vector.
     """
-    stride, field = 2 * n + 1, n + 1
-    raw = records.encode()
-    size = len(raw) // stride * field
-    if not size:
-        return ""
-    a, b, c = (bytearray(b"0" * size) for _ in range(3))
-    for j in range(n):
-        a[1 + j :: field] = raw[j::stride]
-        b[1 + j :: field] = raw[n + j :: stride]
-    c[n::field] = raw[2 * n :: stride].translate(_PARITY)
-    nibbles = lane_mask(size)  # 1 in every nibble
-    biased, addend = int(a, 16) + 6 * nibbles, int(b, 16) + int(c, 16)
-    total = biased + addend
-    # The carries into each bit; bit 4j+4 is the carry out of nibble j.
-    carried = (total ^ biased ^ addend) >> 4 & nibbles
-    return format(total - 6 * (nibbles ^ carried), "x").zfill(size)
+    half = (count + 1) // 2
+    low = int("0f" * half or "0", 16)  # the low nibble of every byte
+    ones = int("01" * half or "0", 16)  # bit 0 of every byte
+    six = 6 * ones
+    halves = []
+    for shift in (0, 4):  # the even vectors, then the odd ones
+        carry = columns[0] >> shift & ones
+        digits = []
+        for j in range(1, n + 1):
+            t = (columns[j] >> shift & low) + (columns[n + j] >> shift & low) + carry
+            carry = (t + six) >> 4 & ones
+            digits.append(t - 10 * carry)
+        halves.append((digits, carry))
+    (even, even_carry), (odd, odd_carry) = halves
+    sums = [e | o << 4 for e, o in zip(even, odd)]
+    return column_lanes(sums, lane_mask(count)), even_carry | odd_carry << 4
 
 
 def _check_additions(
@@ -135,28 +145,29 @@ def _check_additions(
     port; returns (failures, text).
 
     `records` holds 2n+1 ASCII digits per vector: the n digits of a, the n
-    digits of b, and a digit whose parity is the carry-in.  A vector fails
-    when a port's sum or carry differs from native addition of those
-    values (_native_sums, read into lanes) or it changed a restored line.
-    No Python step runs per vector: only the failure text reads one
-    vector's operands.  `text` names the lowest failing vector, with what
-    native addition gives and what the first port failing it gave (a
-    non-BCD sum digit shows in hex); it is empty when nothing fails.
+    digits of b, and a digit whose parity is the carry-in.  Their digit
+    columns are read once (ledger.text_columns): the operand lanes are
+    their bit split, and the expected sum and carry lanes their column-wise
+    BCD addition (_column_sums).  A vector fails when a port's sum or
+    carry differs from those or it changed a restored line.  No Python
+    step runs per vector: only the failure text reads one vector's
+    operands, and adds them natively.  `text` names the lowest failing
+    vector, with what native addition gives and what the first port
+    failing it gave (a non-BCD sum digit shows in hex); it is empty when
+    nothing fails.
     """
-    stride, field = 2 * n + 1, n + 1
+    stride, count = 2 * n + 1, len(records) // (2 * n + 1)
+    mask = lane_mask(count)
     # Each record read whole as one number, least significant digit first:
     # the carry-in digit (its bit 0, the parity, is the carry-in lane),
     # then b, then a.
-    lanes = text_lanes(records, stride)
-    operands = (lanes[4 * field :], lanes[4 : 4 * field], lanes[0])
-    totals = _native_sums(records, n)
-    expected = text_lanes(totals, field)
-    want_sums, want_carry = expected[: 4 * n], expected[4 * n]
-    mask = lane_mask(len(records) // stride)
+    columns = text_columns(records, stride)
+    a, b = column_lanes(columns[n + 1 :], mask), column_lanes(columns[1 : n + 1], mask)
+    want_sums, want_carry = _column_sums(columns, n, count)
     outcomes = {}
     bad = 0
     for name, port in ports.items():
-        sums, carry, moved = port.add_lanes(*operands, mask)
+        sums, carry, moved = port.add_lanes(a, b, columns[0] & mask, mask)
         lane = moved | carry ^ want_carry
         for got, want in zip(sums, want_sums):
             lane |= got ^ want
@@ -173,10 +184,10 @@ def _check_additions(
         for j in reversed(range(n))
     )
     record = records[k * stride : (k + 1) * stride]
-    want = totals[k * field : (k + 1) * field]
+    x, y, cin = int(record[:n]), int(record[n:-1]), int(record[-1]) & 1
+    want = str(x + y + cin).zfill(n + 1)
     text = (
-        f"first failure: {design} N={n} a={int(record[:n])} "
-        f"b={int(record[n:-1])} cin={int(record[-1]) & 1}: "
+        f"first failure: {design} N={n} a={x} b={y} cin={cin}: "
         f"expected sum={want[1:]} carry={want[0]}, "
         f"got sum={''.join('0123456789abcdef'[d] for d in nibbles)} "
         f"carry={carry >> bit & 1}"

@@ -11,11 +11,13 @@ import re
 import pytest
 
 from revbcd.cli import main
+from revbcd.gates import GateKind
 from revbcd.ledger import decode, generate_synthetic_csv
 from revbcd.netlist import deserialize
 from revbcd.verify import SCOPES
 
 from test_netlist import HOSTILE_DOCUMENTS
+from test_verify import bjn_and, dfg_first_only
 
 
 def run_cli(*argv, capsys=None):
@@ -343,7 +345,7 @@ class TestDigitLimit:
         too_many = str(MAX_DIGITS + 1)
         code, out, err = run_cli(*argv, "--digits", too_many, capsys=capsys)
         assert code == 2 and out == ""
-        assert f"{too_many} digits exceeds the limit of {MAX_DIGITS}" in err
+        assert f"{too_many} exceeds the limit of {MAX_DIGITS} digits" in err
 
     def test_fitted_operands_past_limit_usage_error(self, no_build, capsys):
         from revbcd.cli import MAX_DIGITS
@@ -366,7 +368,14 @@ class TestDigitLimit:
             "--width", str(MAX_DIGITS + 1), capsys=capsys,
         )
         assert code == 2 and out == ""
-        assert f"{MAX_DIGITS + 1} digits exceeds the limit of {MAX_DIGITS}" in err
+        assert f"{MAX_DIGITS + 1} exceeds the limit of {MAX_DIGITS} digits" in err
+
+    def test_oversized_digit_count_named_by_its_length(self, no_build, capsys):
+        from revbcd.cli import MAX_DIGITS
+
+        code, out, err = run_cli("compare", "--digits", "9" * 4299, capsys=capsys)
+        assert code == 2 and out == ""
+        assert f": a 4299-digit value exceeds the limit of {MAX_DIGITS} digits" in err
 
     @pytest.mark.parametrize("flag", ["--digits", "--width"])
     def test_limit_itself_reaches_the_builder(self, no_build, flag, tmp_path):
@@ -868,6 +877,37 @@ class TestGoldenBytes:
         "pareto-N32.svg": "4739aa96ae6066fc7226f5c188e05499174312069999d24430a75a55a0a01bbf",
         "pareto-N64.svg": "03c2940e5c90578dae6e00543ad4bfa186c9bc0433b197a2d5cc33d7e049a086",
     }
+
+    # verify --scope all at the default 1000 samples: (seed, mutated gate
+    # kind and template, or None) -> (exit code, stdout digest).
+    VERIFY = {
+        "verify-seed0": (
+            (0, None),
+            (0, "3f08df64117b5cde81ccba21dbc820e9aa66060c121aa68aa7d52d7ed93f9865"),
+        ),
+        "verify-seed3": (
+            (3, None),
+            (0, "8e0373b932603413a3a0ce5b5a7300d8952d4e47004a65ddb8591ae00985e25a"),
+        ),
+        "verify-seed3-dfg": (
+            (3, (GateKind.DFG, dfg_first_only)),
+            (1, "afae3423f0e78241f10d8ac8a0df426290ee65d9ca5672b0ca2dcc469f6525ca"),
+        ),
+        "verify-seed3-bjn": (
+            (3, (GateKind.BJN, bjn_and)),
+            (1, "9104ea250f68d2b938acb99f85e308d7d2e377b36c6fef26bc0542a524b5a05e"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", VERIFY)
+    def test_verify_stdout_bytes(self, case, mutate_gate, capsys):
+        (seed, fault), want = self.VERIFY[case]
+        if fault:
+            mutate_gate(*fault)
+        code, out, err = run_cli("verify", "--scope", "all", "--seed", str(seed),
+                                 capsys=capsys)
+        assert err == ""
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want
 
     @pytest.mark.parametrize("case", CASES)
     def test_stdout_bytes(self, case, tmp_path, monkeypatch, capsys):

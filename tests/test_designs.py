@@ -224,7 +224,7 @@ class TestCarrySkip:
         rca = compile_netlist(dec_rca8)
         csk = compile_netlist(dec_csk8)
         rca_consts, csk_consts = (
-            {r.label: i for i, r in enumerate(nl.roles) if not r.is_input}
+            {nl.roles.labels[i]: i for i in nl.const_lines()}
             for nl in (dec_rca8, dec_csk8)
         )
         rca_lines = [rca_consts[f"k3.{j}"] for j in range(8)]

@@ -87,6 +87,15 @@ class TestTruthTables:
     def test_bijectivity(self, kind):
         assert is_bijective(kind)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rows_are_the_per_vector_semantics(self, kind):
+        """The one lane-batch run gives, row by row, what gate_semantics
+        gives on that row's input alone."""
+        n = arity(kind)
+        inputs = [tuple(k >> i & 1 for i in range(n)) for k in range(1 << n)]
+        want = [(bits, gate_semantics(kind, bits)) for bits in inputs]
+        assert gate_truth_table(kind) == want
+
 
 class TestAlgebra:
     @pytest.mark.parametrize("a,b", [(a, b) for a in (0, 1) for b in (0, 1)])

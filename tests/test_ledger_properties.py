@@ -4,8 +4,9 @@ codec (needs hypothesis).
 Any text either parses to an int or fails with LedgerFormatError, and
 every rendering of a cents value the parser documents reads back exactly.
 `text_lanes` reads fixed-width digit operands into lanes with vector k
-at bit 4k: every lane lies inside `lane_mask`, and nibble k of the lanes
-gives operand k back.
+at bit 4k: every lane lies inside `lane_mask`, nibble k of the lanes
+gives operand k back, and the lanes are the bit split of the operands'
+digit columns (`text_columns`).
 """
 
 import itertools
@@ -16,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from revbcd.errors import LedgerFormatError
-from revbcd.ledger import lane_mask, parse_amount, text_lanes
+from revbcd.ledger import lane_mask, parse_amount, text_columns, text_lanes
 
 # Text drawn mostly from the characters an amount is made of, so the
 # parser's later branches (signs, commas, the fraction) are reached often.
@@ -67,3 +68,19 @@ def test_nibble_k_of_the_lanes_rebuilds_field_k(batch):
             for j in reversed(range(width))
         ]
         assert "".join(map(str, digits)) == record
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_records())
+def test_lanes_are_the_bit_split_of_the_columns(batch):
+    width, records = batch
+    text = "".join(records)
+    columns, lanes = text_columns(text, width), text_lanes(text, width)
+    mask = lane_mask(len(records))
+    assert len(columns) == width
+    for j, column in enumerate(columns):
+        # Column j holds digit j, least significant first, of vector k in
+        # nibble k.
+        digits = (int(record[-1 - j]) << 4 * k for k, record in enumerate(records))
+        assert column == sum(digits)
+        assert lanes[4 * j : 4 * j + 4] == [column >> i & mask for i in range(4)]

@@ -88,8 +88,9 @@ class TestStructural:
 class TestArrivals:
     def test_pdfa_carry_and_sum(self, pdfa):
         final = arrival_profile(pdfa).final
-        assert final[pdfa.output_map["dC"]] == 25
-        assert final[pdfa.output_map["S3"]] == 35
+        lines = dict(zip(pdfa.outputs.names, pdfa.outputs.lines))
+        assert final[lines["dC"]] == 25
+        assert final[lines["S3"]] == 35
 
     def test_untouched_input_is_zero(self):
         nl = Netlist(

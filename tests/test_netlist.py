@@ -114,7 +114,7 @@ class TestConstruction:
         records = two_line(gates=_FG01, outputs=(("q", 1),))
         assert nl == records
         assert serialize(nl) == serialize(records)
-        assert nl.output_map == {"q": 1}
+        assert (nl.outputs.names, nl.outputs.lines) == (("q",), (1,))
 
     def test_records_kept_as_they_are(self):
         nl = build_pdfa()

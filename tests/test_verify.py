@@ -224,6 +224,14 @@ class TestDigitStream:
 
 
 class TestCells:
+    def test_gate_law_failure_named(self, mutate_gate):
+        """A DFG that copies A onto its third line loses a row: no
+        bijection, and the gates check names it."""
+        mutate_gate(GateKind.DFG, "{b} ^= {a}\n{c} = {a}")
+        result = verify.verify_gates()
+        assert not result.passed
+        assert result.detail == "6/7 bijective; failing: ['DFG']"
+
     def test_pdfa_failure_named(self, mutate_gate):
         mutate_gate(GateKind.BJN, bjn_and)
         result = verify.verify_pdfa()
