@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from typing import Iterator
 
 from .errors import InvalidArgumentError, InvalidBCDError, positive, shown
 from .gates import GateKind
@@ -363,6 +364,21 @@ def _cell(digit, threads: int):
     return tuple(b.roles[8 + threads :]), tuple(b.gates), tuple(sums), carries_out
 
 
+def adder_labels(n: int | None) -> tuple[Iterator[str], Iterator[str]]:
+    """The label scheme of an n-digit adder: its input labels in line
+    order (``a0..a3`` then ``b0..b3`` of each digit, then ``cin``) and its
+    sum names in lane order (``S0..S3`` of each digit, bit i of digit j
+    at 4j+i), each with the digit suffix ``.j``; n None is the pdfa's
+    single digit, with no suffix.  Both are made as they are read, not
+    held: `_adder` names its lines from them and `ledger.AdderPort`
+    checks a netlist against them."""
+    digits = [""] if n is None else [f".{j}" for j in range(n)]
+    operands = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3")
+    inputs = (label + d for d in digits for label in operands)
+    sums = (name + d for d in digits for name in ("S0", "S1", "S2", "S3"))
+    return chain(inputs, ["cin"]), sums
+
+
 def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     """An n-digit adder: the operand lines (per digit a0..a3 then b0..b3,
     then the single carry-in line last), then n copies of `digit` with
@@ -377,8 +393,9 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
     digits are ranges, zipped; gates and roles are laid out digit-major,
     and each goes into the netlist as its columns.
 
-    Input labels and output names carry the digit suffix ``.j`` unless
-    `suffixed` is false (the single-digit pdfa); constant labels always do.
+    Input labels and sum names come from `adder_labels`: `adder_labels(n)`,
+    or `adder_labels(None)` (no digit suffix) when `suffixed` is false (the
+    single-digit pdfa).  Constant labels always carry the suffix ``.j``.
 
     The operand layout is `ledger.AdderPort`'s contract: a0..a3 then
     b0..b3 of digit j on lines 8j..8j+7, the carry-in on line 8n, and the
@@ -403,18 +420,15 @@ def _adder(n: int, digit, threads: int, suffixed: bool = True) -> Netlist:
         [line[first[l]], *line[later[l] + step : later[l] + n * step : step]]
         for l, step in enumerate(stride)
     ]
+    inputs, names = adder_labels(n if suffixed else None)
     tags = [f".{j}" for j in range(n)]
-    suffixes = tags if suffixed else [""] * n
-    labels = [f"{op}{i}{s}" for s in suffixes for op in "ab" for i in range(4)]
-    labels.append("cin")
     const_kinds, prefixes = zip(*consts)
     roles = RoleColumns(
-        (ROLE_INPUT,) * len(labels) + const_kinds * n,
-        labels + [prefix + tag for tag in tags for prefix in prefixes],
+        (ROLE_INPUT,) * base + const_kinds * n,
+        [*inputs, *(prefix + tag for tag in tags for prefix in prefixes)],
     )
     kinds, cell_pins, stages = zip(*cell_gates)
     pins = _digit_major(zip(*map(lines.__getitem__, p)) for p in cell_pins)
-    names = [f"S{i}{s}" for s in suffixes for i in range(4)]
     ends = list(_digit_major(lines[sums[i]] for i in range(4)))
     return Netlist(
         width=base + n * c,

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, how an error names a value,
-and the one rule for a count."""
+and the one rule for a count (`positive`) and for digit text
+(`digit_text`, its predicate `is_digit_text`)."""
 
 
 def shown(value: object, form=repr) -> str:
@@ -25,6 +26,18 @@ def positive(value: object, what: str) -> int:
         raise InvalidArgumentError(f"{what} must be an int, got {shown(value)}")
     if value < 1:
         raise InvalidArgumentError(f"{what} must be at least 1")
+    return value
+
+
+def is_digit_text(value: object) -> bool:
+    """Whether `value` is a non-empty str of ASCII digits 0-9."""
+    return type(value) is str and value.isascii() and value.encode().isdigit()
+
+
+def digit_text(value: object) -> str:
+    """`value` as digit text: a non-empty str of ASCII digits 0-9."""
+    if not is_digit_text(value):
+        raise InvalidArgumentError(f"not a digit string: {shown(value)}")
     return value
 
 

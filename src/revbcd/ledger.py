@@ -17,14 +17,16 @@ from functools import lru_cache, reduce
 from itertools import chain
 from operator import itemgetter, or_, xor
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .designs import build_design
+from .designs import adder_labels, build_design
 from .errors import (
     CapacityError,
     InvalidArgumentError,
     InvalidBCDError,
     LedgerFormatError,
+    digit_text,
+    is_digit_text,
     positive,
     shown,
 )
@@ -58,9 +60,17 @@ def _text_value(text: str) -> int:
     return _text_value(text[:-half]) * 10**half + _text_value(text[-half:])
 
 
+def _whole(amount: int) -> int:
+    """`amount` as an amount: an int, not a bool."""
+    if not isinstance(amount, int) or isinstance(amount, bool):
+        raise InvalidArgumentError(f"amount must be an int, got {shown(amount)}")
+    return amount
+
+
 def decimal_text(amount: int) -> str:
-    """`amount` in decimal at any size, like str() without its digit limit."""
-    if amount < 0:
+    """`amount` in decimal at any size, like str() without its digit limit.
+    An amount that is not an int, or is a bool, is an InvalidArgumentError."""
+    if _whole(amount) < 0:
         return "-" + decimal_text(-amount)
     # bit_length * 0.30103 bounds the digit count from above (log10 2 < 0.30103)
     width = amount.bit_length() * 30103 // 100000 + 1
@@ -72,19 +82,15 @@ def encode(amount: int, width: int) -> str:
     padded: the scalar operand of AdderPort and bcd_add.  An amount that
     is not an int, or is a bool, is an InvalidArgumentError."""
     positive(width, "width")
-    if not isinstance(amount, int) or isinstance(amount, bool):
-        raise InvalidArgumentError(f"amount must be an int, got {shown(amount)}")
-    if amount < 0 or amount >= 10**width:
+    if _whole(amount) < 0 or amount >= 10**width:
         raise CapacityError(f"{shown(amount)} does not fit in {width} BCD digits")
     return _padded_text(amount, width)
 
 
 def decode(text: str) -> int:
-    """The value of a digit string such as encode returns.  Text that is
-    not ASCII digits is an InvalidArgumentError."""
-    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-        raise InvalidArgumentError(f"not a digit string: {shown(text)}")
-    return _text_value(text)
+    """The value of a digit string such as encode returns.  Anything else
+    is an InvalidArgumentError (errors.digit_text)."""
+    return _text_value(digit_text(text))
 
 
 # Lanes made from digit text put vector k at bit 4k (see simulator): then
@@ -112,16 +118,17 @@ def text_columns(text: str, width: int) -> list[int]:
 
     Column j holds digit j of vector k (least significant first) in
     nibble k, so its four bit lanes are its bits 4k+i (text_lanes).  A
-    width below 1, and text that is not ASCII digits or not whole
-    operands, raise InvalidArgumentError.
+    width below 1, and text that is neither empty (no vectors) nor digit
+    text (errors.digit_text) nor whole operands, raise
+    InvalidArgumentError.
     """
     positive(width, "width")
+    if text != "":
+        digit_text(text)
     if len(text) % width:
         raise InvalidArgumentError(
             f"{len(text)} digits are not whole {width}-digit records"
         )
-    if text and not (text.isascii() and text.encode().isdigit()):
-        raise InvalidArgumentError("operand text must be ASCII digits")
     # Reversed, the last operand comes first, so each strided column read
     # in base 16 holds vector k's digit in nibble k, and digit j of the
     # operand sits j places into it.
@@ -141,7 +148,7 @@ def text_lanes(text: str, width: int) -> list[int]:
 
     Lane 4j+i holds bit i of digit j of vector k at bit 4k, so every lane
     lies inside lane_mask(len(text) // width).  A width below 1, and text
-    that is not ASCII digits or not whole operands, raise
+    that is neither empty nor digit text nor whole operands, raise
     InvalidArgumentError.
     """
     columns = text_columns(text, width)
@@ -156,7 +163,7 @@ def _bcd_digits(bits: str | bytes) -> str:
     as one binary number, its hex digits are the decimal digits.  A
     nibble above 9 raises InvalidBCDError, naming the lowest such."""
     digits = format(int(bits, 2), "x").zfill(len(bits) // 4)
-    if not digits.isdigit():
+    if not is_digit_text(digits):
         bad = next(c for c in reversed(digits) if c > "9")
         raise InvalidBCDError(f"digit {int(bad, 16)} outside 0..9")
     return digits
@@ -165,39 +172,35 @@ def _bcd_digits(bits: str | bytes) -> str:
 class AdderPort:
     """Operand and result lines of one compiled BCD adder, by name.
 
-    Bit i of operand digit j is the input ``a{i}.{j}`` / ``b{i}.{j}`` and
-    sum bit i the output ``S{i}.{j}`` (no ``.{j}`` on the single-digit
-    pdfa); ``cin`` and ``dC`` are the carries.  A netlist that lacks one
-    of these lines is not an adder, and InvalidArgumentError names the
-    first one missing.  The operands must lie as ``designs._adder`` lays
-    them out, and InvalidArgumentError names the first line that does
-    not: a0..a3 then b0..b3 of digit j on lines 8j..8j+7, ``cin`` on line
-    8N, and the restored lines exactly 0..8N-1.  So the 8N operand bits
-    are one slice of the line state, written and checked whole.  Scalar
-    operands and sums are digit strings as encode returns them.
+    The labels are ``designs.adder_labels``: bit i of operand digit j is
+    the input ``a{i}.{j}`` / ``b{i}.{j}`` and sum bit i the output
+    ``S{i}.{j}`` (no ``.{j}`` on the single-digit pdfa); ``cin`` and
+    ``dC`` are the carries.  A netlist that lacks one of these lines is
+    not an adder, and InvalidArgumentError names the first one missing.
+    The operands must lie as ``designs._adder`` lays them out, and
+    InvalidArgumentError names the first line that does not: a0..a3 then
+    b0..b3 of digit j on lines 8j..8j+7, ``cin`` on line 8N, and the
+    restored lines exactly 0..8N-1.  So the 8N operand bits are one slice
+    of the line state, written and checked whole.  Scalar operands and
+    sums are digit strings as encode returns them; any other operand is
+    refused by the one digit-text rule, ``errors.digit_text``.
     """
 
     def __init__(self, compiled: CompiledNetlist):
         self.compiled = compiled
         labels, named = compiled.label_to_line, dict(compiled.named)
         n = self.width = max(1, len(labels) // 8)  # eight bits a digit, plus cin
-        digits = [""] if "a0" in labels else [f".{j}" for j in range(n)]
-
+        count = None if "a0" in labels else n  # the pdfa's labels have no .j
         # The label sequences are made again for each pass, not held: at
         # N=1024, held as lists, they raised the constructor's peak memory
         # from 0.5 to 1.2 MB.
-        def layout():  # the input labels in line order
-            ops = (f"{op}{i}{d}" for d in digits for op in "ab" for i in range(4))
-            return chain(ops, ["cin"])
-
-        def sums():  # the sum names in lane order: bit i of digit j at 4j+i
-            return (f"S{i}{d}" for d in digits for i in range(4))
-
-        for lines, wanted in ((labels, layout()), (named, chain(sums(), ["dC"]))):
+        inputs, sums = adder_labels(count)
+        for lines, wanted in ((labels, inputs), (named, chain(sums, ["dC"]))):
             missing = next((key for key in wanted if key not in lines), None)
             if missing is not None:
                 raise InvalidArgumentError(f"not a BCD adder: no line {missing!r}")
-        for line, label in enumerate(layout()):
+        inputs, sums = adder_labels(count)
+        for line, label in enumerate(inputs):
             if labels[label] != line:
                 raise InvalidArgumentError(
                     f"not a BCD adder: input {label!r} on line {labels[label]}, "
@@ -214,16 +217,19 @@ class AdderPort:
         self._carry_line = named["dC"]
         # The sum bits in lane order; reversed, one binary number whose hex
         # digits are the sum's decimal digits.
-        self._sums = itemgetter(*map(named.__getitem__, sums()))
+        self._sums = itemgetter(*map(named.__getitem__, sums))
         self._constants = compiled.base_state[8 * n + 1 :]  # the lines past cin
 
     def pack(self, a: str, b: str, cin: int = 0) -> list[int]:
-        """A fresh line state holding the operands and the carry-in."""
+        """A fresh line state holding the operands and the carry-in.
+
+        An operand that is not digit text (errors.digit_text), or not
+        `width` digits long, is an InvalidArgumentError."""
         if type(cin) not in (int, bool) or cin not in (0, 1):
             raise InvalidArgumentError(f"carry-in must be 0 or 1, got {shown(cin)}")
-        if len(a) != self.width or len(b) != self.width or not (
-            (a + b).isascii() and (a + b).isdecimal()
-        ):
+        digit_text(a)
+        digit_text(b)
+        if len(a) != self.width or len(b) != self.width:
             raise InvalidArgumentError(
                 f"operands must be strings of {self.width} ASCII digits"
             )
@@ -277,14 +283,14 @@ class AdderPort:
     def from_bits(text: str) -> str:
         """The digit string of a bit string, four little-endian bits per
         digit, least significant digit first."""
-        if not text or len(text) % 4 or set(text) - {"0", "1"}:
+        if not is_digit_text(text) or len(text) % 4 or set(text) - {"0", "1"}:
             raise InvalidArgumentError(f"not a 4-per-digit bit string: {shown(text)}")
         return _bcd_digits(text[::-1])
 
     @staticmethod
     def to_bits(text: str) -> str:
-        """Inverse of from_bits."""
-        return format(int(text, 16), "b").zfill(4 * len(text))[::-1]
+        """Inverse of from_bits: the bits of digit text (errors.digit_text)."""
+        return format(int(digit_text(text), 16), "b").zfill(4 * len(text))[::-1]
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -305,15 +311,14 @@ def bcd_add(a: str, b: str, design: str = "dec-rca", cin: int = 0) -> tuple[str,
     arithmetic is done by the gate-level circuit; nothing here computes
     the sum natively.
     """
-    total, carry, _ = cached_adder(design, len(a)).add(a, b, cin)
+    total, carry, _ = cached_adder(design, len(digit_text(a))).add(a, b, cin)
     return total, carry
 
 
 # -- CSV ingestion ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(NamedTuple):
     group: str
     amount_cents: int
 
@@ -349,7 +354,7 @@ _AMOUNT_RE = re.compile(r"(-?)\$?(-?)(\d{1,3}(?:,\d{3})*|\d+)(?:\.(\d{1,2}))?")
 
 def parse_amount(text: str) -> int:
     """Parse "$12.34", "12.34", "-5.00", "1,234.5" to signed cents."""
-    m = _AMOUNT_RE.fullmatch(text.strip())
+    m = _AMOUNT_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if m is None or m[1] and m[2]:  # one minus sign at most
         raise LedgerFormatError(f"malformed amount {shown(text)}")
     neg1, neg2, whole, frac = m.groups()

@@ -1,6 +1,7 @@
 """The one count rule (`errors.positive`) at every entry point that takes a
-digit count, width or sample count, and how an error names a value
-(`errors.shown`)."""
+digit count, width or sample count, the one digit-text rule
+(`errors.digit_text`) at every entry point that takes digit text, and how
+an error names a value (`errors.shown`)."""
 
 import random
 
@@ -10,7 +11,17 @@ from revbcd.costs import improvement, metric_value
 from revbcd.designs import build_dec_csk, build_dec_rca, build_design, decimal_propagate
 from revbcd.errors import InvalidArgumentError, RevbcdError, shown
 from revbcd.gates import GateKind, gate_semantics
-from revbcd.ledger import cached_adder, decimal_text, encode, sum_ledger, text_lanes
+from revbcd.ledger import (
+    AdderPort,
+    bcd_add,
+    cached_adder,
+    decimal_text,
+    decode,
+    encode,
+    sum_ledger,
+    text_columns,
+    text_lanes,
+)
 from revbcd.netlist import Netlist, input_role
 from revbcd.simulator import run
 from revbcd.verify import run_scope, verify_adders
@@ -46,6 +57,38 @@ def test_a_count_below_one_is_refused(site, value):
     with pytest.raises(InvalidArgumentError) as info:
         call(value)
     assert str(info.value) == f"{what} must be at least 1"
+
+
+# Each entry point that takes digit text, handed one bad operand; a width
+# of 2 digits where it takes one, and "12" as the other operand.
+DIGIT_TEXT = {
+    "decode": decode,
+    "text_columns": lambda v: text_columns(v, 2),
+    "text_lanes": lambda v: text_lanes(v, 2),
+    "pack-a": lambda v: cached_adder("dec-rca", 2).pack(v, "12"),
+    "pack-b": lambda v: cached_adder("dec-rca", 2).pack("12", v),
+    "add-a": lambda v: cached_adder("dec-rca", 2).add(v, "12"),
+    "add-b": lambda v: cached_adder("dec-rca", 2).add("12", v),
+    "bcd_add-a": lambda v: bcd_add(v, "12"),
+    "bcd_add-b": lambda v: bcd_add("12", v),
+    "to_bits": AdderPort.to_bits,
+}
+NOT_DIGIT_TEXT = (12, b"12", None, "", "12a", " 12", "+7", "1_0", "١٢", "１２")
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [
+        pytest.param(site, value, id=f"{site}-{value!r}")
+        for site in DIGIT_TEXT
+        for value in NOT_DIGIT_TEXT
+        if not (value == "" and site.startswith("text_"))  # an empty batch
+    ],
+)
+def test_what_is_not_digit_text_is_refused(site, value):
+    with pytest.raises(InvalidArgumentError) as info:
+        DIGIT_TEXT[site](value)
+    assert str(info.value) == f"not a digit string: {shown(value)}"
 
 
 def test_cached_adder_keys_by_type():

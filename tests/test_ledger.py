@@ -15,6 +15,7 @@ from revbcd.errors import (
     InvalidArgumentError,
     InvalidBCDError,
     LedgerFormatError,
+    shown,
 )
 from revbcd.ledger import (
     AdderPort,
@@ -34,6 +35,8 @@ from revbcd.ledger import (
     to_lanes,
 )
 from revbcd.simulator import compile_netlist
+
+_NOT_INTS = (True, False, 1.5, 1e30, -1.0, None, "12")
 
 
 class TestCodec:
@@ -99,10 +102,14 @@ class TestCodec:
             encode(amount, 1)
         assert str(info.value) == f"{want} does not fit in 1 BCD digits"
 
-    @pytest.mark.parametrize("amount", (True, False, 1.5, 1e30, -1.0, None, "12"), ids=repr)
-    def test_encode_rejects_what_is_not_an_int(self, amount):
+    @pytest.mark.parametrize(
+        "call,amount",
+        [pytest.param(lambda v: encode(v, 3), v, id=repr(v)) for v in _NOT_INTS]
+        + [pytest.param(decimal_text, v, id=f"decimal_text-{v!r}") for v in _NOT_INTS],
+    )
+    def test_encode_rejects_what_is_not_an_int(self, call, amount):
         with pytest.raises(InvalidArgumentError, match="^amount must be an int, got "):
-            encode(amount, 3)
+            call(amount)
 
     @pytest.mark.parametrize("text", ("1_0", " 12", "+7", "12 ", "", "\u0663", "1.0"))
     def test_decode_rejects_what_is_not_ascii_digits(self, text):
@@ -144,7 +151,7 @@ class TestLanes:
         "text", ("x", "12a4", "0x12", "12_4", " 123", "1234\n", "١٢٣٤", "１２")
     )
     def test_text_not_ascii_digits(self, text):
-        with pytest.raises(InvalidArgumentError, match="ASCII digits"):
+        with pytest.raises(InvalidArgumentError, match="^not a digit string: "):
             text_lanes(text, 1)
 
     def test_text_not_whole_records(self):
@@ -240,14 +247,14 @@ class TestAdderPort:
 
     def test_width_mismatch(self, dec_csk8):
         port = AdderPort(compile_netlist(dec_csk8))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="^operands must be strings of 8"):
             port.add(encode(1, 8), encode(1, 7))
 
     @pytest.mark.parametrize("text", ["0000000a", "0000 001", "\u0663" * 8, "+0000001"])
     def test_pack_rejects_non_digits(self, dec_rca8, text):
         port = AdderPort(compile_netlist(dec_rca8))
         for a, b in ((text, "0" * 8), ("0" * 8, text)):
-            with pytest.raises(InvalidArgumentError, match="8 ASCII digits"):
+            with pytest.raises(InvalidArgumentError, match="^not a digit string: "):
                 port.pack(a, b)
 
     def test_sum_digit_above_nine(self, dec_rca8, monkeypatch):
@@ -298,10 +305,13 @@ class TestAdderPort:
         digits = "".join(random.Random(3).choice("0123456789") for _ in range(4401))
         assert AdderPort.from_bits(AdderPort.to_bits(digits)) == digits
 
-    @pytest.mark.parametrize("text", ["", "100", "1002", "1 01"])
+    @pytest.mark.parametrize(
+        "text", ["", "100", "1002", "1 01", 1001, ["1", "0", "0", "1"]]
+    )
     def test_bad_bit_string(self, text):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError) as info:
             AdderPort.from_bits(text)
+        assert str(info.value) == f"not a 4-per-digit bit string: {shown(text)}"
 
     def test_bit_digit_above_nine(self):
         """The lowest non-BCD nibble is named: 10 here, not 14 above it."""
@@ -327,9 +337,11 @@ class TestParseAmount:
     def test_good(self, text, cents):
         assert parse_amount(text) == cents
 
-    @pytest.mark.parametrize("text", ["", "abc", "1.234", "12..3", "$", "--5"])
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "1.234", "12..3", "$", "--5", 5, None, b"5.00"]
+    )
     def test_bad(self, text):
-        with pytest.raises(LedgerFormatError):
+        with pytest.raises(LedgerFormatError, match="^malformed amount "):
             parse_amount(text)
 
     def test_past_int_str_digit_limit(self):
@@ -352,6 +364,15 @@ class TestIngest:
         records, diags = ingest_csv(path, self.config())
         assert records == [LedgerRecord("u1", 1234), LedgerRecord("u2", 300)]
         assert diags.rows_read == 2 and diags.rows_kept == 2
+
+    def test_record_is_an_immutable_value(self):
+        record = LedgerRecord("u1", 1234)
+        assert repr(record) == "LedgerRecord(group='u1', amount_cents=1234)"
+        assert (record.group, record.amount_cents) == ("u1", 1234)
+        assert record == LedgerRecord("u1", 1234) != LedgerRecord("u1", 1235)
+        assert hash(record) == hash(LedgerRecord("u1", 1234))
+        with pytest.raises(AttributeError):
+            record.amount_cents = 5
 
     def test_negative_magnitude_default(self, tmp_path):
         path = self.write(tmp_path, "user,amount\nu1,-5.00\n")

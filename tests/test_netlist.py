@@ -1,5 +1,8 @@
 """Netlist construction, validation, and serialization round-trips."""
 
+import copy
+import pickle
+
 import pytest
 
 from revbcd.designs import (
@@ -190,6 +193,35 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(NetlistFormatError, match="missing field"):
             deserialize('{"width": 1}')
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        (lambda nl: pickle.loads(pickle.dumps(nl)), copy.deepcopy),
+        ids=("pickle", "deepcopy"),
+    )
+    @pytest.mark.parametrize(
+        "make",
+        (
+            build_pdfa,
+            lambda: build_dec_rca(4),
+            lambda: build_dec_csk(4),
+            lambda: two_line(
+                gates=_FG01,
+                outputs=(_Output("y", 1),),
+                restored=frozenset({0}),
+            ),
+        ),
+        ids=("pdfa", "dec-rca-4", "dec-csk-4", "records"),
+    )
+    def test_copies_equal_the_original(self, make, copy_of):
+        """A pickled or deep-copied netlist equals its original, hashes
+        alike and keeps its column views."""
+        nl = make()
+        back = copy_of(nl)
+        assert back == nl and hash(back) == hash(nl)
+        for field in ("roles", "gates", "outputs"):
+            assert type(getattr(back, field)) is type(getattr(nl, field))
+        assert serialize(back) == serialize(nl)
 
     def test_stage_tags_survive(self, pdfa):
         back = deserialize(serialize(pdfa))
